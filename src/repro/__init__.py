@@ -21,7 +21,7 @@ from __future__ import annotations
 from . import obs, robust
 from .cfg import build_cfg, is_sequential
 from .cssa import build_cssa, render_cssa
-from .driver import OptimizationReport, optimize
+from .driver import OptimizationReport, analyze, optimize
 from .lang import ast, parse_program, pretty
 from .pfg import ParallelFlowGraph, build_pfg, to_dot, validate_pfg
 from .reachdefs import (
@@ -34,117 +34,6 @@ from .reachdefs import (
 )
 
 __version__ = "1.0.0"
-
-
-def analyze(
-    program: "ast.Program",
-    backend: str = "bitset",
-    order: str = "document",
-    solver: str = "stabilized",
-    preserved: str = "approx",
-    budget=None,
-    cache: bool = True,
-    record_provenance: bool = False,
-    dense=None,
-    graph=None,
-) -> ReachingDefsResult:
-    """Analyze ``program`` with the most precise applicable equation system.
-
-    * sequential program → §2 classical reaching definitions;
-    * parallel sections / parallel do, no synchronization → §5 parallel
-      system;
-    * synchronization present → §6 synchronized system (with the
-      Preserved-set mode given by ``preserved``).
-
-    ``solver="stabilized"`` (default) gives the deterministic,
-    visit-order-independent solution; ``"round-robin"`` is the paper's
-    chaotic iteration (see DESIGN.md §5 "solver modes"); ``"scc"`` is the
-    sparse SCC-scheduled engine (:mod:`repro.dataflow.sched`) — same
-    fixpoints, far fewer node updates on mostly-acyclic graphs;
-    ``"scc-dense"`` additionally routes large cyclic regions through the
-    vectorized dense evaluator (:mod:`repro.dataflow.dense`) —
-    byte-identical fixpoints, matrix-shaped inner loop.  ``dense`` (a
-    :class:`repro.dataflow.dense.DenseConfig`) tunes the dense-region
-    thresholds and wavefront ``workers`` for either scc engine.
-
-    ``budget`` is an optional :class:`repro.dataflow.ResourceBudget`
-    bounding the whole analysis; exhaustion raises
-    :class:`repro.dataflow.NonConvergenceError` (see
-    :func:`repro.robust.analyze_with_degradation` for the fall-back
-    ladder that degrades instead of failing).
-
-    ``record_provenance=True`` makes the solver derive a justification
-    graph once converged and attach it as ``result.provenance``
-    (:mod:`repro.provenance` — the substrate of ``repro explain`` and
-    ``repro races --explain``).  Off by default and off-path when off.
-
-    ``graph`` hands in an already-built PFG for ``program`` (it must be
-    *the* PFG of that exact AST) — used by callers that needed the graph
-    before deciding to run the full analysis (the incremental engine's
-    fallback path), so the build isn't paid twice when caching is off.
-
-    ``cache=True`` (default) memoizes by program digest in
-    :data:`repro.dataflow.cache.GLOBAL_CACHE`: a warm call on an
-    unchanged program returns the cached result with **zero** solver
-    passes (the hit lands in the ``cache.*`` counters of
-    :mod:`repro.obs`).  Budget-guarded runs bypass the full-result cache
-    — a budget asks for the work to actually run under a guard.
-    """
-    from .dataflow.cache import GLOBAL_CACHE, MISSING, cached_build_pfg, program_digest
-
-    use_cache = cache and budget is None and GLOBAL_CACHE.enabled
-    key = None
-    if use_cache:
-        key = (
-            "analyze",
-            program_digest(program),
-            backend,
-            order,
-            solver,
-            preserved,
-            record_provenance,
-            # Dense thresholds change dispatch counts in result.stats
-            # (never the sets); workers change neither — see DenseConfig.key.
-            dense.key() if dense is not None else None,
-        )
-        # Results are only valid for the exact AST analyzed (PFG nodes
-        # hold statement objects; the interpreter matches by identity —
-        # see cached_build_pfg), so a hit from a different parse of the
-        # same text is rejected and recomputed.
-        hit = GLOBAL_CACHE.get(
-            key,
-            MISSING,
-            valid=lambda r: getattr(r.graph, "source_program", None) is program,
-        )
-        if hit is not MISSING:
-            return hit
-    if graph is None:
-        graph = cached_build_pfg(program) if cache else build_pfg(program)
-    uses_sync = bool(graph.posts_of_event or graph.waits_of_event)
-    uses_parallel = bool(graph.forks) or bool(graph.pardos)
-    if uses_sync:
-        result = solve_synch(
-            graph, backend=backend, order=order, solver=solver, preserved=preserved,
-            budget=budget, record_provenance=record_provenance, dense=dense,
-        )
-    elif uses_parallel:
-        result = solve_parallel(
-            graph, backend=backend, order=order, solver=solver, budget=budget,
-            record_provenance=record_provenance, dense=dense,
-        )
-    else:
-        if solver == "stabilized":
-            # The sequential system is monotone with a unique fixpoint: the
-            # chaotic solver already yields the stabilized answer.
-            solver = "round-robin"
-        result = solve_sequential(
-            graph, backend=backend, order=order, solver=solver, budget=budget,
-            record_provenance=record_provenance, dense=dense,
-        )
-    if key is not None:
-        GLOBAL_CACHE.put(key, result)
-    return result
-
 
 __all__ = [
     "__version__",

@@ -1,4 +1,4 @@
-"""Concurrent batch-analysis driver: the scale-out layer over ``optimize``.
+"""Concurrent batch-analysis driver: the scale-out layer over ``run_request``.
 
 The per-program machinery (digest-keyed cache, resource budgets, the
 degradation ladder, observability) bounds and instruments **one** solve;
@@ -6,17 +6,18 @@ throughput past that point has to come from sharding independent
 programs across workers — per-program solve cost is irreducible in the
 worst case ("On the computational complexity of Data Flow Analysis",
 PAPERS.md).  :func:`run_batch` takes a list of program files, runs the
-full :func:`repro.driver.optimize` pipeline on each, and shards the
-tasks across a :class:`concurrent.futures.ProcessPoolExecutor`
+request pipeline (:func:`repro.driver.run_request`) on each, and shards
+the tasks across a :class:`concurrent.futures.ProcessPoolExecutor`
 (``workers > 1``) or runs them serially in-process (``workers == 1`` —
 the deterministic mode tests and debugging want).
 
 Guarantees, per task:
 
 * **failure isolation** — a diverging, syntactically invalid, or
-  deadlocking program is *recorded* (status + exit-code-equivalent in
-  the manifest), never fatal to the batch; only batch-level usage/I-O
-  errors abort the run;
+  deadlocking program, or any exception in its analysis, is *recorded*
+  (status + exit-code-equivalent in the manifest, classified by
+  :func:`repro.driver.classify`), never fatal to the batch; only
+  batch-level usage/I-O errors abort the run;
 * **fresh budget** — each task gets its own
   :class:`~repro.dataflow.budget.ResourceBudget` built from
   :class:`BatchOptions` limits, so one adversarial program cannot starve
@@ -45,20 +46,14 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Union
 
+from ..driver import STATUS_CODES, Outcome, RequestOptions, run_request
 from ..obs import get_metrics, get_tracer
 from .manifest import ManifestWriter, batch_exit_code, render_batch_summary
 
-#: Task statuses, mapped to the CLI's documented exit-code contract so a
-#: manifest row answers "what would this program have exited with?".
-TASK_EXIT_CODES = {
-    "ok": 0,
-    "degraded": 0,  # completed with a sound (flagged) result
-    "error": 1,  # front-end / I-O: bad syntax, missing file
-    "failed": 2,  # analysis failure: non-convergence, budget exhaustion
-    "invariant": 3,  # PFG invariant violation
-    "dynamic-failure": 4,  # interpreter deadlock / runaway loop
-    "crashed": 2,  # worker process died mid-task (infrastructure)
-}
+#: Task status → code: the CLI's table (:data:`repro.driver.STATUS_CODES`)
+#: plus ``crashed``, a worker process that died mid-task (infrastructure),
+#: so a manifest row answers "what would this program have exited with?".
+TASK_EXIT_CODES = {**STATUS_CODES, "crashed": 2}
 
 
 @dataclass(frozen=True)
@@ -80,16 +75,19 @@ class BatchOptions:
     seed: int = 0
     max_loop_iters: int = 3
 
-    def budget(self):
-        from ..dataflow.budget import ResourceBudget
-
-        if self.max_passes is None and self.deadline_s is None:
-            return None
-        return ResourceBudget(deadline_s=self.deadline_s, max_passes=self.max_passes)
+    def request(self) -> RequestOptions:
+        return RequestOptions(
+            backend=self.backend,
+            preserved=self.preserved,
+            solver=self.solver,
+            degrade=self.degrade,
+            max_passes=self.max_passes,
+            deadline_s=self.deadline_s,
+        )
 
 
 def run_task(path: str, options: BatchOptions) -> Dict[str, object]:
-    """Run the full pipeline on one program file; never raises.
+    """Run the request pipeline on one program file; never raises.
 
     Top-level (picklable) so it can be a process-pool entry point.  Runs
     under its own observability session and returns a JSON-ready ``task``
@@ -97,93 +95,56 @@ def run_task(path: str, options: BatchOptions) -> Dict[str, object]:
     the caller merges into its own metrics.
     """
     from .. import obs
-    from ..dataflow.budget import NonConvergenceError
-    from ..dataflow.cache import program_digest
-    from ..dataflow.framework import FixpointDiverged
-    from ..driver import optimize
-    from ..interp import RandomScheduler, StepBudgetExceeded, run_program
-    from ..lang import parse_program
-    from ..lang.errors import LangError
-    from ..pfg.validate import PFGInvariantError
+    from ..interp import RandomScheduler, run_program
 
     t0 = time.perf_counter()
-    record: Dict[str, object] = {
-        "type": "task",
-        "file": str(path),
-        "program": None,
-        "digest": None,
-        "status": "ok",
-        "error": None,
-        "system": None,
-        "stats": None,
-        "anomalies": None,
-        "sync_issues": None,
-        "degradation": None,
-        "interp": None,
-        "attempts": 1,  # the driver overrides after worker-crash retries
-    }
     with obs.session() as sess:
         try:
-            program = parse_program(Path(path).read_text())
-            record["program"] = program.name
-            record["digest"] = program_digest(program)
-            report = optimize(
-                program,
-                backend=options.backend,
-                preserved=options.preserved,
-                budget=options.budget(),
-                degrade=options.degrade,
-                solver=options.solver,
-            )
-            record["system"] = report.result.system
-            record["stats"] = report.result.stats.as_dict()
-            record["anomalies"] = len(report.anomalies)
-            record["sync_issues"] = len(report.sync_issues)
-            if report.degradation is not None:
-                record["degradation"] = report.degradation.as_dict()
-                record["status"] = "degraded"
-            if options.run:
-                result = run_program(
-                    program,
-                    RandomScheduler(
-                        seed=options.seed, max_loop_iters=options.max_loop_iters
-                    ),
-                    graph=report.result.graph,
-                )
+            source = Path(path).read_text()
+        except OSError as err:
+            outcome = Outcome.failure(err)
+        else:
+            outcome = run_request(source, options.request())
+        record: Dict[str, object] = {"type": "task", "file": str(path)}
+        record.update(
+            outcome.summary()
+            or {
+                "program": outcome.program.name if outcome.program is not None else None,
+                "digest": outcome.digest,
+                "system": None,
+                "stats": (
+                    outcome.partial_stats.as_dict()
+                    if outcome.partial_stats is not None
+                    else None
+                ),
+                "anomalies": None,
+                "sync_issues": None,
+            }
+        )
+        record["degradation"] = (
+            outcome.degradation.as_dict() if outcome.degradation is not None else None
+        )
+        record["interp"] = None
+        record["attempts"] = 1  # the driver overrides after worker-crash retries
+        if options.run and outcome.result is not None:
+            scheduler = RandomScheduler(seed=options.seed, max_loop_iters=options.max_loop_iters)
+            try:
+                run = run_program(outcome.program, scheduler, graph=outcome.result.graph)
+            except Exception as err:
+                outcome.fail(err)
+            else:
                 record["interp"] = {
-                    "steps": result.steps,
-                    "deadlocked": result.deadlocked,
-                    "blocked_events": list(result.blocked_events),
+                    "steps": run.steps,
+                    "deadlocked": run.deadlocked,
+                    "blocked_events": list(run.blocked_events),
                 }
-                if result.deadlocked:
-                    record["status"] = "dynamic-failure"
-                    blocked = ", ".join(result.blocked_events)
-                    record["error"] = (
-                        f"deadlock (blocked on: {blocked})" if blocked else "deadlock"
-                    )
-        except LangError as err:
-            record["status"] = "error"
-            record["error"] = str(err)
-        except (FileNotFoundError, OSError) as err:
-            record["status"] = "error"
-            record["error"] = str(err)
-        except NonConvergenceError as err:
-            record["status"] = "failed"
-            record["error"] = f"analysis did not converge: {err.reason}"
-            record["stats"] = err.stats.as_dict()
-        except FixpointDiverged as err:
-            record["status"] = "failed"
-            record["error"] = f"analysis did not converge: {err}"
-        except PFGInvariantError as err:
-            record["status"] = "invariant"
-            record["error"] = f"graph invariant violation: {err}"
-        except StepBudgetExceeded as err:
-            record["status"] = "dynamic-failure"
-            record["error"] = f"runaway execution: {err}"
-        except RuntimeError as err:
-            record["status"] = "failed"
-            record["error"] = str(err)
-    record["code"] = TASK_EXIT_CODES[str(record["status"])]
+                if run.deadlocked:
+                    blocked = ", ".join(run.blocked_events)
+                    outcome.status = "dynamic-failure"
+                    outcome.error = f"deadlock (blocked on: {blocked})" if blocked else "deadlock"
+    record["status"] = outcome.status
+    record["error"] = outcome.error
+    record["code"] = TASK_EXIT_CODES[outcome.status]
     record["wall_s"] = round(time.perf_counter() - t0, 6)
     state = sess.metrics.export_state()
     # ``counters`` stays a top-level field (older manifest consumers read

@@ -305,8 +305,8 @@ def run_drill(drill: int, options: FuzzOptions) -> Dict[str, object]:
     from ..interp.scheduler import RandomScheduler
     from ..pfg import build_pfg
     from ..robust.chaos import corrupt_result
+    from ..reachdefs import solve_system
     from ..robust.selfcheck import verify_result
-    from .oracles import _solve_precise
 
     tracer = get_tracer()
     t0 = time.perf_counter()
@@ -336,7 +336,7 @@ def run_drill(drill: int, options: FuzzOptions) -> Dict[str, object]:
     def corruption_detected(candidate: ast.Program) -> bool:
         """True when a seeded corruption of the candidate's (sound)
         analysis is flagged by the dynamic self-check."""
-        result = _solve_precise(build_pfg(candidate), options.backend)
+        result = solve_system(build_pfg(candidate), backend=options.backend)
         run = run_program(
             candidate,
             scheduler=RandomScheduler(seed=0, max_loop_iters=options.max_loop_iters),

@@ -44,29 +44,22 @@ from ..dataflow.cache import GLOBAL_CACHE, MISSING, cached_build_pfg, program_di
 from ..dataflow.dense import DenseConfig
 from ..dataflow.sched import get_schedule, solve_scc
 from ..dataflow.solver import make_order
+from ..driver import analyze
 from ..lang import ast
 from ..obs import get_metrics
 from ..pfg import ParallelFlowGraph, build_pfg
+from ..reachdefs import equation_family
 from ..reachdefs.parallel import ParallelRDSystem
 from ..reachdefs.result import ReachingDefsResult
 from ..reachdefs.sequential import SequentialRDSystem
 from .diff import dirty_regions, match_graphs
 
-#: Engine-level fallback reasons (the serve worker adds "base-miss" and
-#: "degraded" at the request layer — see docs/incremental.md for the
-#: full matrix).
+#: Engine-level fallback reasons (the request pipeline adds "base-miss"
+#: and "degraded" — see docs/incremental.md for the full matrix).
 FALLBACK_SYNC = "sync"
 FALLBACK_UNMATCHED = "unmatched"
 FALLBACK_SYSTEM = "system-mismatch"
 FALLBACK_UNMAPPED = "unmapped-defs"
-
-
-def _family(graph: ParallelFlowGraph) -> str:
-    if graph.posts_of_event or graph.waits_of_event:
-        return "synch"
-    if graph.forks or graph.pardos:
-        return "parallel"
-    return "sequential"
 
 
 @dataclass
@@ -81,7 +74,10 @@ class IncrementalBase:
 
     def __post_init__(self):
         if not self.digest:
-            self.digest = program_digest(self.program)
+            # cached_build_pfg stamps the digest on the graph it builds.
+            self.digest = getattr(self.graph, "program_digest", None) or program_digest(
+                self.program
+            )
 
     @classmethod
     def from_result(cls, program: ast.Program, result: ReachingDefsResult) -> "IncrementalBase":
@@ -142,31 +138,6 @@ def lookup_base(digest: str, cache=None) -> Optional[IncrementalBase]:
     return None if hit is MISSING else hit
 
 
-def _full_solve(
-    program: ast.Program,
-    *,
-    backend: str,
-    solver: str,
-    preserved: str,
-    budget,
-    dense,
-    cache: bool,
-    graph: Optional[ParallelFlowGraph] = None,
-) -> ReachingDefsResult:
-    from .. import analyze  # deferred: repro/__init__ is heavyweight
-
-    return analyze(
-        program,
-        backend=backend,
-        solver=solver,
-        preserved=preserved,
-        budget=budget,
-        cache=cache,
-        dense=dense,
-        graph=graph,
-    )
-
-
 def incremental_analyze(
     base: IncrementalBase,
     program: ast.Program,
@@ -204,7 +175,7 @@ def incremental_analyze(
         # The graph built for matching is handed through — the fallback
         # must not pay PFG construction twice (the overhead gate in
         # benchmarks/run_incremental.py pins this at <= 5%).
-        result = _full_solve(
+        result = analyze(
             program, backend=backend, solver=solver, preserved=preserved,
             budget=budget, dense=dense, cache=cache, graph=graph,
         )
@@ -213,8 +184,8 @@ def incremental_analyze(
         return IncrementalOutcome(
             result=result, base_digest=base.digest, fallback=reason
         )
-    family = _family(graph)
-    if family == "synch" or _family(base.graph) == "synch":
+    family = equation_family(graph)
+    if family == "synch" or equation_family(base.graph) == "synch":
         return fall_back(FALLBACK_SYNC)
     if base.result.system != family:
         # The base rows come from a different equation system (degraded

@@ -52,10 +52,9 @@ from ..pfg.graph import ParallelFlowGraph
 from ..pfg.validate import PFGInvariantError
 from ..reachdefs import (
     ReachingDefsResult,
+    equation_family,
     solve_conservative,
-    solve_parallel,
-    solve_sequential,
-    solve_synch,
+    solve_system,
 )
 
 #: Synchronization-lint kinds under which the §6 Preserved machinery is
@@ -82,6 +81,13 @@ _LEVEL_NAMES = {
     DegradationLevel.FULL: "full",
     DegradationLevel.NO_PRESERVED: "no-preserved",
     DegradationLevel.CONSERVATIVE: "conservative",
+}
+
+#: The record's opening reason when a caller starts the ladder below
+#: ``full`` — only the serve admission policy does, under load.
+START_REASONS = {
+    DegradationLevel.NO_PRESERVED: "admission degradation policy: preserved sets disabled under load",
+    DegradationLevel.CONSERVATIVE: "admission degradation policy: conservative-only under load",
 }
 
 
@@ -135,6 +141,7 @@ def analyze_with_degradation(
     preserved: str = "approx",
     budget: Optional[ResourceBudget] = None,
     dense=None,
+    start: DegradationLevel = DegradationLevel.FULL,
 ) -> Tuple[ReachingDefsResult, Optional[DegradationRecord]]:
     """Analyze with the ladder above; always returns a sound result.
 
@@ -145,7 +152,15 @@ def analyze_with_degradation(
        systems' assumptions about the graph shape don't hold);
     2. synchronization lint reports a blocking issue
        (:data:`BLOCKING_SYNC_ISSUES`) → start at ``no-preserved``;
-    3. any rung exhausting its (renewed) budget → next rung.
+    3. any rung exhausting its (renewed) budget → next rung.  A rung that
+       would solve the very system that just failed is skipped: without
+       Preserved sets to drop (a §5/§2 program, or ``preserved="none"``)
+       ``full`` falls straight to ``conservative``.
+
+    ``start`` begins lower down: the serve admission policy's levels 1
+    and 2 (:data:`START_REASONS` names them in the record).  On a §5/§2
+    program rung 1 is its own system, stamped as the rung it was asked
+    for.
 
     ``solver`` / ``dense`` select the fixpoint engine and dense-region
     configuration exactly as in :func:`repro.analyze`; every precise rung
@@ -156,9 +171,9 @@ def analyze_with_degradation(
     graph = source if isinstance(source, ParallelFlowGraph) else cached_build_pfg(source)
     tracer = get_tracer()
     metrics = get_metrics()
-    uses_sync = bool(graph.posts_of_event or graph.waits_of_event)
-    uses_parallel = bool(graph.forks) or bool(graph.pardos)
-    reasons: List[str] = []
+    start = DegradationLevel(start)
+    uses_sync = equation_family(graph) == "synch"
+    reasons: List[str] = [START_REASONS[start]] if start in START_REASONS else []
     spends: List[ResourceBudget] = []
 
     def record(level: DegradationLevel) -> DegradationRecord:
@@ -172,13 +187,16 @@ def analyze_with_degradation(
             metrics.inc(f"driver.degradations.level{int(level)}")
         return rec
 
-    def attempt(level: DegradationLevel, fn, **kwargs) -> Optional[ReachingDefsResult]:
+    def attempt(level: DegradationLevel, rung_preserved: str) -> Optional[ReachingDefsResult]:
         rung_budget = budget.fresh() if budget is not None else None
         if rung_budget is not None:
             spends.append(rung_budget)
         try:
             with tracer.span("analyze-attempt", level=_LEVEL_NAMES[level]):
-                result = fn(budget=rung_budget, **kwargs)
+                result = solve_system(
+                    graph, backend=backend, order=order, solver=solver,
+                    preserved=rung_preserved, budget=rung_budget, dense=dense,
+                )
         except NonConvergenceError as err:
             reasons.append(f"{_LEVEL_NAMES[level]} analysis did not converge: {err.reason}")
             return None
@@ -187,18 +205,22 @@ def analyze_with_degradation(
             return None
         return result
 
+    def conservative() -> Tuple[ReachingDefsResult, DegradationRecord]:
+        with tracer.span("degrade", level="conservative"):
+            result = solve_conservative(graph, backend=backend, order=order)
+        return result, record(DegradationLevel.CONSERVATIVE)
+
+    if start is DegradationLevel.CONSERVATIVE:
+        return conservative()
     try:
         validate_pfg(graph)
     except PFGInvariantError as err:
         first = err.violations[0]
         more = f" (+{len(err.violations) - 1} more)" if len(err.violations) > 1 else ""
         reasons.append(f"malformed graph: {first}{more}")
-        with tracer.span("degrade", level="conservative"):
-            result = solve_conservative(graph, backend=backend, order=order)
-        return result, record(DegradationLevel.CONSERVATIVE)
+        return conservative()
 
-    start = DegradationLevel.FULL
-    if uses_sync and preserved == "approx":
+    if start is DegradationLevel.FULL and uses_sync and preserved == "approx":
         blocking = sorted(
             {i.kind.value for i in lint_synchronization(graph) if i.kind in BLOCKING_SYNC_ISSUES}
         )
@@ -208,58 +230,13 @@ def analyze_with_degradation(
             )
             start = DegradationLevel.NO_PRESERVED
 
-    if uses_sync:
-        if start is DegradationLevel.FULL:
-            result = attempt(
-                DegradationLevel.FULL,
-                solve_synch,
-                graph=graph,
-                backend=backend,
-                order=order,
-                solver=solver,
-                preserved=preserved,
-            )
-            if result is not None:
-                return result, None
-        result = attempt(
-            DegradationLevel.NO_PRESERVED,
-            solve_synch,
-            graph=graph,
-            backend=backend,
-            order=order,
-            solver=solver,
-            preserved="none",
-            dense=dense,
-        )
-        if result is not None:
-            degraded = record(DegradationLevel.NO_PRESERVED)
-            return result, degraded
-    elif uses_parallel:
-        result = attempt(
-            DegradationLevel.FULL,
-            solve_parallel,
-            graph=graph,
-            backend=backend,
-            order=order,
-            solver=solver,
-            dense=dense,
-        )
+    if start is DegradationLevel.FULL:
+        result = attempt(DegradationLevel.FULL, preserved)
         if result is not None:
             return result, None
-    else:
-        seq_solver = "round-robin" if solver == "stabilized" else solver
-        result = attempt(
-            DegradationLevel.FULL,
-            solve_sequential,
-            graph=graph,
-            backend=backend,
-            order=order,
-            solver=seq_solver,
-            dense=dense,
-        )
-        if result is not None:
-            return result, None
-
-    with tracer.span("degrade", level="conservative"):
-        result = solve_conservative(graph, backend=backend, order=order)
-    return result, record(DegradationLevel.CONSERVATIVE)
+        if not uses_sync or preserved == "none":
+            return conservative()
+    result = attempt(DegradationLevel.NO_PRESERVED, "none")
+    if result is not None:
+        return result, record(DegradationLevel.NO_PRESERVED)
+    return conservative()

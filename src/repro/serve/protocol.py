@@ -37,20 +37,15 @@ the zero-lost-requests invariant the chaos drills enforce::
      "attempts": 1,                  # worker tries (retries show up here)
      "timings": {"queue_ms": ..., "exec_ms": ..., "total_ms": ...}}
 
-Statuses extend the batch driver's exit-code-aligned taxonomy
-(:data:`repro.batch.TASK_EXIT_CODES`) with the transport-level outcomes a
-*service* can produce; ``code`` keeps the CLI exit-code contract meaning
-so a response row answers "what would this program have exited with?":
+Statuses are the analysis statuses every surface shares
+(:data:`repro.driver.STATUS_CODES`; the one table of statuses and codes
+is in ``docs/robustness.md``) plus the transport-level outcomes only a
+*service* produces; ``code`` keeps the CLI exit-code meaning:
 
 =============  ====  ======================================================
 status         code  meaning
 =============  ====  ======================================================
-ok             0     full-precision analysis succeeded
-degraded       0     sound result from a lower rung (ladder or load policy)
 bad-request    1     malformed envelope (missing id/source, unknown option)
-error          1     front-end failure (syntax error in the program)
-failed         2     analysis failure (non-convergence, budget exhaustion)
-invariant      3     PFG invariant violation
 timeout        2     worker blew the request deadline and was killed
 crashed        2     worker died and retries were exhausted
 shed           5     admission control refused: queue full (HTTP 429)
@@ -66,19 +61,15 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Tuple
 
-from ..batch.driver import TASK_EXIT_CODES
+from .. import driver
 
 SCHEMA = "repro-serve/1"
 
 #: Serve status → CLI-contract-aligned code (see module docstring).
 STATUS_CODES: Dict[str, int] = {
-    "ok": TASK_EXIT_CODES["ok"],
-    "degraded": TASK_EXIT_CODES["degraded"],
-    "error": TASK_EXIT_CODES["error"],
-    "failed": TASK_EXIT_CODES["failed"],
-    "invariant": TASK_EXIT_CODES["invariant"],
-    "crashed": TASK_EXIT_CODES["crashed"],
+    **driver.STATUS_CODES,
     "timeout": 2,  # deadline exhaustion is an analysis failure operationally
+    "crashed": 2,
     "bad-request": 1,
     "shed": 5,
     "draining": 5,

@@ -18,11 +18,12 @@ carry the serving story:
   deliberately bypasses itself when a budget is armed (a budget asks for
   the work to run under a guard), but a *previously completed* record is
   a valid answer at any deadline, so serving it from cache is sound;
-* **never raises** — :func:`execute_request` converts every analysis
-  failure into a typed record (the same taxonomy as
-  :mod:`repro.batch.driver`); the only way a worker dies is a genuine
-  crash (or an injected chaos kill), which the supervisor treats as a
-  transport fault: kill, respawn, retry.
+* **never raises** — :func:`execute_request` is a thin adapter over
+  :func:`repro.driver.run_request`, which turns every analysis failure
+  into a typed outcome (the same taxonomy as batch and the CLI); the
+  only way a worker dies is a genuine crash (or an injected chaos kill),
+  which the supervisor treats as a transport fault: kill, respawn,
+  retry.
 
 Chaos injection (``--chaos`` daemons only): a job's ``chaos`` dict may
 carry ``kill_attempts`` (die with :func:`os._exit` while the job's
@@ -78,195 +79,87 @@ def execute_request(
     """Run one analysis request at the given degradation ``level``; never
     raises.
 
-    ``level`` is the admission policy's precision decision: 0 runs the
-    full pipeline (the :mod:`repro.robust.degrade` ladder still applies),
-    1 forces ``preserved="none"`` (the ladder's no-preserved rung), and 2
-    runs the conservative accumulate-only system directly — the cheapest
-    sound answer, for a daemon fighting overload.  ``deadline_s`` arms a
-    fresh :class:`~repro.dataflow.budget.ResourceBudget` so one hostile
-    program cannot hold the worker past its allowance (the supervisor's
-    wall-clock kill is the backstop for hangs outside the solver).
+    ``level`` is the admission policy's precision decision: the rung the
+    :mod:`repro.robust.degrade` ladder starts on — 0 full (lint and budget
+    still apply), 1 no-preserved, 2 the conservative accumulate-only
+    system, the cheapest sound answer, for a daemon fighting overload.
+    ``deadline_s`` arms a fresh :class:`~repro.dataflow.budget.ResourceBudget`
+    so one hostile program cannot hold the worker past its allowance (the
+    supervisor's wall-clock kill is the backstop for hangs outside the
+    solver).
 
     Returns a JSON-ready record: ``status``/``error``, ``result`` (on
-    analysis completion), ``degradation`` (ladder or policy provenance),
-    and the worker session's ``counters`` for the parent to merge.
+    analysis completion), ``degradation`` (ladder provenance), and the
+    worker session's ``counters`` for the parent to merge.
     """
     from .. import obs
-    from ..analysis import find_anomalies, lint_synchronization
-    from ..dataflow.budget import NonConvergenceError, ResourceBudget
-    from ..dataflow.cache import (
-        GLOBAL_CACHE,
-        MISSING,
-        cached_build_pfg,
-        program_digest,
-    )
-    from ..dataflow.framework import FixpointDiverged
-    from ..driver import optimize
-    from ..lang.errors import LangError
-    from ..pfg.validate import PFGInvariantError
-    from ..reachdefs import solve_conservative
+    from ..driver import RequestOptions
 
     t0 = time.perf_counter()
-    record: Dict[str, object] = {
-        "status": "ok",
-        "error": None,
-        "result": None,
-        "degradation": None,
-    }
-    backend = str(params.get("backend") or "bitset")
-    preserved = str(params.get("preserved") or "approx")
-    solver = str(params.get("solver") or "stabilized")
-    max_passes = params.get("max_passes")
     base_digest = params.get("base_digest")
-    base_digest = str(base_digest) if base_digest is not None else None
-    budget = (
-        ResourceBudget(deadline_s=deadline_s, max_passes=max_passes)
-        if deadline_s is not None or max_passes is not None
-        else None
+    options = RequestOptions(
+        backend=str(params.get("backend") or "bitset"),
+        preserved=str(params.get("preserved") or "approx"),
+        solver=str(params.get("solver") or "stabilized"),
+        level=level,
+        max_passes=params.get("max_passes"),
+        deadline_s=deadline_s,
+        base_digest=str(base_digest) if base_digest is not None else None,
     )
     with obs.session() as sess:
-        try:
-            program, source_digest = _parse_cached(str(params["source"]))
-            serve_key = (
-                "serve",
-                source_digest,
-                backend,
-                preserved,
-                solver,
-                max_passes,
-                level,
-                base_digest,
-            )
-            cached = GLOBAL_CACHE.get(serve_key, MISSING)
-            if cached is not MISSING:
-                record.update(cached)
-                record["wall_ms"] = round((time.perf_counter() - t0) * 1000.0, 3)
-                record["counters"] = sess.metrics.export_state()["counters"]
-                return record
-            # Delta form: re-analyze incrementally off the retained base
-            # solve.  Only at full precision (level 0) — a degraded
-            # admission level changes the equation system or Preserved
-            # mode, and the retained rows answer a different question.
-            incr_stamp: Optional[Dict[str, object]] = None
-            incr_done = False
-            if base_digest is not None:
-                from ..incremental import incremental_analyze, lookup_base
-
-                state = lookup_base(base_digest) if level == 0 else None
-                if state is not None:
-                    outcome = incremental_analyze(
-                        state,
-                        program,
-                        backend=backend,
-                        solver=solver,
-                        preserved=preserved,
-                        budget=budget,
-                    )
-                    result = outcome.result
-                    anomalies = find_anomalies(result)
-                    sync_issues = lint_synchronization(result.graph)
-                    degradation = None
-                    incr_stamp = outcome.stamp()
-                    incr_done = True
-                else:
-                    # Base miss (eviction/cold worker) or degraded level:
-                    # full solve below, fallback counted and stamped.
-                    sess.metrics.inc("solve.incr.fallbacks")
-                    incr_stamp = {
-                        "base_digest": base_digest,
-                        "regions_reused": 0,
-                        "regions_resolved": 0,
-                        "nodes_matched": 0,
-                        "nodes_dirty": 0,
-                        "fallback": "degraded" if level > 0 else "base-miss",
-                    }
-            if incr_done:
-                pass
-            elif level >= 2:
-                graph = cached_build_pfg(program)
-                result = solve_conservative(graph, backend=backend)
-                anomalies = find_anomalies(result)
-                sync_issues = lint_synchronization(graph)
-                degradation = {
-                    "level": 2,
-                    "level_name": "conservative",
-                    "reason": "admission degradation policy: conservative-only under load",
-                    "budget_spent": {},
-                }
-            else:
-                report = optimize(
-                    program,
-                    backend=backend,
-                    preserved="none" if level >= 1 else preserved,
-                    budget=budget,
-                    degrade=True,
-                    solver=solver,
-                )
-                result = report.result
-                anomalies = report.anomalies
-                sync_issues = report.sync_issues
-                degradation = (
-                    report.degradation.as_dict()
-                    if report.degradation is not None
-                    else None
-                )
-                if level >= 1 and degradation is None:
-                    degradation = {
-                        "level": 1,
-                        "level_name": "no-preserved",
-                        "reason": "admission degradation policy: preserved sets disabled under load",
-                        "budget_spent": {},
-                    }
-            record["result"] = {
-                "program": program.name,
-                "digest": program_digest(program),
-                "system": result.system,
-                "stats": result.stats.as_dict(),
-                "anomalies": len(anomalies),
-                "sync_issues": len(sync_issues),
-            }
-            if incr_stamp is not None:
-                record["result"]["incremental"] = incr_stamp
-            if degradation is not None:
-                record["status"] = "degraded"
-                record["degradation"] = degradation
-            elif level == 0 and not incr_done:
-                # Retain full-precision solves as incremental bases so a
-                # later delta request against this digest can reuse rows
-                # (the engine retains its own outputs).
-                from ..incremental import store_base
-
-                store_base(program, result)
-            # Completed records are deterministic given (source, options,
-            # level) — memoize so warm repeats skip the solver entirely.
-            # Failures are NOT cached: a deadline-driven failure is not a
-            # property of the program, and retries should get to re-run.
-            GLOBAL_CACHE.put(
-                serve_key,
-                {
-                    "status": record["status"],
-                    "result": record["result"],
-                    "degradation": record["degradation"],
-                },
-            )
-        except LangError as err:
-            record["status"] = "error"
-            record["error"] = str(err)
-        except NonConvergenceError as err:
-            record["status"] = "failed"
-            record["error"] = f"analysis did not converge: {err.reason}"
-        except FixpointDiverged as err:
-            record["status"] = "failed"
-            record["error"] = f"analysis did not converge: {err}"
-        except PFGInvariantError as err:
-            record["status"] = "invariant"
-            record["error"] = f"graph invariant violation: {err}"
-        except Exception as err:  # the worker must survive anything typed above misses
-            record["status"] = "failed"
-            record["error"] = f"{type(err).__name__}: {err}"
+        record = _execute(str(params["source"]), options)
     record["wall_ms"] = round((time.perf_counter() - t0) * 1000.0, 3)
     record["counters"] = sess.metrics.export_state()["counters"]
     return record
+
+
+def _execute(source: str, options) -> Dict[str, object]:
+    from ..dataflow.cache import GLOBAL_CACHE, MISSING
+    from ..driver import Outcome, run_request
+
+    try:
+        program, source_digest = _parse_cached(source)
+    except Exception as err:
+        return _record(Outcome.failure(err))
+    # Every result-affecting option plus the served level: a deadline is
+    # not one (see the module docstring).
+    serve_key = (
+        "serve",
+        source_digest,
+        options.backend,
+        options.preserved,
+        options.solver,
+        options.max_passes,
+        options.level,
+        options.base_digest,
+    )
+    cached = GLOBAL_CACHE.get(serve_key, MISSING)
+    if cached is not MISSING:
+        return {"error": None, **cached}
+    record = _record(run_request(program, options))
+    # Completed records are deterministic given (source, options, level)
+    # — memoize so warm repeats skip the solver entirely.  Failures are
+    # NOT cached: a deadline-driven failure is not a property of the
+    # program, and retries should get to re-run.
+    if record["result"] is not None:
+        GLOBAL_CACHE.put(serve_key, {k: record[k] for k in ("status", "result", "degradation")})
+    return record
+
+
+def _record(outcome) -> Dict[str, object]:
+    """The worker's record for ``outcome``: only the anomaly and
+    sync-issue counts are computed, since only they are sent."""
+    result = outcome.summary()
+    if result is not None and outcome.incremental is not None:
+        result["incremental"] = outcome.incremental
+    return {
+        "status": outcome.status,
+        "error": outcome.error,
+        "result": result,
+        "degradation": (
+            outcome.degradation.as_dict() if outcome.degradation is not None else None
+        ),
+    }
 
 
 def worker_main(conn, chaos_enabled: bool = False, peer=None) -> None:

@@ -79,24 +79,24 @@ gracefully on exhaustion (see ``docs/robustness.md``) unless
 Exit codes (documented contract, kept stable for CI use)
 --------------------------------------------------------
 
+Every failure is mapped by :func:`repro.driver.classify` onto the one
+status → exit-code table in ``docs/robustness.md`` (0 success, 1
+front-end/I-O, 2 analysis failure, 3 PFG invariant violation, 4 dynamic
+failure).  Command-specific uses of those codes:
+
 ====  ===========================================================
-code  meaning
+code  command-specific meaning
 ====  ===========================================================
-0     success (for ``check``: no soundness violations)
-1     usage / front-end / I/O error (bad syntax, missing file;
-      for ``batch``: no inputs, unreadable ``--manifest``; for
-      ``fuzz``: a malformed ``--seeds`` spec; for ``explain``: an
-      unknown block or variable; for ``obs report``: an unreadable
-      or unrecognized input/baseline file)
-2     analysis failure (non-convergence, budget exhaustion,
-      snapshot cap, ``check`` soundness violations; for
-      ``batch``: any task recorded a nonzero code; for ``fuzz``:
-      any oracle mismatch or undetected/unshrinkable drill; for
-      ``obs report --baseline``: any regression vs. the baseline)
-3     graph invariant violation (:class:`PFGInvariantError`)
-4     dynamic failure (``run``: interpreter deadlock — also the
-      per-task code ``batch --run`` records for a deadlocking or
-      runaway program)
+1     ``batch``: no inputs, unreadable ``--manifest``; ``fuzz``: a
+      malformed ``--seeds`` spec; ``explain``: an unknown block or
+      variable; ``obs report``: an unreadable or unrecognized
+      input/baseline file
+2     ``check``: soundness violations; ``batch``: any task recorded
+      a nonzero code; ``fuzz``: any oracle mismatch or
+      undetected/unshrinkable drill; ``obs report --baseline``: any
+      regression vs. the baseline
+4     ``run``: interpreter deadlock (also the per-task code
+      ``batch --run`` records for a deadlocking or runaway program)
 ====  ===========================================================
 """
 
@@ -105,19 +105,17 @@ from __future__ import annotations
 import argparse
 import sys
 from contextlib import contextmanager
+from dataclasses import replace
 from pathlib import Path
 from typing import List, Optional
 
-from .. import analyze as _analyze, obs
-from ..analysis import find_anomalies, lint_synchronization
+from .. import obs
 from ..dataflow.budget import NonConvergenceError, ResourceBudget
-from ..dataflow.framework import FixpointDiverged
+from ..driver import STATUS_CODES, RequestOptions, analyze, classify, optimize, run_request
 from ..interp import RandomScheduler, run_program
 from ..lang import parse_program, pretty
-from ..lang.errors import LangError
 from ..paper import tables as paper_tables
 from ..pfg import to_dot
-from ..pfg.validate import PFGInvariantError
 from ..tools.format import render_kv, render_table
 
 
@@ -176,11 +174,7 @@ def _add_budget_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _budget_from(args: argparse.Namespace) -> Optional[ResourceBudget]:
-    max_passes = getattr(args, "max_passes", None)
-    deadline = getattr(args, "deadline", None)
-    if max_passes is None and deadline is None:
-        return None
-    return ResourceBudget(deadline_s=deadline, max_passes=max_passes)
+    return RequestOptions(max_passes=args.max_passes, deadline_s=args.deadline).budget()
 
 
 @contextmanager
@@ -257,42 +251,28 @@ def cmd_graph(args: argparse.Namespace) -> int:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    incremental = None
-    if getattr(args, "base", None):
-        # Delta mode: solve BASE in full, then re-analyze FILE
-        # incrementally off its retained rows (repro.incremental).
-        from ..incremental import IncrementalBase, incremental_analyze
-
-        base_program = _load(args.base)
-        base_result = _analyze(
-            base_program,
-            backend=args.backend,
-            order=args.order,
-            solver=args.solver,
-            preserved=args.preserved,
-            dense=_dense_from(args),
-        )
-        outcome = incremental_analyze(
-            IncrementalBase.from_result(base_program, base_result),
-            _load(args.file),
-            backend=args.backend,
-            solver=args.solver,
-            preserved=args.preserved,
-            budget=_budget_from(args),
-            dense=_dense_from(args),
-        )
-        result = outcome.result
-        incremental = outcome.stamp()
-    else:
-        result = _analyze(
-            _load(args.file),
-            backend=args.backend,
-            order=args.order,
-            solver=args.solver,
-            preserved=args.preserved,
-            budget=_budget_from(args),
-            dense=_dense_from(args),
-        )
+    options = RequestOptions(
+        backend=args.backend,
+        order=args.order,
+        solver=args.solver,
+        preserved=args.preserved,
+        dense=_dense_from(args),
+        degrade=False,
+    )
+    if args.base:
+        # Delta mode: solve BASE in full (retained as an incremental base),
+        # then re-analyze FILE off its rows (repro.incremental).
+        base = run_request(Path(args.base).read_text(), options)
+        if base.exception is not None:
+            raise base.exception
+        options = replace(options, base_digest=base.digest)
+    outcome = run_request(
+        Path(args.file).read_text(),
+        replace(options, max_passes=args.max_passes, deadline_s=args.deadline),
+    )
+    if outcome.exception is not None:
+        raise outcome.exception  # main() classifies it, after the --profile stamp
+    result = outcome.result
     if not result.stats.converged:  # pragma: no cover - solvers raise instead
         sys.stderr.write("error: solver did not converge\n")
         return 2
@@ -304,22 +284,20 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         cols.append("SynchPass")
     rows = {name: {c: result.set_names(c, name) for c in cols} for name in order}
     sys.stdout.write(render_table(rows, cols, order, title=f"{result.system} reaching definitions"))
-    anomalies = find_anomalies(result)
-    if anomalies:
+    if outcome.anomalies:
         sys.stdout.write("\npotential anomalies:\n")
-        for a in anomalies:
+        for a in outcome.anomalies:
             sys.stdout.write(f"  {a.format()}\n")
-    issues = lint_synchronization(result.graph)
-    if issues:
+    if outcome.sync_issues:
         sys.stdout.write("\nsynchronization lint:\n")
-        for issue in issues:
+        for issue in outcome.sync_issues:
             sys.stdout.write(f"  {issue.format()}\n")
     sys.stdout.write("\n")
     sys.stdout.write(render_kv({k: str(v) for k, v in result.stats.as_dict().items()}, "solver"))
-    if incremental is not None:
+    if outcome.incremental is not None:
         sys.stdout.write("\n")
         sys.stdout.write(
-            render_kv({k: str(v) for k, v in incremental.items()}, "incremental")
+            render_kv({k: str(v) for k, v in outcome.incremental.items()}, "incremental")
         )
     return 0
 
@@ -347,8 +325,6 @@ def cmd_cssa(args: argparse.Namespace) -> int:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    from ..driver import optimize
-
     report = optimize(
         _load(args.file),
         preserved=args.preserved,
@@ -386,8 +362,6 @@ def cmd_stats(args: argparse.Namespace) -> int:
     """Whole-pipeline observability: parse → PFG → solve → clients (and one
     interpreter run unless ``--no-run``), then a summary; the installed
     session (``stats`` implies ``--trace``) prints the phase-time tree."""
-    from ..driver import optimize
-
     prog = _load(args.file)
     report = optimize(
         prog, preserved=args.preserved, solver=args.solver, dense=_dense_from(args)
@@ -438,7 +412,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_explain(args: argparse.Namespace) -> int:
-    result = _analyze(
+    result = analyze(
         _load(args.file),
         backend=args.backend,
         solver=args.solver,
@@ -461,7 +435,7 @@ def cmd_explain(args: argparse.Namespace) -> int:
 
 
 def cmd_races(args: argparse.Namespace) -> int:
-    result = _analyze(
+    result = analyze(
         _load(args.file),
         backend=args.backend,
         solver=args.solver,
@@ -1035,39 +1009,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    """Entry point; maps failures onto the documented exit codes (see
-    module docstring): 1 front-end/I-O, 2 analysis failure, 3 invariant
-    violation, 4 dynamic failure (``run`` deadlock).  Every failure
+    """Entry point; maps every failure through :func:`repro.driver.classify`
+    onto the documented exit codes (see module docstring).  Every failure
     prints a single ``error:`` line to stderr rather than a traceback.
     ``batch`` records per-task failures in its manifest instead of
-    raising — only batch-level usage/I-O errors reach these handlers."""
+    raising — only batch-level usage/I-O errors reach this handler."""
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         with _maybe_observe(args):
             return args.func(args)
-    except LangError as err:
-        sys.stderr.write(f"error: {err}\n")
-        return 1
-    except (FileNotFoundError, OSError) as err:
-        sys.stderr.write(f"error: {err}\n")
-        return 1
-    except NonConvergenceError as err:
-        stats = err.stats
-        sys.stderr.write(
-            f"error: analysis did not converge: {err.reason} "
-            f"({stats.passes} passes, {stats.node_updates} updates)\n"
-        )
-        return 2
-    except FixpointDiverged as err:
-        sys.stderr.write(f"error: analysis did not converge: {err}\n")
-        return 2
-    except PFGInvariantError as err:
-        sys.stderr.write(f"error: graph invariant violation: {err}\n")
-        return 3
-    except RuntimeError as err:
-        sys.stderr.write(f"error: {err}\n")
-        return 2
+    except Exception as err:
+        status, message = classify(err)
+        if isinstance(err, NonConvergenceError):  # how far the solve got
+            message += f" ({err.stats.passes} passes, {err.stats.node_updates} updates)"
+        sys.stderr.write(f"error: {message}\n")
+        return STATUS_CODES[status]
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -200,7 +200,7 @@ def test_invariant_violation_is_3(good_file, capsys, monkeypatch):
     def boom(*args, **kwargs):
         raise PFGInvariantError(["fork (2) without matching join"])
 
-    monkeypatch.setattr(cli, "_analyze", boom)
+    monkeypatch.setattr("repro.driver.analyze", boom)
     assert main(["analyze", good_file]) == 3
 
 

@@ -22,9 +22,10 @@ campaign on which the detect-and-shrink loop is exercised end to end.
 """
 
 from repro.fuzz import run_oracles
-from repro.fuzz.oracles import _solve_precise, solver_agreement_mode
+from repro.fuzz.oracles import solver_agreement_mode
 from repro.lang import parse_program
 from repro.pfg import build_pfg
+from repro.reachdefs import solve_system
 
 CEX_SEED125 = """program fuzz125
   event e0
@@ -92,7 +93,7 @@ GOLDEN_DRILL1 = {
 
 def _golden_in(source):
     graph = build_pfg(parse_program(source))
-    result = _solve_precise(graph, "bitset")
+    result = solve_system(graph, backend="bitset")
     return {n.name: sorted(result.in_names(n)) for n in graph.nodes if result.in_names(n)}
 
 
@@ -106,8 +107,8 @@ def test_seed125_is_bounded_agreement_territory():
     # The distilled multiplicity: chaotic iteration keeps the loop-carried
     # v1n7 token that the deterministic engines kill.
     graph = build_pfg(program)
-    stab = _solve_precise(graph, "bitset", solver="stabilized")
-    rr = _solve_precise(graph, "bitset", solver="round-robin")
+    stab = solve_system(graph, backend="bitset", solver="stabilized")
+    rr = solve_system(graph, backend="bitset", solver="round-robin")
     n2 = graph.node("n2")
     assert stab.in_names(n2) < rr.in_names(n2)
 
@@ -135,7 +136,7 @@ def test_drill1_corruption_detected_and_minimal():
     from repro.robust.selfcheck import verify_result
 
     program = parse_program(CEX_DRILL1)
-    result = _solve_precise(build_pfg(program), "bitset")
+    result = solve_system(build_pfg(program), backend="bitset")
     run = run_program(
         program, scheduler=RandomScheduler(seed=0, max_loop_iters=2), graph=result.graph
     )

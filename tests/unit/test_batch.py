@@ -138,7 +138,7 @@ def test_run_task_never_raises_on_invariant(tmp_path, monkeypatch):
     def boom(*args, **kwargs):
         raise PFGInvariantError(["fork (2) without matching join"])
 
-    monkeypatch.setattr("repro.driver.optimize", boom)
+    monkeypatch.setattr("repro.driver.analyze_with_degradation", boom)
     rec = run_task(_write(tmp_path, "ok.pcf", OK_SRC), BatchOptions())
     assert rec["status"] == "invariant" and rec["code"] == 3
     assert driver_mod.TASK_EXIT_CODES[rec["status"]] == 3

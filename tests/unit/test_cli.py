@@ -256,7 +256,7 @@ def test_invariant_violation_exits_3(program_file, capsys, monkeypatch):
     def boom(*args, **kwargs):
         raise PFGInvariantError(["fork (2) without matching join"])
 
-    monkeypatch.setattr(cli, "_analyze", boom)
+    monkeypatch.setattr("repro.driver.analyze", boom)
     assert main(["analyze", program_file]) == 3
     err = capsys.readouterr().err
     assert err.startswith("error: graph invariant violation:")
@@ -269,7 +269,7 @@ def test_runtime_error_exits_2(program_file, capsys, monkeypatch):
     def boom(*args, **kwargs):
         raise RuntimeError("snapshot cap exceeded")
 
-    monkeypatch.setattr(cli, "_analyze", boom)
+    monkeypatch.setattr("repro.driver.analyze", boom)
     assert main(["analyze", program_file]) == 2
     assert "error: snapshot cap exceeded" in capsys.readouterr().err
 

@@ -190,3 +190,30 @@ def test_degradation_metrics_emitted():
     counters = sess.metrics.as_dict()["counters"]
     assert counters["driver.degradations"] == 1
     assert counters["driver.degradations.level2"] == 1
+
+
+def test_preserved_none_budget_trip_solves_the_system_once():
+    """With ``preserved="none"`` the full rung already *is* the
+    no-preserved system: after it trips, the ladder goes straight to the
+    floor instead of solving the identical system again."""
+    prog = parse_program(programs.SOURCES["fig3"])
+    _, record = analyze_with_degradation(
+        prog, preserved="none", budget=ResourceBudget(max_passes=1)
+    )
+    assert record.level is DegradationLevel.CONSERVATIVE
+    assert record.budget_spent["passes"] == 2
+    assert "no-preserved" not in record.reason
+
+
+def test_ladder_can_start_on_a_lower_rung():
+    prog = parse_program(SYNC)
+    result, record = analyze_with_degradation(
+        prog, budget=ResourceBudget(max_passes=1000), start=DegradationLevel.NO_PRESERVED
+    )
+    assert record.level is DegradationLevel.NO_PRESERVED
+    assert record.reason.startswith("admission degradation policy")
+    assert record.budget_spent["passes"] > 0  # the rung's real spend
+    assert all(not s for s in result.preserved.preserved.values())
+    result, record = analyze_with_degradation(prog, start=DegradationLevel.CONSERVATIVE)
+    assert record.level is DegradationLevel.CONSERVATIVE
+    assert result.system == "conservative"

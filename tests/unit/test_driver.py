@@ -95,3 +95,59 @@ def test_opportunity_count_keys_stable():
         "copy-propagations",
         "common-subexpressions",
     }
+
+
+# -- run_request: the typed request pipeline --------------------------------
+
+
+def test_run_request_outcome_matches_optimize():
+    from repro.driver import run_request
+
+    outcome = run_request(RACY)
+    assert (outcome.status, outcome.code, outcome.error) == ("ok", 0, None)
+    report = optimize(RACY)
+    assert outcome.report.render() == report.render()
+    summary = outcome.summary()
+    assert summary["anomalies"] == len(report.anomalies)
+    assert summary["sync_issues"] == len(report.sync_issues)
+    assert summary["digest"] == outcome.digest and len(outcome.digest) == 64
+
+
+def test_run_request_runs_clients_only_on_access(monkeypatch):
+    from repro import driver
+
+    calls = []
+    monkeypatch.setattr(driver, "find_anomalies", lambda result: calls.append(1) or [])
+    outcome = driver.run_request(RACY)
+    assert calls == []
+    outcome.summary()
+    outcome.summary()
+    assert calls == [1]
+
+
+def test_run_request_never_raises():
+    from repro.driver import RequestOptions, run_request
+
+    bad = run_request("program bad\nx = = 1\nend\n")
+    assert (bad.status, bad.code, bad.result, bad.program) == ("error", 1, None, None)
+    tripped = run_request(CLEAN, RequestOptions(max_passes=1, degrade=False))
+    assert (tripped.status, tripped.code) == ("failed", 2)
+    assert tripped.error.startswith("analysis did not converge:")
+    assert tripped.partial_stats is not None and not tripped.partial_stats.converged
+    degraded = run_request(CLEAN, RequestOptions(max_passes=1))
+    assert (degraded.status, degraded.code) == ("degraded", 0)
+    assert degraded.degradation.level_name == "conservative"
+
+
+def test_run_request_base_digest_paths():
+    from repro.driver import RequestOptions, run_request
+
+    first = run_request(RACY)
+    delta = run_request(RACY, RequestOptions(base_digest=first.digest))
+    assert delta.status == "ok" and delta.incremental["fallback"] is None
+    miss = run_request(RACY, RequestOptions(base_digest="no-such-digest"))
+    assert miss.incremental["fallback"] == "base-miss"
+    assert miss.incremental["regions_reused"] == 0
+    degraded = run_request(RACY, RequestOptions(base_digest=first.digest, level=2))
+    assert degraded.status == "degraded"
+    assert degraded.incremental["fallback"] == "degraded"

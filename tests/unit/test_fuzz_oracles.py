@@ -120,7 +120,7 @@ def test_dynamic_selfcheck_flags_injected_corruption():
     drills do, and check the selfcheck machinery the oracle wraps flags
     it.  (The oracle itself recomputes the analysis, so corruption is
     injected at the verify layer.)"""
-    from repro.fuzz.oracles import _solve_precise
+    from repro.reachdefs import solve_system
     from repro.interp.interp import run_program
     from repro.interp.scheduler import RandomScheduler
     from repro.pfg import build_pfg
@@ -130,7 +130,7 @@ def test_dynamic_selfcheck_flags_injected_corruption():
     program = generate_program(
         900_000, GeneratorConfig(target_stmts=60, n_vars=4, p_parallel=0.3, p_loop=0.1)
     )
-    result = _solve_precise(build_pfg(program), "bitset")
+    result = solve_system(build_pfg(program), backend="bitset")
     run = run_program(
         program, scheduler=RandomScheduler(seed=0, max_loop_iters=2), graph=result.graph
     )

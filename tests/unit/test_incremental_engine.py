@@ -179,7 +179,7 @@ def test_serve_key_audit_no_wallclock_knobs():
 
     from repro.serve import worker
 
-    src = inspect.getsource(worker.execute_request)
+    src = inspect.getsource(worker._execute)
     key_block = src.split("serve_key = (")[1].split(")")[0]
     assert "deadline" not in key_block
     assert "workers" not in key_block
