@@ -262,13 +262,12 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     if args.base:
         # Delta mode: solve BASE in full (retained as an incremental base),
         # then re-analyze FILE off its rows (repro.incremental).
-        base = run_request(Path(args.base).read_text(), options)
+        base = run_request(_load(args.base), options)
         if base.exception is not None:
             raise base.exception
         options = replace(options, base_digest=base.digest)
     outcome = run_request(
-        Path(args.file).read_text(),
-        replace(options, max_passes=args.max_passes, deadline_s=args.deadline),
+        _load(args.file), replace(options, max_passes=args.max_passes, deadline_s=args.deadline)
     )
     if outcome.exception is not None:
         raise outcome.exception  # main() classifies it, after the --profile stamp
