@@ -15,17 +15,21 @@ Classic conditional-constant lattice per definition::
 ``value(d)`` is the abstract evaluation of ``d``'s right-hand side, where a
 variable read is the meet over the definitions reaching that use (an
 uninitialized / free-variable read is ``VARYING`` — an unknown input).
-Monotone, so a worklist over du-chains converges.
+Monotone, so a worklist over the ud-chains converges; seeded FIFO in
+document order it evaluates each definition once on acyclic programs.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Union
+from typing import Dict, FrozenSet, List, Optional, Union
 
 from ..ir.defs import Definition, Use
 from ..lang import ast
+from ..obs import get_metrics
 from ..reachdefs.result import NodeRef, ReachingDefsResult
+from .udchains import UDChains
 
 Value = Union[int, bool]
 
@@ -104,65 +108,77 @@ class ConstantPropagation:
     # -- solving ------------------------------------------------------------
 
     @classmethod
-    def run(cls, result: ReachingDefsResult) -> "ConstantPropagation":
+    def run(
+        cls, result: ReachingDefsResult, chains: Optional[UDChains] = None
+    ) -> "ConstantPropagation":
+        if chains is None:
+            chains = UDChains.from_result(result)
         self = cls(result=result)
-        defs = list(result.graph.defs)
-        self.values = {d: UNDEF for d in defs}
-        du = result.du_chains()
-        # def -> defs whose rhs may read it (dependents for the worklist)
-        dependents: Dict[Definition, set] = {d: set() for d in defs}
-        def_of_stmt = {d.stmt: d for d in defs if d.stmt is not None}
-        for d, uses in du.items():
-            for use in uses:
-                node = result.graph.node(use.site)
-                if use.ordinal < len(node.stmts):
-                    stmt = node.stmts[use.ordinal]
-                    if isinstance(stmt, ast.Assign) and stmt in def_of_stmt:
-                        dependents[d].add(def_of_stmt[stmt])
-        work = list(defs)
-        in_work = set(work)
+        values = self.values = {d: UNDEF for d in result.graph.defs}
+        # def -> (variable -> definitions reaching its read in the rhs), and
+        # def -> defs whose rhs may read it (dependents for the worklist).
+        reads: Dict[Definition, Dict[str, FrozenSet[Definition]]] = {}
+        dependents: Dict[Definition, List[Definition]] = {d: [] for d in values}
+        for e in values:
+            assert e.stmt is not None
+            ordinal = chains.ordinals[e]
+            reads[e] = {
+                var: chains.defs_for(Use(var=var, site=e.site, ordinal=ordinal))
+                for var in e.stmt.expr.variables()
+            }
+            for defs in reads[e].values():
+                for d in defs:
+                    dependents[d].append(e)
+        # FIFO in document order: on an acyclic program every definition
+        # is evaluated after all definitions reaching it, so exactly once.
+        work = deque(values)
+        queued = set(values)
+        evals = 0
         while work:
-            d = work.pop()
-            in_work.discard(d)
-            # Evaluation is monotone in its inputs and inputs only descend
-            # UNDEF → const → VARYING, so recomputation descends too.
-            new = self._eval_def(d)
-            if not _lattice_eq(new, self.values[d]):
-                self.values[d] = new
-                for dep in dependents[d]:
-                    if dep not in in_work:
-                        in_work.add(dep)
-                        work.append(dep)
+            d = work.popleft()
+            queued.discard(d)
+            evals += 1
+            # Evaluation is monotone in its inputs and inputs only ascend
+            # UNDEF → const → VARYING, so any fair order reaches the same
+            # least fixpoint.
+            new = self._eval_expr(d.stmt.expr, reads[d])
+            if not _lattice_eq(new, values[d]):
+                values[d] = new
+                for e in dependents[d]:
+                    if e not in queued:
+                        queued.add(e)
+                        work.append(e)
+        metrics = get_metrics()
+        if metrics.enabled:
+            metrics.inc("client.constprop.evals", evals)
+            metrics.inc("client.constprop.defs", len(values))
         return self
 
-    def _eval_def(self, d: Definition) -> Lattice:
-        assert d.stmt is not None
-        node = self.result.graph.node(d.site)
-        ordinal = node.stmts.index(d.stmt)
-        return self._eval_expr(d.stmt.expr, d.site, ordinal)
-
-    def _eval_expr(self, expr: ast.Expr, site: str, ordinal: int) -> Lattice:
+    def _eval_expr(
+        self, expr: ast.Expr, reads: Dict[str, FrozenSet[Definition]]
+    ) -> Lattice:
         if isinstance(expr, ast.IntLit):
             return expr.value
         if isinstance(expr, ast.BoolLit):
             return expr.value
         if isinstance(expr, ast.Var):
-            use = Use(var=expr.name, site=site, ordinal=ordinal)
-            reaching = self.result.reaching_use(use)
+            reaching = reads[expr.name]
             if not reaching:
                 return VARYING  # free variable: unknown input
             acc: Lattice = UNDEF
             for d in reaching:
                 acc = meet(acc, self.values[d])
+                if acc is VARYING:
+                    break
             return acc
         if isinstance(expr, ast.UnaryOp):
-            inner = self._eval_expr(expr.operand, site, ordinal)
+            inner = self._eval_expr(expr.operand, reads)
             if inner is UNDEF or inner is VARYING:
                 return inner
             return (not inner) if expr.op == "not" else -inner  # type: ignore[operator]
         if isinstance(expr, ast.BinOp):
-            left = self._eval_expr(expr.left, site, ordinal)
-            right = self._eval_expr(expr.right, site, ordinal)
+            left = self._eval_expr(expr.left, reads)
+            right = self._eval_expr(expr.right, reads)
             if left is UNDEF or right is UNDEF:
                 return UNDEF
             if left is VARYING or right is VARYING:
@@ -195,6 +211,9 @@ class ConstantPropagation:
         }
 
 
-def propagate_constants(result: ReachingDefsResult) -> ConstantPropagation:
-    """Run constant propagation on an analysis result."""
-    return ConstantPropagation.run(result)
+def propagate_constants(
+    result: ReachingDefsResult, chains: Optional[UDChains] = None
+) -> ConstantPropagation:
+    """Run constant propagation on an analysis result (``chains``: its
+    ud-chains, when the caller already has them)."""
+    return ConstantPropagation.run(result, chains)

@@ -20,12 +20,13 @@ to enable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
+from typing import List, Optional
 
 from ..ir.defs import Definition, Use
 from ..lang import ast
 from ..pfg.concurrency import concurrent
 from ..reachdefs.result import ReachingDefsResult
+from .udchains import UDChains
 
 
 @dataclass(frozen=True)
@@ -41,34 +42,36 @@ class CopyPropagation:
         return f"at {self.use.name}: replace {self.use.var} by {self.source} (via {self.copy_def.name})"
 
 
-def find_copy_propagations(result: ReachingDefsResult) -> List[CopyPropagation]:
-    """All uses where copy propagation is provably safe."""
+def find_copy_propagations(
+    result: ReachingDefsResult, chains: Optional[UDChains] = None
+) -> List[CopyPropagation]:
+    """All uses where copy propagation is provably safe (``chains``:
+    ``result``'s ud-chains, when the caller already has them)."""
+    if chains is None:
+        chains = UDChains.from_result(result)
     graph = result.graph
     out: List[CopyPropagation] = []
-    for node in graph.nodes:
-        for use in node.uses():
-            reaching = result.reaching_use(use)
-            if len(reaching) != 1:
-                continue
-            d = next(iter(reaching))
-            if d.stmt is None or not isinstance(d.stmt.expr, ast.Var):
-                continue
-            source = d.stmt.expr.name
-            def_node = graph.node(d.site)
-            def_ordinal = def_node.stmts.index(d.stmt)
-            # w's visible definitions at the copy and at the use must agree.
-            at_def = result.reaching_use(Use(var=source, site=d.site, ordinal=def_ordinal))
-            at_use = result.reaching_use(Use(var=source, site=use.site, ordinal=use.ordinal))
-            if at_def != at_use or not at_def:
-                continue
-            # No definition of w concurrent with either end point.
-            use_node = graph.node(use.site)
-            hazard = any(
-                concurrent(result.info.def_node[w_def], def_node)
-                or concurrent(result.info.def_node[w_def], use_node)
-                for w_def in graph.defs.of_var(source)
-            )
-            if hazard:
-                continue
-            out.append(CopyPropagation(use=use, copy_def=d, source=source))
+    for use, reaching in chains.ud.items():
+        if len(reaching) != 1:
+            continue
+        d = next(iter(reaching))
+        if d.stmt is None or not isinstance(d.stmt.expr, ast.Var):
+            continue
+        source = d.stmt.expr.name
+        # w's visible definitions at the copy and at the use must agree.
+        at_def = chains.defs_for(Use(var=source, site=d.site, ordinal=chains.ordinals[d]))
+        at_use = chains.reaching_use(Use(var=source, site=use.site, ordinal=use.ordinal))
+        if at_def != at_use or not at_def:
+            continue
+        # No definition of w concurrent with either end point.
+        def_node = graph.node(d.site)
+        use_node = graph.node(use.site)
+        hazard = any(
+            concurrent(result.info.def_node[w_def], def_node)
+            or concurrent(result.info.def_node[w_def], use_node)
+            for w_def in graph.defs.of_var(source)
+        )
+        if hazard:
+            continue
+        out.append(CopyPropagation(use=use, copy_def=d, source=source))
     return out

@@ -17,12 +17,13 @@ non-trivial right-hand sides (at least one operator) are considered.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..ir.defs import Definition, Use
 from ..lang import ast
 from ..pfg.concurrency import concurrent
 from ..reachdefs.result import ReachingDefsResult
+from .udchains import UDChains
 
 #: A structural expression key with ud-chains in place of variable names.
 ValueKey = Tuple
@@ -44,13 +45,13 @@ class CommonSubexpression:
         )
 
 
-def _value_key(result: ReachingDefsResult, expr: ast.Expr, site: str, ordinal: int) -> ValueKey:
+def _value_key(chains: UDChains, expr: ast.Expr, site: str, ordinal: int) -> ValueKey:
     if isinstance(expr, ast.IntLit):
         return ("int", expr.value)
     if isinstance(expr, ast.BoolLit):
         return ("bool", expr.value)
     if isinstance(expr, ast.Var):
-        reaching = result.reaching_use(Use(var=expr.name, site=site, ordinal=ordinal))
+        reaching = chains.defs_for(Use(var=expr.name, site=site, ordinal=ordinal))
         if not reaching:
             # Free variables: value is an unknowable input; two reads of the
             # same free variable are assumed to agree (the interpreter
@@ -58,28 +59,33 @@ def _value_key(result: ReachingDefsResult, expr: ast.Expr, site: str, ordinal: i
             return ("free", expr.name)
         return ("defs", frozenset(d.index for d in reaching))
     if isinstance(expr, ast.UnaryOp):
-        return ("unary", expr.op, _value_key(result, expr.operand, site, ordinal))
+        return ("unary", expr.op, _value_key(chains, expr.operand, site, ordinal))
     if isinstance(expr, ast.BinOp):
         return (
             "bin",
             expr.op,
-            _value_key(result, expr.left, site, ordinal),
-            _value_key(result, expr.right, site, ordinal),
+            _value_key(chains, expr.left, site, ordinal),
+            _value_key(chains, expr.right, site, ordinal),
         )
     raise TypeError(f"cannot key {type(expr).__name__}")  # pragma: no cover
 
 
-def find_common_subexpressions(result: ReachingDefsResult) -> List[CommonSubexpression]:
+def find_common_subexpressions(
+    result: ReachingDefsResult, chains: Optional[UDChains] = None
+) -> List[CommonSubexpression]:
     """All (earlier, later) pairs where the later definition provably
-    recomputes the earlier one's value."""
+    recomputes the earlier one's value (``chains``: ``result``'s
+    ud-chains, when the caller already has them)."""
+    if chains is None:
+        chains = UDChains.from_result(result)
     graph = result.graph
     by_key: Dict[ValueKey, List[Definition]] = {}
     for node in graph.document_order():
-        for ordinal, stmt in node.assignments():
-            if isinstance(stmt.expr, (ast.IntLit, ast.BoolLit, ast.Var)):
+        for d in node.defs:
+            assert d.stmt is not None
+            if isinstance(d.stmt.expr, (ast.IntLit, ast.BoolLit, ast.Var)):
                 continue  # trivial rhs — copy/constant propagation territory
-            d = next(dd for dd in node.defs if dd.stmt is stmt)
-            key = _value_key(result, stmt.expr, node.name, ordinal)
+            key = _value_key(chains, d.stmt.expr, node.name, chains.ordinals[d])
             by_key.setdefault(key, []).append(d)
 
     out: List[CommonSubexpression] = []
@@ -90,16 +96,14 @@ def find_common_subexpressions(result: ReachingDefsResult) -> List[CommonSubexpr
             for later in candidates[i + 1 :]:
                 if earlier is later:
                     continue
-                later_node = graph.node(later.site)
-                later_ordinal = later_node.stmts.index(later.stmt)
                 # The earlier target must still hold the value at the later
                 # site, and the two computations must not race.
-                holds = result.reaching_use(
-                    Use(var=earlier.var, site=later.site, ordinal=later_ordinal)
+                holds = chains.reaching_use(
+                    Use(var=earlier.var, site=later.site, ordinal=chains.ordinals[later])
                 ) == frozenset((earlier,))
                 if not holds:
                     continue
-                if concurrent(graph.node(earlier.site), later_node):
+                if concurrent(graph.node(earlier.site), graph.node(later.site)):
                     continue
                 assert later.stmt is not None
                 out.append(

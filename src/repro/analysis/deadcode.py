@@ -21,10 +21,11 @@ never removes ``post``/``wait`` or control structure.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet, List, Set
+from typing import FrozenSet, List, Optional, Set
 
 from ..ir.defs import Definition, Use
 from ..reachdefs.result import ReachingDefsResult
+from .udchains import UDChains
 
 
 @dataclass
@@ -45,14 +46,19 @@ class DeadCodeReport:
 
 
 def find_dead_code(
-    result: ReachingDefsResult, observable_at_exit: bool = True
+    result: ReachingDefsResult,
+    observable_at_exit: bool = True,
+    chains: Optional[UDChains] = None,
 ) -> DeadCodeReport:
     """Compute the live/dead definition partition.
 
     ``observable_at_exit=False`` treats nothing as implicitly observable —
     only uses inside the program keep definitions alive (useful for
     library-style fragments where final values are irrelevant).
+    ``chains`` are ``result``'s ud-chains, when the caller already has them.
     """
+    if chains is None:
+        chains = UDChains.from_result(result)
     graph = result.graph
     roots: Set[Definition] = set()
     if observable_at_exit and graph.exit is not None:
@@ -63,7 +69,7 @@ def find_dead_code(
         if node.cond is not None:
             for var in node.cond.variables():
                 use = Use(var=var, site=node.name, ordinal=len(node.stmts))
-                roots |= result.reaching_use(use)
+                roots |= chains.defs_for(use)
 
     live: Set[Definition] = set()
     work: List[Definition] = list(roots)
@@ -74,11 +80,10 @@ def find_dead_code(
         live.add(d)
         if d.stmt is None:
             continue
-        node = graph.node(d.site)
-        ordinal = node.stmts.index(d.stmt)
+        ordinal = chains.ordinals[d]
         for var in d.stmt.expr.variables():
-            use = Use(var=var, site=node.name, ordinal=ordinal)
-            for feeder in result.reaching_use(use):
+            use = Use(var=var, site=d.site, ordinal=ordinal)
+            for feeder in chains.defs_for(use):
                 if feeder not in live:
                     work.append(feeder)
 

@@ -2,15 +2,19 @@
 
 Thin, report-friendly layer over
 :meth:`repro.reachdefs.result.ReachingDefsResult.ud_chains`; every other
-client in this package consumes chains through here.
+client in this package consumes chains through here.  :func:`repro.driver.optimize`
+builds one :class:`UDChains` per report and hands it to every client; a
+client called without one builds its own.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, FrozenSet, List, Tuple
 
 from ..ir.defs import Definition, Use
+from ..obs import get_metrics
 from ..reachdefs.result import ReachingDefsResult
 
 
@@ -25,8 +29,8 @@ class UDChains:
     @classmethod
     def from_result(cls, result: ReachingDefsResult) -> "UDChains":
         ud = result.ud_chains()
-        du = result.du_chains()
-        return cls(result=result, ud=ud, du=du)
+        get_metrics().inc("client.udchains.uses", len(ud))
+        return cls(result=result, ud=ud, du=result.du_chains(ud))
 
     # -- queries -----------------------------------------------------------
 
@@ -35,6 +39,22 @@ class UDChains:
 
     def uses_of(self, d: Definition) -> Tuple[Use, ...]:
         return self.du[d]
+
+    def reaching_use(self, use: Use) -> FrozenSet[Definition]:
+        """Definitions reaching ``use``, which may be a position no
+        statement reads (answered by the result, not the chains)."""
+        defs = self.ud.get(use)
+        return defs if defs is not None else self.result.reaching_use(use)
+
+    @cached_property
+    def ordinals(self) -> Dict[Definition, int]:
+        """Each definition's statement position within its block."""
+        out: Dict[Definition, int] = {}
+        for node in self.result.graph.nodes:
+            # one definition per assignment, in statement order
+            for (ordinal, _), d in zip(node.assignments(), node.defs):
+                out[d] = ordinal
+        return out
 
     def unused_defs(self) -> List[Definition]:
         """Definitions with an empty du-chain (candidates for dead code)."""

@@ -328,7 +328,8 @@ def _report(
     observable_at_exit: bool = True,
 ) -> OptimizationReport:
     """Run every client analysis on ``result``, one ``client:<name>`` span
-    each."""
+    each; the ud-chains are computed once and shared by the clients that
+    read them."""
     tracer = get_tracer()
     notes: List[str] = []
     if degradation is not None:
@@ -345,19 +346,21 @@ def _report(
         with tracer.span(f"client:{name}"):
             return fn(*args, **kwargs)
 
+    chains = client("ud-chains", compute_ud_chains, result)
     return OptimizationReport(
         program=program,
         result=result,
-        chains=client("ud-chains", compute_ud_chains, result),
+        chains=chains,
         anomalies=client("anomalies", find_anomalies, result),
         sync_issues=client("sync-lint", lint_synchronization, result.graph),
-        constants=client("constprop", propagate_constants, result),
+        constants=client("constprop", propagate_constants, result, chains=chains),
         induction_variables=client("induction", find_induction_variables, result),
         dead_code=client(
-            "deadcode", find_dead_code, result, observable_at_exit=observable_at_exit
+            "deadcode", find_dead_code, result,
+            observable_at_exit=observable_at_exit, chains=chains,
         ),
-        copies=client("copyprop", find_copy_propagations, result),
-        subexpressions=client("cse", find_common_subexpressions, result),
+        copies=client("copyprop", find_copy_propagations, result, chains=chains),
+        subexpressions=client("cse", find_common_subexpressions, result, chains=chains),
         notes=notes,
         degradation=degradation,
     )

@@ -14,7 +14,7 @@ interleaving, every input, every trip count).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from ..ir.defs import Definition, Use
 from ..lang import ast
@@ -122,14 +122,25 @@ class SoundnessViolation:
         )
 
 
-def check_soundness(result: ReachingDefsResult, run: RunResult) -> List[SoundnessViolation]:
+def check_soundness(
+    result: ReachingDefsResult,
+    run: RunResult,
+    ud: Optional[Dict[Use, FrozenSet[Definition]]] = None,
+) -> List[SoundnessViolation]:
     """All dynamic use observations of ``run`` not covered by the static
-    ud-chains of ``result``.  Empty list ⇔ the run is explained."""
+    ud-chains of ``result``.  Empty list ⇔ the run is explained.
+
+    ``ud`` is ``result.ud_chains()`` when the caller checks several runs
+    against one result; it is built here otherwise."""
     violations: List[SoundnessViolation] = []
-    for obs in run.uses:
-        if obs.definition is None:
-            continue  # inputs carry no definition; nothing to check
-        static = result.reaching_use(obs.use)
+    # inputs carry no definition; nothing to check
+    observed = [obs for obs in run.uses if obs.definition is not None]
+    if observed and ud is None:
+        ud = result.ud_chains()
+    for obs in observed:
+        static = ud.get(obs.use)
+        if static is None:
+            static = result.reaching_use(obs.use)
         if obs.definition not in static:
             violations.append(
                 SoundnessViolation(observation=obs, static_defs=tuple(sorted(static, key=lambda d: d.index)))

@@ -123,17 +123,44 @@ class ReachingDefsResult:
         return self.reaching(node, use.var)
 
     def ud_chains(self) -> Dict[Use, DefSet]:
-        """Use-definition chains for every use in the program."""
+        """Use-definition chains for every use in the program, equal to
+        :meth:`reaching_use` of each use.
+
+        One pass per node: ``In`` is grouped once by the variables the
+        node reads, and the body is walked in order so a same-block
+        definition shadows the inflowing ones for every later use."""
         chains: Dict[Use, DefSet] = {}
         for node in self.graph.nodes:
-            for use in node.uses():
-                chains[use] = self.reaching_use(use)
+            uses = node.uses()
+            if not uses:
+                continue
+            inflow: Dict[str, List[Definition]] = {use.var: [] for use in uses}
+            for d in self.in_sets[node]:
+                bucket = inflow.get(d.var)
+                if bucket is not None:
+                    bucket.append(d)
+            reaching = {var: frozenset(ds) for var, ds in inflow.items()}
+            def_of = {id(d.stmt): d for d in node.defs}
+            local: Dict[str, DefSet] = {}
+            walked = 0  # statements whose definition is already in ``local``
+            for use in uses:
+                while walked < use.ordinal:
+                    d = def_of.get(id(node.stmts[walked]))
+                    if d is not None:
+                        local[d.var] = frozenset((d,))
+                    walked += 1
+                chains[use] = local.get(use.var) or reaching[use.var]
         return chains
 
-    def du_chains(self) -> Dict[Definition, Tuple[Use, ...]]:
-        """Definition-use chains (inverse of :meth:`ud_chains`)."""
+    def du_chains(
+        self, ud: Optional[Dict[Use, DefSet]] = None
+    ) -> Dict[Definition, Tuple[Use, ...]]:
+        """Definition-use chains: the inverse of ``ud`` (computed by
+        :meth:`ud_chains` when not given)."""
+        if ud is None:
+            ud = self.ud_chains()
         out: Dict[Definition, List[Use]] = {d: [] for d in self.graph.defs}
-        for use, defs in self.ud_chains().items():
+        for use, defs in ud.items():
             for d in defs:
                 out[d].append(use)
         return {d: tuple(uses) for d, uses in out.items()}

@@ -82,12 +82,13 @@ def verify_result(
     """
     violations: List[Tuple[int, SoundnessViolation]] = []
     deadlocked: List[int] = []
+    ud = result.ud_chains()
     for seed in seeds:
         sched = RandomScheduler(seed=seed, max_loop_iters=max_loop_iters)
         run = run_program(program, scheduler=sched, graph=result.graph)
         if run.deadlocked:
             deadlocked.append(seed)
-        for v in check_soundness(result, run):
+        for v in check_soundness(result, run, ud):
             violations.append((seed, v))
     return violations, deadlocked
 

@@ -1,9 +1,11 @@
 """Constant-propagation client tests."""
 
-from repro import analyze
-from repro.analysis.constprop import UNDEF, VARYING, meet, propagate_constants
-from repro.lang import parse_program
+from repro import analyze, obs
+from repro.analysis.constprop import UNDEF, VARYING, _apply_binop, meet, propagate_constants
+from repro.ir.defs import Use
+from repro.lang import ast, parse_program
 from repro.paper import programs
+from repro.synthetic import workloads
 
 
 def run(src):
@@ -106,3 +108,97 @@ def test_constant_defs_listing():
 def test_value_at_unreached_var_is_undef():
     _, cp = run("program p\n(1) x = 1\nend")
     assert cp.value_at("1", "nothere") is UNDEF
+
+
+# -- worklist cost and order independence -------------------------------------
+
+
+def _counted(program):
+    result = analyze(program)
+    with obs.session() as sess:
+        cp = propagate_constants(result)
+    counters = sess.metrics.as_dict()["counters"]
+    return cp, counters["client.constprop.evals"], counters["client.constprop.defs"]
+
+
+def test_acyclic_program_evaluates_each_definition_once():
+    for n in (20, 80):
+        cp, evals, defs = _counted(workloads.diamond_chain(n))
+        assert defs == len(cp.result.graph.defs) == 2 * n + 1
+        assert evals == defs
+
+
+def test_cyclic_and_sync_programs_stay_within_twice_the_definitions():
+    for program in (
+        workloads.par_loop_chain(8, 10),
+        workloads.par_diamond_loop(6, 5),
+        workloads.fig3_repeated(12),
+        workloads.sync_pipeline(24),
+    ):
+        _, evals, defs = _counted(program)
+        assert defs <= evals <= 2 * defs, program.name
+
+
+def _same(a, b):
+    return type(a) is type(b) and a == b  # 1 and True differ
+
+
+def _reference_values(result):
+    """Naive fixpoint: re-evaluate every definition in index order, reading
+    each variable through ``reaching_use``, until nothing changes."""
+
+    def evaluate(expr, site, ordinal, values):
+        if isinstance(expr, (ast.IntLit, ast.BoolLit)):
+            return expr.value
+        if isinstance(expr, ast.Var):
+            reaching = result.reaching_use(Use(var=expr.name, site=site, ordinal=ordinal))
+            if not reaching:
+                return VARYING
+            acc = UNDEF
+            for d in reaching:
+                acc = meet(acc, values[d])
+            return acc
+        if isinstance(expr, ast.UnaryOp):
+            inner = evaluate(expr.operand, site, ordinal, values)
+            if inner is UNDEF or inner is VARYING:
+                return inner
+            return (not inner) if expr.op == "not" else -inner
+        left = evaluate(expr.left, site, ordinal, values)
+        right = evaluate(expr.right, site, ordinal, values)
+        if left is UNDEF or right is UNDEF:
+            return UNDEF
+        if left is VARYING or right is VARYING:
+            return VARYING
+        return _apply_binop(expr.op, left, right)
+
+    values = {d: UNDEF for d in result.graph.defs}
+    changed = True
+    while changed:
+        changed = False
+        for d in result.graph.defs:
+            ordinal = result.graph.node(d.site).stmts.index(d.stmt)
+            new = evaluate(d.stmt.expr, d.site, ordinal, values)
+            if not _same(new, values[d]):
+                values[d] = new
+                changed = True
+    return values
+
+
+def _reference_corpus():
+    for key in programs.SOURCES:
+        yield programs.program(key)
+    yield workloads.par_loop_chain(4, 5)
+    yield workloads.par_diamond_loop(5, 4)
+    yield workloads.fig3_repeated(4)
+    for seed in range(20):
+        yield workloads.random_mix(seed, 80)
+
+
+def test_worklist_reaches_the_naive_fixpoint():
+    for program in _reference_corpus():
+        result = analyze(program)
+        got = propagate_constants(result).values
+        want = _reference_values(result)
+        assert list(got) == list(want), program.name
+        for d in want:
+            assert _same(got[d], want[d]), (program.name, d.name, got[d], want[d])

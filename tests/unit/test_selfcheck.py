@@ -1,7 +1,11 @@
 """The soundness oracle behind ``repro check``."""
 
+from dataclasses import replace
+
 from repro import analyze, obs, parse_program
 from repro.interp import RandomScheduler, run_program
+from repro.interp.trace import UseObservation, check_soundness
+from repro.ir.defs import Use
 from repro.robust import corrupt_result, self_check, verify_result
 import repro.robust.selfcheck as selfcheck_mod
 
@@ -93,3 +97,33 @@ def test_self_check_metrics():
     assert counters["robust.selfcheck.runs"] == 3
     assert counters["robust.selfcheck.pass"] == 1
     assert "robust.selfcheck.fail" not in counters
+
+
+def test_check_soundness_reads_one_ud_map():
+    prog = parse_program(SYNC)
+    sound = analyze(prog)
+    run = run_program(prog, RandomScheduler(seed=0, max_loop_iters=2), graph=sound.graph)
+    tampered, _ = corrupt_result(sound, run, seed=0)
+    for result in (sound, tampered):
+        per_use = [
+            obs for obs in run.uses
+            if obs.definition is not None and obs.definition not in result.reaching_use(obs.use)
+        ]
+        shared = check_soundness(result, run, result.ud_chains())
+        assert check_soundness(result, run) == shared
+        assert [v.observation for v in shared] == per_use
+    assert per_use  # the tampered result is caught
+
+
+def test_check_soundness_falls_back_for_uses_outside_the_map():
+    prog = parse_program(SYNC)
+    result = analyze(prog)
+    run = run_program(prog, RandomScheduler(seed=0, max_loop_iters=2), graph=result.graph)
+    defs = result.graph.defs
+    unread = Use(var="x", site="5", ordinal=7)  # no statement reads there
+    assert unread not in result.ud_chains()
+    explained = UseObservation(use=unread, definition=defs.by_name("x1"))
+    stray = UseObservation(use=unread, definition=defs.by_name("z5"))
+    violations = check_soundness(result, replace(run, uses=[explained, stray]))
+    assert [v.observation for v in violations] == [stray]
+    assert violations[0].static_defs == (defs.by_name("x1"),)
