@@ -4,8 +4,9 @@ Runs each workload under three engine configurations with the analysis
 cache disabled and writes ``benchmarks/BENCH_solver_dense.json``:
 
 * ``scc``       — the scalar SCC-scheduled baseline;
-* ``scc-dense`` — dense forced on (``DenseConfig(mode="always")``), the
-  matrix-shaped evaluator for every eligible cyclic region;
+* ``scc-dense`` — ``scc`` with dense forced on
+  (``DenseConfig(mode="always")``), the matrix-shaped evaluator for every
+  eligible cyclic region;
 * ``scc-auto``  — ``scc`` with ``DenseConfig(mode="auto")``: production
   dispatch, where the size/width thresholds route small or narrow
   regions to the scalar fallback.
@@ -63,7 +64,7 @@ REPEATS = 2
 #: config name → (solver, DenseConfig) handed to ``repro.analyze``.
 CONFIGS = {
     "scc": ("scc", None),
-    "scc-dense": ("scc-dense", None),
+    "scc-dense": ("scc", DenseConfig(mode="always")),
     "scc-auto": ("scc", DenseConfig(mode="auto")),
 }
 

@@ -1,10 +1,10 @@
 """Data-flow machinery: set backends, equation framework, fixpoint solvers."""
 
 from .bitset import (
+    BACKEND_NAMES,
     BACKENDS,
     FrozensetBackend,
     IntBitsetBackend,
-    NumpyBitsetBackend,
     SetBackend,
     make_backend,
 )
@@ -14,8 +14,9 @@ from .framework import EquationSystem, FixpointDiverged, SolveStats, VariableMap
 from .sched import Region, Schedule, build_schedule, get_schedule, solve_scc
 from .solver import (
     DEFAULT_MAX_PASSES,
-    SOLVERS,
+    SOLVER_NAMES,
     make_order,
+    run_solver,
     solve_round_robin,
     solve_stabilized,
     solve_worklist,
@@ -36,10 +37,10 @@ __all__ = [
     "build_schedule",
     "get_schedule",
     "solve_scc",
+    "BACKEND_NAMES",
     "BACKENDS",
     "FrozensetBackend",
     "IntBitsetBackend",
-    "NumpyBitsetBackend",
     "SetBackend",
     "make_backend",
     "EquationSystem",
@@ -47,8 +48,9 @@ __all__ = [
     "SolveStats",
     "VariableMap",
     "DEFAULT_MAX_PASSES",
-    "SOLVERS",
+    "SOLVER_NAMES",
     "make_order",
+    "run_solver",
     "solve_round_robin",
     "solve_worklist",
 ]

@@ -2,8 +2,8 @@
 
 The paper notes that "most commercial compilers use the bit vector
 intermediate representation".  All equation systems in this package are
-written against the small :class:`SetBackend` protocol, with three
-interchangeable implementations:
+written against the small :class:`SetBackend` protocol, with two
+interchangeable implementations (:data:`BACKEND_NAMES`):
 
 ``FrozensetBackend``
     Values are ``frozenset[Definition]`` — slow, but transparent when
@@ -15,19 +15,17 @@ interchangeable implementations:
     give branch-free union/intersection/difference in C; this is the
     production backend.
 
-``NumpyBitsetBackend``
-    Values are ``numpy.uint64`` arrays of packed bits.  Included for the
-    backend ablation benchmark (``benchmarks/bench_backends.py``): for the
-    universe sizes real procedures produce, Python ints win — NumPy's
-    per-call overhead dominates below a few thousand definitions.
+Packed ``numpy.uint64`` rows appear only in :class:`BulkView`, the dense
+region evaluator's matrix form; as a scalar backend they were slower end
+to end than both backends above (``docs/performance.md``).
 
-The property test ``tests/property/test_backends_agree.py`` checks all
-three produce identical fixpoints.
+The property test ``tests/property/test_backends_agree.py`` checks both
+produce identical fixpoints.
 """
 
 from __future__ import annotations
 
-from typing import FrozenSet, Generic, Iterable, List, Optional, Sequence, TypeVar
+from typing import FrozenSet, Generic, Iterable, List, Optional, Sequence, Tuple, TypeVar
 
 import numpy as np
 
@@ -229,64 +227,6 @@ class IntBitsetBackend(SetBackend[int]):
         return int.from_bytes(np.ascontiguousarray(words).tobytes(), "little")
 
 
-class NumpyBitsetBackend(SetBackend[np.ndarray]):
-    name = "numpy"
-
-    def empty(self) -> np.ndarray:
-        return np.zeros(self.n_words, dtype=np.uint64)
-
-    def from_defs(self, defs: Iterable[Definition]) -> np.ndarray:
-        out = self.empty()
-        for d in defs:
-            out[d.index >> 6] |= np.uint64(1) << np.uint64(d.index & 63)
-        return out
-
-    def union(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return a | b
-
-    def intersection(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return a & b
-
-    def difference(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return a & ~b
-
-    def union_difference(self, a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
-        # One fresh output buffer instead of the three temporaries the
-        # composed difference(union(a, b), c) allocates.
-        out = np.bitwise_or(a, b)
-        out &= ~c
-        return out
-
-    def difference_union(self, a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
-        out = np.bitwise_and(a, ~b)
-        out |= c
-        return out
-
-    def equals(self, a: np.ndarray, b: np.ndarray) -> bool:
-        return bool(np.array_equal(a, b))
-
-    def to_frozenset(self, s: np.ndarray) -> FrozenSet[Definition]:
-        out = []
-        for word_index, word in enumerate(s.tolist()):
-            base = word_index << 6
-            while word:
-                low = word & -word
-                out.append(self.universe[base + low.bit_length() - 1])
-                word ^= low
-        return frozenset(out)
-
-    def size(self, s: np.ndarray) -> int:
-        # Word-wise popcount; np.unpackbits would allocate 8 bytes per bit
-        # on every call.
-        return sum(int(w).bit_count() for w in s.tolist())
-
-    def to_words(self, s: np.ndarray) -> np.ndarray:
-        return np.array(s, dtype=np.uint64, copy=True)
-
-    def from_words(self, words: np.ndarray) -> np.ndarray:
-        return np.array(words, dtype=np.uint64, copy=True)
-
-
 class CountingBackend(SetBackend):
     """Delegating proxy that counts set operations into the current
     :mod:`repro.obs` metrics registry.
@@ -406,9 +346,10 @@ class BulkView:
 
 
 #: Registry used by user-facing ``backend=`` parameters.
-BACKENDS = {
-    cls.name: cls for cls in (FrozensetBackend, IntBitsetBackend, NumpyBitsetBackend)
-}
+BACKENDS = {cls.name: cls for cls in (FrozensetBackend, IntBitsetBackend)}
+
+#: Every backend name a surface accepts (CLI ``--backend``, serve).
+BACKEND_NAMES: Tuple[str, ...] = tuple(BACKENDS)
 
 
 def make_backend(
@@ -416,7 +357,7 @@ def make_backend(
     universe: Sequence[Definition],
     count_ops: Optional[bool] = None,
 ) -> SetBackend:
-    """Instantiate a backend by name (``"set"``, ``"bitset"``, ``"numpy"``).
+    """Instantiate a backend by name (``"set"`` or ``"bitset"``).
 
     ``count_ops`` wraps the backend in :class:`CountingBackend`; the
     default (``None``) defers to the ambient observability session

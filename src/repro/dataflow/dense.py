@@ -90,24 +90,29 @@ PHASE_ATTRS = (
 )
 
 
+#: Auto-mode floors on region size: a region goes dense only with at
+#: least ``MIN_NODES`` nodes and ``nodes × words`` packed cells of at
+#: least ``MIN_CELLS``, else per-call numpy overhead dominates.
+MIN_NODES = 32
+MIN_CELLS = 64
+
+#: Auto-mode floor on ``nodes / levels``: a narrow-deep region (a
+#: loop-wrapped chain collapses to width ≈ 1) sweeps as many levels as
+#: nodes, so the vectorization has nothing to batch.
+MIN_WIDTH = 2.0
+
+
 @dataclass(frozen=True)
 class DenseConfig:
-    """When and how the dense region evaluator engages.
+    """When and how the dense region evaluator engages (pass ``None``
+    instead of a config for the scalar path everywhere).
 
     ``mode``
-        ``"auto"`` — engage per region when the thresholds below say the
-        matrix formulation pays for itself; ``"always"`` — every eligible
-        cyclic region goes dense (the ``scc-dense`` solver name, and what
-        the agreement tests use for maximum coverage); ``"never"`` —
-        scalar everywhere (equivalent to not passing a config).
-    ``min_nodes`` / ``min_cells``
-        auto-mode floors on region size: the region must have at least
-        ``min_nodes`` nodes and ``nodes × words`` packed cells of at
-        least ``min_cells``, else per-call numpy overhead dominates.
-    ``min_width``
-        auto-mode floor on ``nodes / levels``: a narrow-deep region (a
-        loop-wrapped chain collapses to width ≈ 1) sweeps as many levels
-        as nodes, so the vectorization has nothing to batch.
+        ``"auto"`` — engage per region when :data:`MIN_NODES`,
+        :data:`MIN_CELLS` and :data:`MIN_WIDTH` say the matrix
+        formulation pays for itself; ``"always"`` — every eligible
+        cyclic region goes dense (what the agreement tests and the fuzz
+        oracles use for maximum coverage).
     ``workers``
         wavefront region parallelism: independent dense regions at the
         same condensation depth are solved concurrently on up to this
@@ -115,23 +120,18 @@ class DenseConfig:
     """
 
     mode: str = "auto"
-    min_nodes: int = 32
-    min_cells: int = 64
-    min_width: float = 2.0
     workers: int = 1
 
     def __post_init__(self):
-        if self.mode not in ("auto", "always", "never"):
-            raise ValueError(
-                f"unknown dense mode {self.mode!r}; choose auto, always or never"
-            )
+        if self.mode not in ("auto", "always"):
+            raise ValueError(f"unknown dense mode {self.mode!r}; choose auto or always")
         if self.workers < 1:
             raise ValueError("dense workers must be >= 1")
 
     def key(self) -> Tuple:
         """Result-affecting identity (for cache keys — workers excluded:
         they change wall-clock, never values)."""
-        return ("dense", self.mode, self.min_nodes, self.min_cells, self.min_width)
+        return ("dense", self.mode)
 
 
 class RegionDiverged(RuntimeError):

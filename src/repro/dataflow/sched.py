@@ -64,6 +64,7 @@ from dataclasses import dataclass, field
 from typing import AbstractSet, Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
 
 from ..obs import get_metrics, get_tracer
+from . import dense as _dense  # thresholds read at call time (tests patch them)
 from .budget import NonConvergenceError, ResourceBudget, check_budget
 from .dense import (
     DenseConfig,
@@ -351,8 +352,7 @@ def solve_scc(
     else:
         priority = {n: i for i, n in enumerate(schedule.nodes)}
     phase_split = _phase_split(system)
-    dense_cfg = dense if dense is not None and dense.mode != "never" else None
-    profile = dense_profile(system) if dense_cfg is not None else None
+    profile = dense_profile(system) if dense is not None else None
 
     with tracer.span(
         "solve",
@@ -373,11 +373,11 @@ def solve_scc(
             max_passes=max_passes,
             max_rounds=max_rounds,
             phase_split=phase_split,
-            dense_cfg=dense_cfg,
+            dense_cfg=dense,
             profile=profile,
             skip_regions=skip_regions,
         )
-        if profile is not None and dense_cfg.workers > 1:
+        if profile is not None and dense.workers > 1:
             _solve_waves(ctx)
         else:
             for region in schedule.regions:
@@ -492,11 +492,11 @@ def _dense_region_build(ctx: _RegionContext, region: Region):
     auto = cfg.mode == "auto"
     n = len(region.nodes)
     words = getattr(ctx.system.ops, "n_words", 1)
-    if auto and (n < cfg.min_nodes or n * words < cfg.min_cells):
+    if auto and (n < _dense.MIN_NODES or n * words < _dense.MIN_CELLS):
         return None
     rnodes = sorted(region.nodes, key=lambda nd: ctx.priority.get(nd, 0))
     prog = build_region_program(ctx.system, rnodes, ctx.profile)
-    if auto and prog.width < cfg.min_width:
+    if auto and prog.width < _dense.MIN_WIDTH:
         return None
     return rnodes, prog
 

@@ -1,8 +1,16 @@
-"""Fixpoint solvers and node orderings.
+"""Fixpoint solvers, node orderings and the one name → engine dispatch.
 
-Two solvers:
+The paper defines one equation system per program class (§2, §5, §6);
+the solvers below are only evaluation schedules for those equations.
+:func:`run_solver` maps a solver name (one of :data:`SOLVER_NAMES`, the
+list every surface accepts) to an engine:
 
-``solve_round_robin``
+``stabilized`` → :func:`solve_stabilized`
+    The deterministic phase-alternating driver for the non-monotone
+    parallel/synchronized systems.  A system without a kill layer (§2)
+    is monotone with a unique fixpoint, so there it runs round-robin.
+
+``round-robin`` → :func:`solve_round_robin`
     Sweep all nodes in a fixed order until a full sweep changes nothing.
     With ``order="document"`` this reproduces the paper's iteration tables
     exactly (the paper processes blocks in listing order); the per-pass
@@ -10,15 +18,14 @@ Two solvers:
     tests can compare against the paper's Figure 11 (after pass 1) and
     Figure 12 (after pass 2).
 
-``solve_worklist``
+``worklist`` → :func:`solve_worklist`
     Classic worklist: re-evaluate a node when one of the nodes it depends
     on changed.  Fewer updates on sparse graphs; same fixpoint.
 
-Two more live elsewhere but register in ``SOLVERS`` here:
-``solve_stabilized`` (below) — the deterministic phase-alternating
-driver for the non-monotone parallel/synchronized systems — and
-``solve_scc`` (:mod:`repro.dataflow.sched`), the sparse SCC-scheduled
-engine that evaluates dependence regions in topological order.
+``scc`` → :func:`~repro.dataflow.sched.solve_scc`
+    The sparse SCC-scheduled engine that evaluates dependence regions in
+    topological order; a :class:`~repro.dataflow.dense.DenseConfig`
+    routes cyclic regions through the vectorized evaluator.
 
 Orderings (``make_order``): ``document`` (creation order), ``rpo``
 (reverse postorder over control edges — the "depth first traversal" the
@@ -46,7 +53,7 @@ from __future__ import annotations
 
 import random
 from collections import deque
-from typing import Callable, List, Optional, Sequence, TypeVar
+from typing import List, Optional, Sequence, Tuple, TypeVar
 
 from ..obs import get_metrics, get_tracer
 from ..pfg.graph import ParallelFlowGraph
@@ -408,27 +415,59 @@ def _meet_kill_states(system, states):
     return out
 
 
-#: Signature shared by the solvers, for parameterized tests/benchmarks.
-Solver = Callable[..., SolveStats]
+#: Every solver name a surface accepts (CLI ``--solver``, serve, fuzz).
+SOLVER_NAMES: Tuple[str, ...] = ("stabilized", "round-robin", "worklist", "scc")
 
-from .dense import DenseConfig  # noqa: E402
+#: The engines whose fixpoint is visit-order independent.  On §6 programs
+#: the flow→kill feedback through SynchPass makes the system non-monotone,
+#: and chaotic iteration (round-robin / worklist) may settle in different,
+#: visit-order-dependent fixpoints above it
+#: (``tests/regression/test_fixpoint_multiplicity.py``).
+DETERMINISTIC_SOLVERS = frozenset({"stabilized", "scc"})
+
 from .sched import solve_scc  # noqa: E402  (after _record_solver_metrics exists)
 
 
-def solve_scc_dense(system, order=None, order_name: str = "scc-dense", **kwargs) -> SolveStats:
-    """:func:`~repro.dataflow.sched.solve_scc` with the dense region
-    evaluator forced on (``DenseConfig(mode="always")``) for every
-    eligible cyclic region — the ``"scc-dense"`` solver name.  Same
-    fixpoints as ``scc``, byte-identical; pass ``dense=`` explicitly to
-    tune thresholds or wavefront workers instead."""
-    kwargs.setdefault("dense", DenseConfig(mode="always"))
-    return solve_scc(system, order, order_name=order_name, **kwargs)
+def run_solver(
+    system,
+    graph: ParallelFlowGraph,
+    order: str = "document",
+    solver: str = "stabilized",
+    snapshot_passes: bool = False,
+    budget: Optional[ResourceBudget] = None,
+    dense=None,
+) -> SolveStats:
+    """Solve ``system`` over ``graph`` with the engine named ``solver``.
 
+    ``order`` names the sweep order (:func:`make_order`); the stats'
+    order string is ``order`` for round-robin and ``<solver>/<order>``
+    otherwise.  ``snapshot_passes`` records the paper's per-sweep
+    iterates, so only ``round-robin`` accepts it.  ``budget`` (a
+    :class:`~repro.dataflow.budget.ResourceBudget`) guards the run;
+    ``dense`` (a :class:`~repro.dataflow.dense.DenseConfig`) is read by
+    ``scc`` only.
 
-SOLVERS = {
-    "round-robin": solve_round_robin,
-    "worklist": solve_worklist,
-    "stabilized": solve_stabilized,
-    "scc": solve_scc,
-    "scc-dense": solve_scc_dense,
-}
+    The engines are called through their module-level names (never a
+    table built at import time), so a caller that wraps those names
+    sees every solve.
+    """
+    if solver not in SOLVER_NAMES:
+        raise ValueError(f"unknown solver {solver!r}; choose from {', '.join(SOLVER_NAMES)}")
+    if snapshot_passes and solver != "round-robin":
+        raise ValueError(
+            f"snapshot_passes records the paper's per-sweep iterates, but "
+            f"solver={solver!r} has no global sweeps of that kind; "
+            f"use solver='round-robin'"
+        )
+    nodes = make_order(graph, order)
+    if solver == "stabilized" and not hasattr(system, "update_kill"):
+        solver = "round-robin"  # no kill layer: monotone, one fixpoint
+    if solver == "stabilized":
+        return solve_stabilized(system, nodes, order_name=order, budget=budget)
+    if solver == "round-robin":
+        return solve_round_robin(
+            system, nodes, order_name=order, snapshot_passes=snapshot_passes, budget=budget
+        )
+    if solver == "worklist":
+        return solve_worklist(system, nodes, order_name=f"worklist/{order}", budget=budget)
+    return solve_scc(system, nodes, order_name=f"scc/{order}", budget=budget, dense=dense)

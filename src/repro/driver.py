@@ -80,12 +80,12 @@ def analyze(
     visit-order-independent solution; ``"round-robin"`` is the paper's
     chaotic iteration (see DESIGN.md §5 "solver modes"); ``"scc"`` is the
     sparse SCC-scheduled engine (:mod:`repro.dataflow.sched`) — same
-    fixpoints, far fewer node updates on mostly-acyclic graphs;
-    ``"scc-dense"`` additionally routes large cyclic regions through the
-    vectorized dense evaluator (:mod:`repro.dataflow.dense`) —
-    byte-identical fixpoints, matrix-shaped inner loop.  ``dense`` (a
-    :class:`repro.dataflow.dense.DenseConfig`) tunes the dense-region
-    thresholds and wavefront ``workers`` for either scc engine.
+    fixpoints, far fewer node updates on mostly-acyclic graphs.  With
+    ``dense`` (a :class:`repro.dataflow.dense.DenseConfig`), ``scc``
+    routes large cyclic regions through the vectorized dense evaluator
+    (:mod:`repro.dataflow.dense`) — byte-identical fixpoints,
+    matrix-shaped inner loop; ``DenseConfig(mode="always")`` forces it on
+    for every eligible region, ``workers`` solves regions in parallel.
 
     ``budget`` is an optional :class:`repro.dataflow.ResourceBudget`
     bounding the whole analysis; exhaustion raises
@@ -270,11 +270,9 @@ def optimize(
 
     ``solver`` selects the fixpoint engine as in :func:`analyze`
     (``"stabilized"`` default; ``"scc"`` for the sparse SCC-scheduled
-    engine, ``"scc-dense"`` for scc with the vectorized dense-region
-    evaluator, ``"round-robin"``/``"worklist"`` for the paper's chaotic
+    engine, ``"round-robin"``/``"worklist"`` for the paper's chaotic
     iteration); ``dense`` is the optional
-    :class:`~repro.dataflow.dense.DenseConfig` forwarded to the scc
-    engines.
+    :class:`~repro.dataflow.dense.DenseConfig` forwarded to ``scc``.
     """
     tracer = get_tracer()
     with tracer.span("optimize") as pipeline:

@@ -61,6 +61,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..cssa import build_cssa
+from ..dataflow.dense import DenseConfig
+from ..dataflow.solver import DETERMINISTIC_SOLVERS, SOLVER_NAMES
 from ..interp.trace import StmtLocationIndex
 from ..ir.defs import Use
 from ..lang import ast, parse_program, pretty
@@ -76,15 +78,17 @@ from ..reachdefs import (
 )
 from .mutate import MUTATORS, Mutation, apply_mutators
 
-#: Solvers compared by the agreement oracle — every registered engine
-#: (``scc-dense`` forces the vectorized dense-region evaluator on, so the
-#: campaign differentially checks it against every scalar engine).
-ALL_SOLVERS: Tuple[str, ...] = (
-    "stabilized",
-    "round-robin",
-    "worklist",
-    "scc",
-    "scc-dense",
+#: Every solver name (the registry tuple).
+ALL_SOLVERS: Tuple[str, ...] = SOLVER_NAMES
+
+#: One engine configuration: a solver name and the DenseConfig it runs with.
+Engine = Tuple[str, Optional[DenseConfig]]
+
+#: Engines compared by the agreement and incremental oracles: every
+#: solver, plus ``scc`` with the vectorized dense-region evaluator forced
+#: on, so the campaign differentially checks it against every scalar engine.
+ALL_ENGINES: Tuple[Engine, ...] = tuple((s, None) for s in ALL_SOLVERS) + (
+    ("scc", DenseConfig(mode="always")),
 )
 
 #: Cap on per-oracle failure details; a broken equation system fails on
@@ -107,7 +111,7 @@ class OracleFailure:
 class OracleConfig:
     """Knobs shared by the registry (one instance per campaign)."""
 
-    solvers: Tuple[str, ...] = ALL_SOLVERS
+    engines: Tuple[Engine, ...] = ALL_ENGINES
     backend: str = "bitset"
     mutators: Tuple[str, ...] = tuple(MUTATORS)
     mutation_seed: int = 0
@@ -148,6 +152,16 @@ def default_oracle_names(dynamic: bool = False) -> Tuple[str, ...]:
 # ---------------------------------------------------------------------------
 
 
+def _engine_name(engine: Engine) -> str:
+    solver, dense = engine
+    return solver if dense is None else f"{solver} (dense={dense.mode})"
+
+
+def _solve(graph, cfg: OracleConfig, engine: Engine) -> ReachingDefsResult:
+    solver, dense = engine
+    return solve_system(graph, backend=cfg.backend, solver=solver, dense=dense)
+
+
 def _trim(failures: List[OracleFailure], total: int) -> List[OracleFailure]:
     if total > MAX_DETAILS:
         failures.append(
@@ -159,15 +173,6 @@ def _trim(failures: List[OracleFailure], total: int) -> List[OracleFailure]:
 # ---------------------------------------------------------------------------
 # Oracles
 # ---------------------------------------------------------------------------
-
-
-#: Engines whose result is visit-order independent.  On synchronized
-#: programs the flow→kill feedback through SynchPass makes the combined
-#: system non-monotone, and chaotic iteration (round-robin / worklist)
-#: legitimately converges to different, visit-order-dependent fixpoints
-#: (``tests/regression/test_fixpoint_multiplicity.py``) — so exact
-#: equality is only demanded of the deterministic engines there.
-DETERMINISTIC_SOLVERS = frozenset({"stabilized", "scc", "scc-dense"})
 
 
 def solver_agreement_mode(program: ast.Program) -> str:
@@ -192,16 +197,15 @@ def solver_agreement(program: ast.Program, cfg: OracleConfig) -> List[OracleFail
     the deterministic least resolution would mean lost soundness facts.
     """
     graph = build_pfg(program)
-    results = {s: solve_system(graph, backend=cfg.backend, solver=s) for s in cfg.solvers}
-    baseline_name = cfg.solvers[0]
-    baseline = results[baseline_name]
+    baseline_name = _engine_name(cfg.engines[0])
+    baseline = _solve(graph, cfg, cfg.engines[0])
     exact_mode = solver_agreement_mode(program) == "exact"
     failures: List[OracleFailure] = []
     mismatches = 0
-    for solver, result in results.items():
-        if solver == baseline_name:
-            continue
-        exact = exact_mode or solver in DETERMINISTIC_SOLVERS
+    for engine in cfg.engines[1:]:
+        result = _solve(graph, cfg, engine)
+        solver = _engine_name(engine)
+        exact = exact_mode or engine[0] in DETERMINISTIC_SOLVERS
         for node in graph.nodes:
             for which in ("In", "Out"):
                 a = baseline.set_names(which, node)
@@ -468,22 +472,23 @@ def incremental_equivalence(
         return []
     failures: List[OracleFailure] = []
     mismatches = 0
-    solvers = tuple(s for s in cfg.solvers if s in DETERMINISTIC_SOLVERS) or ("stabilized",)
-    for solver in solvers:
+    engines = tuple(e for e in cfg.engines if e[0] in DETERMINISTIC_SOLVERS) or (
+        ("stabilized", None),
+    )
+    for engine in engines:
         base_graph = build_pfg(program)
         base = IncrementalBase(
-            program=program,
-            graph=base_graph,
-            result=solve_system(base_graph, backend=cfg.backend, solver=solver),
+            program=program, graph=base_graph, result=_solve(base_graph, cfg, engine)
         )
         outcome = incremental_analyze(
-            base, edit.program, backend=cfg.backend, solver=solver,
+            base, edit.program, backend=cfg.backend, solver=engine[0], dense=engine[1],
             cache=False, verify=True,
         )
-        scratch = solve_system(build_pfg(edit.program), backend=cfg.backend, solver=solver)
+        scratch = _solve(build_pfg(edit.program), cfg, engine)
         slots: Tuple[str, ...] = ("In", "Out")
         if scratch.acc_killin is not None and outcome.result.acc_killin is not None:
             slots += ("ACCKillin", "ACCKillout", "ForkKill")
+        label = _engine_name(engine)
         for node in scratch.graph.nodes:
             for which in slots:
                 a = scratch.set_names(which, node.name)
@@ -494,7 +499,7 @@ def incremental_equivalence(
                         failures.append(
                             OracleFailure(
                                 "incremental-equivalence",
-                                f"{which}({node.name}) [{solver}, edit: {edit.detail}, "
+                                f"{which}({node.name}) [{label}, edit: {edit.detail}, "
                                 f"fallback={outcome.fallback}]: incremental "
                                 f"{sorted(b)} vs scratch {sorted(a)}",
                             )

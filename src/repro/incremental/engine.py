@@ -27,7 +27,7 @@ fallback (counted, never wrong).
 
 The base state lives in :data:`~repro.dataflow.cache.GLOBAL_CACHE` under
 ``("incr", <program digest>)``.  The key carries **no** backend, solver,
-dense-threshold, or worker components on purpose: the retained rows are
+dense-mode, or worker components on purpose: the retained rows are
 backend-independent ``frozenset`` values and solver choice never changes
 them, so one base serves every configuration — this is the same
 wall-clock-only-knobs-out-of-identity contract as
@@ -247,16 +247,13 @@ def incremental_analyze(
             target = getattr(system, slot)
             target.update(values)
 
-    dense_cfg = dense
-    if solver == "scc-dense" and dense_cfg is None:
-        dense_cfg = DenseConfig(mode="always")
     stats = solve_scc(
         system,
         make_order(graph, "document"),
         order_name="incr/scc",
         budget=budget,
         verify=verify,
-        dense=dense_cfg,
+        dense=dense,
         skip_regions=clean,
         seed=install,
     )

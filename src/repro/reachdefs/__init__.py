@@ -39,9 +39,8 @@ def solve_system(
 ) -> ReachingDefsResult:
     """Solve ``graph`` with its :func:`equation_family` system.
 
-    ``preserved`` only matters to §6.  The §2 system is monotone with a
-    unique fixpoint, so ``solver="stabilized"`` runs as round-robin there:
-    the chaotic solver already yields the stabilized answer."""
+    ``preserved`` only matters to §6; ``solver`` and ``dense`` as in
+    :func:`~repro.dataflow.solver.run_solver`."""
     family = equation_family(graph)
     kwargs = dict(
         backend=backend, order=order, budget=budget,
@@ -51,8 +50,6 @@ def solve_system(
         return solve_synch(graph, solver=solver, preserved=preserved, **kwargs)
     if family == "parallel":
         return solve_parallel(graph, solver=solver, **kwargs)
-    if solver == "stabilized":
-        solver = "round-robin"
     return solve_sequential(graph, solver=solver, **kwargs)
 
 

@@ -36,7 +36,7 @@ from typing import Dict, Iterable, List, Optional
 
 from ..dataflow.bitset import make_backend
 from ..dataflow.framework import EquationSystem, SolveStats
-from ..dataflow.solver import make_order, solve_round_robin, solve_worklist
+from ..dataflow.solver import run_solver
 from ..pfg.graph import ParallelFlowGraph
 from ..pfg.node import PFGNode
 from .genkill import GenKillInfo, compute_genkill
@@ -310,68 +310,6 @@ class ParallelRDSystem(EquationSystem[PFGNode]):
         )
 
 
-def run_solver(
-    system, graph, order: str, solver: str, snapshot_passes: bool, budget=None, dense=None
-):
-    """Dispatch a reaching-definitions system to a solver.
-
-    ``solver``:
-
-    * ``"stabilized"`` (default) — deterministic, visit-order-independent
-      least-fixpoint phases (:func:`~repro.dataflow.solver.solve_stabilized`);
-      most precise.
-    * ``"round-robin"`` — the paper's chaotic Gauss–Seidel sweeps (use
-      ``order="document"`` + ``snapshot_passes=True`` to reproduce the
-      paper's per-iteration tables).
-    * ``"worklist"`` — classic worklist over the same equations.
-    * ``"scc"`` — sparse SCC-scheduled evaluation
-      (:func:`~repro.dataflow.sched.solve_scc`): acyclic regions once,
-      cyclic regions stabilized locally; same fixpoints, far fewer
-      updates on mostly-acyclic graphs.
-    * ``"scc-dense"`` — scc with the vectorized region evaluator forced
-      on for every eligible cyclic region (byte-identical fixpoints; see
-      :mod:`repro.dataflow.dense`).
-
-    ``budget`` (a :class:`~repro.dataflow.budget.ResourceBudget`) guards
-    the run; see :mod:`repro.dataflow.budget`.  ``dense`` (a
-    :class:`~repro.dataflow.dense.DenseConfig`) tunes dense-region
-    dispatch for the scc engines — with ``solver="scc"`` it opts cyclic
-    regions into dense solving under its thresholds; with
-    ``"scc-dense"`` it overrides the forced-on default (e.g. to set
-    ``workers``).
-    """
-    from ..dataflow.dense import DenseConfig
-    from ..dataflow.sched import solve_scc
-    from ..dataflow.solver import solve_stabilized
-
-    nodes = make_order(graph, order)
-    if solver == "stabilized":
-        if snapshot_passes:
-            raise ValueError(
-                "snapshot_passes records the paper's per-sweep iterates; "
-                "use solver='round-robin' for that"
-            )
-        return solve_stabilized(system, nodes, order_name=order, budget=budget)
-    if solver in ("scc", "scc-dense"):
-        if snapshot_passes:
-            raise ValueError(
-                "snapshot_passes records per-sweep iterates, but the scc "
-                "solver has no global sweeps; use solver='round-robin'"
-            )
-        if solver == "scc-dense" and dense is None:
-            dense = DenseConfig(mode="always")
-        return solve_scc(
-            system, nodes, order_name=f"{solver}/{order}", budget=budget, dense=dense
-        )
-    if solver == "round-robin":
-        return solve_round_robin(
-            system, nodes, order_name=order, snapshot_passes=snapshot_passes, budget=budget
-        )
-    if solver == "worklist":
-        return solve_worklist(system, nodes, order_name=f"worklist/{order}", budget=budget)
-    raise ValueError(f"unknown solver {solver!r}")
-
-
 def solve_parallel(
     graph: ParallelFlowGraph,
     backend: str = "bitset",
@@ -386,8 +324,11 @@ def solve_parallel(
 
     ``record_provenance=True`` derives the justification graph after
     convergence and attaches it as ``result.provenance``
-    (:mod:`repro.provenance`).  ``dense`` tunes dense-region dispatch for
-    the scc engines (see :func:`run_solver`)."""
+    (:mod:`repro.provenance`).  ``solver``, ``snapshot_passes``,
+    ``budget`` and ``dense`` as in
+    :func:`~repro.dataflow.solver.run_solver`."""
     system = ParallelRDSystem(graph, backend=backend, record_provenance=record_provenance)
-    stats = run_solver(system, graph, order, solver, snapshot_passes, budget=budget, dense=dense)
+    stats = run_solver(
+        system, graph, order, solver, snapshot_passes=snapshot_passes, budget=budget, dense=dense
+    )
     return system.to_result(stats)

@@ -19,7 +19,7 @@ from typing import Dict, Iterable, Optional
 
 from ..dataflow.bitset import make_backend
 from ..dataflow.framework import EquationSystem, SolveStats
-from ..dataflow.solver import make_order, solve_round_robin, solve_worklist
+from ..dataflow.solver import run_solver
 from ..pfg.graph import ParallelFlowGraph
 from ..pfg.node import PFGNode
 from .genkill import GenKillInfo, compute_genkill
@@ -131,26 +131,11 @@ def solve_sequential(
 ) -> ReachingDefsResult:
     """Run sequential reaching definitions to fixpoint on ``graph``.
 
-    ``dense`` (a :class:`~repro.dataflow.dense.DenseConfig`) tunes
-    dense-region dispatch for the scc engines; ``solver="scc-dense"``
-    forces the vectorized evaluator on for eligible cyclic regions."""
+    ``solver``, ``snapshot_passes``, ``budget`` and ``dense`` as in
+    :func:`~repro.dataflow.solver.run_solver`; the system has no kill
+    layer, so ``"stabilized"`` runs round-robin."""
     system = SequentialRDSystem(graph, backend=backend, record_provenance=record_provenance)
-    nodes = make_order(graph, order)
-    if solver == "round-robin":
-        stats = solve_round_robin(
-            system, nodes, order_name=order, snapshot_passes=snapshot_passes, budget=budget
-        )
-    elif solver == "worklist":
-        stats = solve_worklist(system, nodes, order_name=f"worklist/{order}", budget=budget)
-    elif solver in ("scc", "scc-dense"):
-        from ..dataflow.dense import DenseConfig
-        from ..dataflow.sched import solve_scc
-
-        if solver == "scc-dense" and dense is None:
-            dense = DenseConfig(mode="always")
-        stats = solve_scc(
-            system, nodes, order_name=f"{solver}/{order}", budget=budget, dense=dense
-        )
-    else:
-        raise ValueError(f"unknown solver {solver!r}")
+    stats = run_solver(
+        system, graph, order, solver, snapshot_passes=snapshot_passes, budget=budget, dense=dense
+    )
     return system.to_result(stats)

@@ -69,7 +69,7 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Optional
 
 from ..dataflow.framework import SolveStats
-from .parallel import run_solver
+from ..dataflow.solver import run_solver
 from ..pfg.graph import ParallelFlowGraph
 from ..pfg.node import PFGNode
 from .genkill import GenKillInfo
@@ -243,8 +243,8 @@ def solve_synch(
     ``"oracle"`` with ``preserved_oracle`` a node→set mapping.
     ``filter_synch_pass=False`` selects the paper's literal SynchPass
     equation (which can oscillate on loop-carried tokens — see the module
-    docstring).  ``solver`` as in :func:`~repro.reachdefs.parallel.run_solver`:
-    ``"stabilized"`` (default, deterministic) or the paper's
+    docstring).  ``solver`` as in :func:`~repro.dataflow.solver.run_solver`:
+    ``"stabilized"`` (default, deterministic), ``"scc"``, or the paper's
     ``"round-robin"`` / ``"worklist"`` chaotic iteration.  ``budget`` (a
     :class:`~repro.dataflow.budget.ResourceBudget`) guards the *whole*
     computation — the Preserved approximation and the equation solve
@@ -258,5 +258,7 @@ def solve_synch(
         filter_synch_pass=filter_synch_pass,
         record_provenance=record_provenance,
     )
-    stats = run_solver(system, graph, order, solver, snapshot_passes, budget=budget, dense=dense)
+    stats = run_solver(
+        system, graph, order, solver, snapshot_passes=snapshot_passes, budget=budget, dense=dense
+    )
     return system.to_result(stats)

@@ -62,6 +62,8 @@ from __future__ import annotations
 from typing import Dict, Optional, Tuple
 
 from .. import driver
+from ..dataflow.bitset import BACKEND_NAMES
+from ..dataflow.solver import SOLVER_NAMES
 
 SCHEMA = "repro-serve/1"
 
@@ -86,9 +88,9 @@ HTTP_STATUS: Dict[str, int] = {
     "draining": 503,
 }
 
-VALID_BACKENDS = ("set", "bitset", "numpy")
+VALID_BACKENDS = BACKEND_NAMES
 VALID_PRESERVED = ("approx", "none")
-VALID_SOLVERS = ("stabilized", "round-robin", "worklist", "scc")
+VALID_SOLVERS = SOLVER_NAMES
 VALID_METHODS = ("analyze",)
 
 

@@ -63,12 +63,13 @@ Observability flags (``analyze``/``report``/``run``; ``stats`` implies
 output, ``--profile OUT.jsonl`` exports the span/metric records as JSONL
 (schema ``repro-obs/1``, see ``docs/observability.md``).
 
-Solver flags (``analyze``/``report``/``check``/``stats``): ``--solver
-{stabilized,round-robin,worklist,scc,scc-dense}`` selects the fixpoint
-engine; ``scc`` is the sparse SCC-scheduled engine and ``scc-dense``
-additionally vectorizes large cyclic regions (``docs/performance.md``).
-``--region-workers N`` solves independent dense regions on N processes
-(scc engines only; results are identical, only wall-clock changes).
+Solver flags (``analyze``/``report``/``check``/``batch``/``explain``/
+``races``/``stats``): ``--solver {stabilized,round-robin,worklist,scc}``
+selects the fixpoint engine; ``scc`` is the sparse SCC-scheduled engine
+(``docs/performance.md``).  ``--region-workers N`` (``analyze``/
+``report``/``stats``) with N > 1 turns on ``scc``'s dense dispatch for
+large cyclic regions and solves independent ones on N processes (results
+are identical, only wall-clock changes).
 
 Budget flags (``analyze``/``report``/``check``): ``--max-passes N`` and
 ``--deadline SECONDS`` bound the fixpoint solve
@@ -110,7 +111,9 @@ from pathlib import Path
 from typing import List, Optional
 
 from .. import obs
+from ..dataflow.bitset import BACKEND_NAMES
 from ..dataflow.budget import NonConvergenceError, ResourceBudget
+from ..dataflow.solver import SOLVER_NAMES
 from ..driver import STATUS_CODES, RequestOptions, analyze, classify, optimize, run_request
 from ..interp import RandomScheduler, run_program
 from ..lang import parse_program, pretty
@@ -127,33 +130,43 @@ def _add_solver_flag(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--solver",
         default="stabilized",
-        choices=["stabilized", "round-robin", "worklist", "scc", "scc-dense"],
+        choices=SOLVER_NAMES,
         help="fixpoint engine: stabilized (deterministic default), the "
-        "paper's round-robin/worklist chaotic iteration, scc (sparse "
-        "SCC-scheduled; same fixpoints, fewer updates), or scc-dense "
-        "(scc with large cyclic regions vectorized; byte-identical)",
+        "paper's round-robin/worklist chaotic iteration, or scc (sparse "
+        "SCC-scheduled; same fixpoints, fewer updates)",
     )
+
+
+def _add_backend_flag(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--backend", default="bitset", choices=BACKEND_NAMES)
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1 (got {value})")
+    return value
+
+
+def _add_region_workers_flag(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--region-workers",
-        type=int,
+        type=_positive_int,
         default=1,
         metavar="N",
-        help="solve independent dense regions on N processes (scc engines "
-        "only; identical results, wall-clock only)",
+        help="solve independent dense regions on N processes (scc only; "
+        "identical results, wall-clock only)",
     )
 
 
 def _dense_from(args: argparse.Namespace):
-    """A DenseConfig when the flags ask for one, else None (library
-    defaults).  ``--region-workers`` implies the dense path on ``scc``;
-    for ``scc-dense`` the solve layer already defaults to mode=always."""
-    workers = max(1, getattr(args, "region_workers", 1))
-    if workers == 1:
+    """A DenseConfig when ``--region-workers`` asks for more than one
+    process (auto dispatch on ``scc``), else None (library defaults)."""
+    if args.region_workers == 1:
         return None
     from ..dataflow.dense import DenseConfig
 
-    mode = "always" if getattr(args, "solver", "") == "scc-dense" else "auto"
-    return DenseConfig(mode=mode, workers=workers)
+    return DenseConfig(workers=args.region_workers)
 
 
 def _add_budget_flags(p: argparse.ArgumentParser) -> None:
@@ -384,7 +397,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
         f"{effort} ({result.stats.order})\n"
     )
     # Per-region dense dispatch, so the auto-mode thresholds are
-    # observable in the field (only the scc engines populate these).
+    # observable in the field (only scc populates these).
     if result.stats.dense_regions or result.stats.scalar_regions:
         sys.stdout.write(
             f"dense dispatch: {result.stats.dense_regions} region(s) vectorized, "
@@ -650,10 +663,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="prior program version: analyze FILE incrementally off BASE's "
         "solve, reusing unperturbed SCC regions (repro.incremental)",
     )
-    p.add_argument("--backend", default="bitset", choices=["set", "bitset", "numpy"])
+    _add_backend_flag(p)
     p.add_argument("--order", default="document")
     p.add_argument("--preserved", default="approx", choices=["approx", "none"])
     _add_solver_flag(p)
+    _add_region_workers_flag(p)
     _add_obs_flags(p)
     _add_budget_flags(p)
     p.set_defaults(func=cmd_analyze)
@@ -675,6 +689,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="fail fast (exit 2) instead of falling down the degradation ladder",
     )
     _add_solver_flag(p)
+    _add_region_workers_flag(p)
     _add_obs_flags(p)
     _add_budget_flags(p)
     p.set_defaults(func=cmd_report)
@@ -740,7 +755,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="continue an interrupted campaign: skip tasks with terminal "
         "records in this repro-batch/1 manifest and append the rest to it",
     )
-    p.add_argument("--backend", default="bitset", choices=["set", "bitset", "numpy"])
+    _add_backend_flag(p)
     p.add_argument("--preserved", default="approx", choices=["approx", "none"])
     p.add_argument(
         "--no-degrade",
@@ -899,7 +914,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="OUT.jsonl",
         help="stream the repro-fuzz/1 JSONL manifest here",
     )
-    p.add_argument("--backend", default="bitset", choices=["set", "bitset", "numpy"])
+    _add_backend_flag(p)
     p.add_argument("--max-loop-iters", type=int, default=2)
     p.add_argument(
         "--deadline",
@@ -926,7 +941,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="X",
         help="restrict to one variable (read there, or reaching block entry)",
     )
-    p.add_argument("--backend", default="bitset", choices=["set", "bitset", "numpy"])
+    _add_backend_flag(p)
     p.add_argument("--preserved", default="approx", choices=["approx", "none"])
     _add_solver_flag(p)
     p.set_defaults(func=cmd_explain)
@@ -946,7 +961,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="also report multiple-values warnings (default: race severity only)",
     )
-    p.add_argument("--backend", default="bitset", choices=["set", "bitset", "numpy"])
+    _add_backend_flag(p)
     p.add_argument("--preserved", default="approx", choices=["approx", "none"])
     _add_solver_flag(p)
     p.set_defaults(func=cmd_races)
@@ -1002,6 +1017,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--profile", metavar="OUT.jsonl", help="also export JSONL")
     _add_solver_flag(p)
+    _add_region_workers_flag(p)
     p.set_defaults(func=cmd_stats, trace=True, count_ops=True)
 
     return parser

@@ -21,8 +21,7 @@ CASES = [
 
 @pytest.mark.parametrize("key,solve", CASES, ids=[c[0] for c in CASES])
 def test_stabilized_equals_paper_mode(key, solve):
-    kwargs = {} if solve is solve_sequential else {"solver": "stabilized"}
-    stabilized = solve(programs.graph(key), **kwargs)
+    stabilized = solve(programs.graph(key), solver="stabilized")
     paper = solve(programs.graph(key), solver="round-robin")
     for node in stabilized.graph.nodes:
         assert stabilized.in_names(node) == paper.in_names(node.name), node.name

@@ -100,6 +100,16 @@ class TestHealthyPath:
         assert env["id"] == "bad-1"
         assert admitted_after == admitted_before
 
+    @pytest.mark.parametrize(
+        "option", [{"solver": "scc-dense"}, {"backend": "numpy"}], ids=["scc-dense", "numpy"]
+    )
+    def test_removed_engine_names_are_bad_requests(self, chaos_daemon, option):
+        with _client(chaos_daemon) as c:
+            status, env = c.rpc(SEQ, "gone-1", options=option)
+        assert status == 400
+        assert env["status"] == "bad-request"
+        assert next(iter(option)) in env["error"]
+
     def test_healthz_shape(self, chaos_daemon):
         with _client(chaos_daemon) as c:
             health = c.healthz()

@@ -14,6 +14,7 @@ from repro.reachdefs import solve_parallel, solve_sequential, solve_synch
 from .conftest import generated_programs, sequential_programs
 
 SLOTS = ("In", "Out", "ACCKillin", "ACCKillout", "ForkKill", "SynchPass")
+ALWAYS = DenseConfig(mode="always")
 
 
 def _sets(result):
@@ -53,7 +54,7 @@ def test_dense_identical_sequential(prog):
     # The plain §2 formulation: one flow family, levelized Gauss–Seidel.
     graph = build_pfg(prog)
     base = solve_sequential(graph, solver="scc")
-    dense = solve_sequential(graph, solver="scc-dense")
+    dense = solve_sequential(graph, solver="scc", dense=ALWAYS)
     assert _sets(dense) == _sets(base)
 
 
@@ -66,7 +67,7 @@ def test_dense_identical_parallel(prog):
     graph = build_pfg(prog)
     base = solve_parallel(graph, solver="scc")
     stab = solve_parallel(graph, solver="stabilized")
-    dense = solve_parallel(graph, solver="scc-dense")
+    dense = solve_parallel(graph, solver="scc", dense=ALWAYS)
     assert _sets(dense) == _sets(base)
     assert _sets(dense) == _sets(stab)
     assert dense.stats.order.endswith("+cycle") == base.stats.order.endswith("+cycle")
@@ -80,7 +81,7 @@ def test_dense_synch_routed_scalar_and_identical(prog):
     # — and the results are then trivially identical to scc.
     graph = build_pfg(prog)
     base = solve_synch(graph, solver="scc")
-    dense = solve_synch(graph, solver="scc-dense")
+    dense = solve_synch(graph, solver="scc", dense=ALWAYS)
     assert _sets(dense) == _sets(base)
     assert dense.stats.dense_regions == 0
     # The plain scc run doesn't count dispatch (no dense config), so the
@@ -104,8 +105,8 @@ def test_dense_identical_on_every_paper_figure(key):
     graph = programs.graph(key)
     solve = _solve_for(graph)
     base = solve(graph, solver="scc")
-    stab = solve(graph, solver="stabilized") if solve is not solve_sequential else base
-    dense = solve(graph, solver="scc-dense")
+    stab = solve(graph, solver="stabilized")
+    dense = solve(graph, solver="scc", dense=ALWAYS)
     assert _sets(dense) == _sets(base), key
     assert _sets(dense) == _sets(stab), key
     if solve is solve_synch:
@@ -122,6 +123,6 @@ def test_dense_engages_on_cyclic_parallel_figures():
     for key in sorted(programs.SOURCES):
         graph = programs.graph(key)
         solve = _solve_for(graph)
-        result = solve(graph, solver="scc-dense")
+        result = solve(graph, solver="scc", dense=ALWAYS)
         engaged[key] = result.stats.dense_regions
     assert engaged["fig1a"] >= 1 and engaged["fig1b"] >= 1, engaged

@@ -94,4 +94,4 @@ def test_unknown_backend_rejected(universe):
 
 
 def test_backend_names():
-    assert set(BACKENDS) == {"set", "bitset", "numpy"}
+    assert set(BACKENDS) == {"set", "bitset"}

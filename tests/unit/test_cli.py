@@ -49,7 +49,7 @@ def test_analyze_prints_table_and_anomalies(program_file, capsys):
 
 
 def test_analyze_backend_flag(program_file, capsys):
-    assert main(["analyze", program_file, "--backend", "numpy"]) == 0
+    assert main(["analyze", program_file, "--backend", "set"]) == 0
     assert "Out" in capsys.readouterr().out
 
 
@@ -452,3 +452,28 @@ def test_batch_profile_merges_worker_counters(program_file, sync_file, tmp_path)
     # fleet-aggregated pipeline counters from the per-task sessions
     assert counters["solve.runs"] >= 2
     assert counters["cache.pfg.misses"] >= 2
+
+
+@pytest.mark.parametrize("command", ["check", "batch", "explain", "races"])
+def test_region_workers_only_where_honoured(program_file, command, capsys):
+    argv = [command, program_file, "--region-workers", "2"]
+    if command == "explain":
+        argv += ["--stmt", "3"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --region-workers" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["analyze", "report", "stats"])
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_region_workers_below_one_rejected(program_file, command, workers, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, program_file, "--solver", "scc", "--region-workers", workers])
+    assert exc.value.code == 2
+    assert "--region-workers: must be at least 1" in capsys.readouterr().err
+
+
+def test_region_workers_accepted_on_stats(program_file, capsys):
+    assert main(["stats", program_file, "--solver", "scc", "--region-workers", "2", "--no-run"]) == 0
+    assert "scc/document" in capsys.readouterr().out

@@ -7,6 +7,7 @@ import pytest
 from repro import analyze, build_pfg
 from repro.dataflow.bitset import BulkView, make_backend
 from repro.dataflow.budget import BudgetExceeded, ResourceBudget
+from repro.dataflow import dense as dense_module
 from repro.dataflow.dense import DenseConfig, dense_profile
 from repro.dataflow.framework import SolveStats
 from repro.ir.defs import DefTable
@@ -17,6 +18,9 @@ from repro.reachdefs.preserved import resolve_preserved
 from repro.reachdefs.sequential import SequentialRDSystem
 from repro.reachdefs.synch import SynchRDSystem
 from repro.synthetic import diamond_loop, par_diamond_loop
+
+
+ALWAYS = DenseConfig(mode="always")
 
 
 def _sets(result):
@@ -34,8 +38,9 @@ def _sets(result):
 
 
 def test_config_validates_mode_and_workers():
-    with pytest.raises(ValueError, match="unknown dense mode"):
-        DenseConfig(mode="sometimes")
+    for mode in ("sometimes", "never"):
+        with pytest.raises(ValueError, match="unknown dense mode"):
+            DenseConfig(mode=mode)
     with pytest.raises(ValueError, match="workers"):
         DenseConfig(workers=0)
 
@@ -45,7 +50,6 @@ def test_config_key_excludes_workers():
     # in workers must share a cache identity.
     assert DenseConfig(workers=1).key() == DenseConfig(workers=4).key()
     assert DenseConfig(mode="auto").key() != DenseConfig(mode="always").key()
-    assert DenseConfig(min_nodes=8).key() != DenseConfig(min_nodes=32).key()
 
 
 # -- profile detection -----------------------------------------------------
@@ -63,7 +67,7 @@ def test_profile_detection_per_system():
 # -- BulkView --------------------------------------------------------------
 
 
-@pytest.mark.parametrize("backend", ["set", "bitset", "numpy"])
+@pytest.mark.parametrize("backend", ["set", "bitset"])
 def test_bulk_view_roundtrip(backend):
     table = DefTable()
     for i in range(130):  # 3 words: cross-word bits
@@ -103,36 +107,38 @@ def test_stats_dict_includes_dense_fields_only_when_nonzero():
 def test_always_mode_engages_and_matches_scalar():
     graph = build_pfg(par_diamond_loop(4, 3))
     base = solve_parallel(graph, solver="scc")
-    dense = solve_parallel(graph, solver="scc-dense")
+    dense = solve_parallel(graph, solver="scc", dense=ALWAYS)
     assert dense.stats.dense_regions >= 1
     assert _sets(dense) == _sets(base)
 
 
-def test_auto_mode_falls_back_below_thresholds():
-    # A cyclic region smaller than min_nodes must be counted as a scalar
+def test_auto_mode_falls_back_below_thresholds(monkeypatch):
+    # A cyclic region smaller than MIN_NODES must be counted as a scalar
     # fallback, and still produce identical sets.
+    monkeypatch.setattr(dense_module, "MIN_NODES", 10_000)
     graph = build_pfg(par_diamond_loop(2, 2))
-    cfg = DenseConfig(mode="auto", min_nodes=10_000)
     base = solve_parallel(graph, solver="scc")
-    auto = solve_parallel(graph, solver="scc", dense=cfg)
+    auto = solve_parallel(graph, solver="scc", dense=DenseConfig(mode="auto"))
     assert auto.stats.dense_regions == 0
     assert auto.stats.scalar_regions >= 1
     assert _sets(auto) == _sets(base)
 
 
-def test_min_width_routes_narrow_regions_scalar():
+def test_min_width_routes_narrow_regions_scalar(monkeypatch):
     # A loop-wrapped diamond chain has width ~1.5: the auto width floor
     # must refuse it even when the node-count floors pass.
+    monkeypatch.setattr(dense_module, "MIN_NODES", 1)
+    monkeypatch.setattr(dense_module, "MIN_CELLS", 1)
+    assert dense_module.MIN_WIDTH == 2.0
     graph = build_pfg(diamond_loop(40))
-    cfg = DenseConfig(mode="auto", min_nodes=1, min_cells=1, min_width=2.0)
-    result = solve_sequential(graph, solver="scc", dense=cfg)
+    result = solve_sequential(graph, solver="scc", dense=DenseConfig(mode="auto"))
     assert result.stats.dense_regions == 0
     assert result.stats.scalar_regions >= 1
 
 
-def test_never_mode_counts_nothing():
+def test_no_dense_config_counts_nothing():
     graph = build_pfg(par_diamond_loop(2, 2))
-    result = solve_parallel(graph, solver="scc", dense=DenseConfig(mode="never"))
+    result = solve_parallel(graph, solver="scc", dense=None)
     assert result.stats.dense_regions == 0
     assert result.stats.scalar_regions == 0
 
@@ -141,7 +147,7 @@ def test_synch_system_always_scalar():
     src_prog = par_diamond_loop(2, 2)
     graph = build_pfg(src_prog)
     base = solve_synch(graph, solver="scc")
-    dense = solve_synch(graph, solver="scc-dense")
+    dense = solve_synch(graph, solver="scc", dense=ALWAYS)
     assert dense.stats.dense_regions == 0
     assert _sets(dense) == _sets(base)
 
@@ -152,7 +158,7 @@ def test_synch_system_always_scalar():
 def test_dense_solve_charges_budget():
     graph = build_pfg(par_diamond_loop(4, 4))
     budget = ResourceBudget(max_passes=100_000)
-    result = solve_parallel(graph, solver="scc-dense", budget=budget)
+    result = solve_parallel(graph, solver="scc", dense=ALWAYS, budget=budget)
     assert result.stats.dense_regions >= 1
     assert budget.passes > 0 and budget.updates > 0
 
@@ -160,7 +166,9 @@ def test_dense_solve_charges_budget():
 def test_dense_solve_trips_budget():
     graph = build_pfg(par_diamond_loop(4, 4))
     with pytest.raises(BudgetExceeded):
-        solve_parallel(graph, solver="scc-dense", budget=ResourceBudget(max_passes=1))
+        solve_parallel(
+            graph, solver="scc", dense=ALWAYS, budget=ResourceBudget(max_passes=1)
+        )
 
 
 def test_charge_region_accumulates():
@@ -203,7 +211,7 @@ def test_wavefront_pool_identical_to_serial():
     with obs.session() as sess:
         pooled = solve_parallel(
             graph,
-            solver="scc-dense",
+            solver="scc",
             dense=DenseConfig(mode="always", workers=2),
         )
     assert _sets(pooled) == _sets(base)
@@ -218,7 +226,7 @@ def test_wavefront_pool_charges_budget_at_barrier():
     budget = ResourceBudget(max_updates=10_000_000)
     pooled = solve_parallel(
         graph,
-        solver="scc-dense",
+        solver="scc",
         dense=DenseConfig(mode="always", workers=2),
         budget=budget,
     )
@@ -229,18 +237,18 @@ def test_wavefront_pool_charges_budget_at_barrier():
 
 
 def test_analyze_scc_dense_end_to_end():
-    result = analyze(par_diamond_loop(3, 3), solver="scc-dense", cache=False)
+    result = analyze(par_diamond_loop(3, 3), solver="scc", dense=ALWAYS, cache=False)
     assert result.stats.converged
     assert result.stats.dense_regions >= 1
-    assert result.stats.as_dict()["order"].startswith("scc-dense/")
+    assert result.stats.as_dict()["order"] == "scc/document"
 
 
 def test_analyze_cache_key_discriminates_dense_thresholds():
-    # Different thresholds change dispatch counts in result.stats (never
-    # the sets) — the cache must not serve one config's stats for another.
+    # Dense dispatch changes counts in result.stats (never the sets) —
+    # the cache must not serve one config's stats for another.
     prog = par_diamond_loop(3, 3)
     a = analyze(prog, solver="scc", dense=DenseConfig(mode="always"))
-    b = analyze(prog, solver="scc", dense=DenseConfig(mode="never"))
+    b = analyze(prog, solver="scc", dense=None)
     assert a.stats.dense_regions >= 1
     assert b.stats.dense_regions == 0
     # Same key → same object on a warm call.

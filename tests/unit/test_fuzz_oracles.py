@@ -5,6 +5,7 @@ behaves (crash containment, opt-in dynamic oracle, metrics).
 
 import pytest
 
+from repro.dataflow.dense import DenseConfig
 from repro.fuzz.oracles import (
     DETERMINISTIC_SOLVERS,
     ORACLES,
@@ -74,7 +75,7 @@ def test_clean_handwritten_programs_pass():
 def test_solver_agreement_mode():
     assert solver_agreement_mode(parse_program(SYNC_PROGRAM)) == "bounded"
     assert solver_agreement_mode(parse_program(SEQ_PROGRAM)) == "exact"
-    assert DETERMINISTIC_SOLVERS == {"stabilized", "scc", "scc-dense"}
+    assert DETERMINISTIC_SOLVERS == {"stabilized", "scc"}
 
 
 def test_unknown_oracle_name_raises():
@@ -153,6 +154,12 @@ def test_metamorphic_oracle_runs_all_mutators():
 
 def test_oracle_config_defaults():
     cfg = OracleConfig()
-    assert cfg.solvers == ("stabilized", "round-robin", "worklist", "scc", "scc-dense")
+    assert cfg.engines == (
+        ("stabilized", None),
+        ("round-robin", None),
+        ("worklist", None),
+        ("scc", None),
+        ("scc", DenseConfig(mode="always")),
+    )
     assert cfg.backend == "bitset"
     assert cfg.dynamic_runs == 3

@@ -6,7 +6,7 @@ from repro import analyze, obs, parse_program
 from repro.dataflow.budget import BudgetExceeded, ResourceBudget
 from repro.dataflow.framework import EquationSystem
 from repro.dataflow.sched import build_schedule, get_schedule, solve_scc
-from repro.dataflow.solver import SOLVERS, solve_round_robin
+from repro.dataflow.solver import SOLVER_NAMES, run_solver, solve_round_robin
 from repro.paper import programs
 from repro.reachdefs import solve_parallel, solve_sequential, solve_synch
 from repro.reachdefs.parallel import ParallelRDSystem
@@ -153,7 +153,10 @@ def test_scc_verify_mode_catches_underapproximated_dependents():
 
 
 def test_scc_registered_in_solvers():
-    assert SOLVERS["scc"] is solve_scc
+    assert "scc" in SOLVER_NAMES
+    graph = programs.graph("fig6")
+    system = ParallelRDSystem(graph)
+    assert run_solver(system, graph, solver="scc").order == "scc/document"
 
 
 def test_scc_budget_charged_and_enforced():

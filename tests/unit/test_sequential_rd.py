@@ -56,7 +56,7 @@ def test_uninitialized_use_has_no_reaching_defs():
     assert r.reaching("1", "x") == frozenset()
 
 
-@pytest.mark.parametrize("backend", ["set", "bitset", "numpy"])
+@pytest.mark.parametrize("backend", ["set", "bitset"])
 def test_backends_equal_on_fig1a(fig1a_graph, backend):
     base = solve_sequential(fig1a_graph, backend="bitset")
     other = solve_sequential(fig1a_graph, backend=backend)

@@ -62,7 +62,7 @@ class TestValidateRequest:
     def test_valid_option_values_accepted(self):
         req = _request()
         req["params"].update(
-            backend="numpy",
+            backend="set",
             preserved="none",
             solver="worklist",
             max_passes=10,
