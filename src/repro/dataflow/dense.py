@@ -264,7 +264,6 @@ class RegionProgram:
     profile: str
     n_rows: int
     n_words: int
-    width: float
     # Flow layer (both profiles): Out is the iterated slot.
     out_pool: np.ndarray  # (R + consts + 1, W); rows [0, R) live
     flow_levels: List[Tuple[np.ndarray, _Plan]]
@@ -296,11 +295,17 @@ class RegionSolution:
     changed_updates: int = 0
 
 
-def build_region_program(system, rnodes: Sequence, profile: str) -> RegionProgram:
+def build_region_program(
+    system, rnodes: Sequence, profile: str, min_width: float = 0.0
+) -> Optional[RegionProgram]:
     """Compile one cyclic region of ``system`` (nodes in sweep-priority
     order) into a :class:`RegionProgram`.  External values are read from
     the system's current state — the scc driver guarantees they are final
-    when the region is reached."""
+    when the region is reached.
+
+    Returns ``None`` when the region's width (rows per flow level) is
+    below ``min_width`` — auto mode's narrow-region fallback, decided
+    before the region's rows are converted to words."""
     bulk = BulkView(system.ops)
     words = bulk.backend.to_words
     n_words = bulk.n_words
@@ -326,6 +331,8 @@ def build_region_program(system, rnodes: Sequence, profile: str) -> RegionProgra
             flow_families.append(fam)
             flow_pred_rows.append(inreg)
         levels = _levelize(n_rows, flow_pred_rows)
+        if n_rows / max(1, len(levels)) < min_width:
+            return None
         zeros = out_consts.zeros_row
         flow_levels = [
             (rows, _make_plan([flow_families[r] for r in rows], zeros))
@@ -337,7 +344,6 @@ def build_region_program(system, rnodes: Sequence, profile: str) -> RegionProgra
             profile=profile,
             n_rows=n_rows,
             n_words=n_words,
-            width=n_rows / max(1, len(levels)),
             out_pool=out_consts.build(n_words),
             flow_levels=flow_levels,
             gen=gen,
@@ -389,6 +395,8 @@ def build_region_program(system, rnodes: Sequence, profile: str) -> RegionProgra
         kill_pred_rows.append(kpreds)
 
     flow_level_rows = _levelize(n_rows, flow_pred_rows)
+    if n_rows / max(1, len(flow_level_rows)) < min_width:
+        return None
     kill_level_rows = _levelize(n_rows, kill_pred_rows)
 
     # Flow plans must be built before the pools: registering constants
@@ -449,7 +457,6 @@ def build_region_program(system, rnodes: Sequence, profile: str) -> RegionProgra
         profile=profile,
         n_rows=n_rows,
         n_words=n_words,
-        width=n_rows / max(1, len(flow_level_rows)),
         out_pool=out_consts.build(n_words),
         flow_levels=flow_levels,
         gen=gen,

@@ -495,8 +495,10 @@ def _dense_region_build(ctx: _RegionContext, region: Region):
     if auto and (n < _dense.MIN_NODES or n * words < _dense.MIN_CELLS):
         return None
     rnodes = sorted(region.nodes, key=lambda nd: ctx.priority.get(nd, 0))
-    prog = build_region_program(ctx.system, rnodes, ctx.profile)
-    if auto and prog.width < _dense.MIN_WIDTH:
+    prog = build_region_program(
+        ctx.system, rnodes, ctx.profile, min_width=_dense.MIN_WIDTH if auto else 0.0
+    )
+    if prog is None:
         return None
     return rnodes, prog
 

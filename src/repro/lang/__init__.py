@@ -8,7 +8,7 @@ extensions the paper targets (Parallel Computing Forum / ANSI X3H5):
 
 from . import ast
 from .errors import LangError, LexError, ParseError, SemanticError, SourcePos, SourceSpan
-from .lexer import Lexer, tokenize
+from .lexer import tokenize
 from .parser import parse_expression, parse_program
 from .pretty import pretty
 from .tokens import Token, TokenKind
@@ -21,7 +21,6 @@ __all__ = [
     "SemanticError",
     "SourcePos",
     "SourceSpan",
-    "Lexer",
     "tokenize",
     "parse_expression",
     "parse_program",

@@ -7,12 +7,13 @@ back at source text the way a compiler diagnostic would.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
-@dataclass(frozen=True, order=True)
-class SourcePos:
-    """A single point in a source file (1-based line, 1-based column)."""
+class SourcePos(NamedTuple):
+    """A single point in a source file (1-based line, 1-based column).
+
+    A tuple, so positions order by line, then column."""
 
     line: int
     column: int
@@ -21,8 +22,7 @@ class SourcePos:
         return f"{self.line}:{self.column}"
 
 
-@dataclass(frozen=True)
-class SourceSpan:
+class SourceSpan(NamedTuple):
     """A half-open region of source text, ``[start, end)``."""
 
     start: SourcePos

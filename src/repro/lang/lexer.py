@@ -1,4 +1,4 @@
-"""Hand-written lexer for the mini-PCF language.
+"""Regex lexer for the mini-PCF language.
 
 Design notes
 ------------
@@ -8,148 +8,144 @@ Design notes
 * Comments run from ``#`` or ``!`` to end of line (``!`` for FORTRAN
   flavour).
 * Keywords are case-insensitive; identifiers preserve case.
+* Character classes follow ``str``: an integer is a run of
+  ``str.isdigit`` characters, a word starts with ``str.isalpha`` or ``_``
+  and continues with ``str.isalnum`` or ``_`` (which is exactly ``\\w``).
+  A digit that is not a decimal digit (``²``) is a :class:`LexError`.
+* One compiled pattern is matched once per token; blanks and comments are
+  folded into the match, and line/column are carried from the newlines.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, List
+import re
+from typing import List
 
 from .errors import LexError, SourcePos, SourceSpan
 from .tokens import KEYWORDS, Token, TokenKind
 
-_SINGLE_CHAR = {
+_OPERATORS = {
     "+": TokenKind.PLUS,
     "-": TokenKind.MINUS,
     "*": TokenKind.STAR,
+    "/": TokenKind.SLASH,
     "%": TokenKind.PERCENT,
     "(": TokenKind.LPAREN,
     ")": TokenKind.RPAREN,
     ",": TokenKind.COMMA,
+    "=": TokenKind.ASSIGN,
+    "==": TokenKind.EQ,
+    "/=": TokenKind.NE,  # FORTRAN-style "not equal"
+    "<": TokenKind.LT,
+    "<=": TokenKind.LE,
+    ">": TokenKind.GT,
+    ">=": TokenKind.GE,
 }
 
+#: Skipped blanks and comment, then one token; matches empty only at the
+#: end of the source.
+_TOKEN = re.compile(
+    r"""[\ \t\r]*(?:[#!][^\n]*)?
+    (?:(?P<newline>[\n;])
+      |(?P<int>[0-9]+)(?!\w)       # ASCII digits, not followed by a word character
+      |(?P<ident>[A-Za-z_]\w*)
+      |(?P<word>\w+)               # any other word: see _split_word()
+      |(?P<op>[=/<>]=|[-+*/%(),=<>])
+      |(?P<bad>.)
+    )?""",
+    re.VERBOSE,
+)
 
-class Lexer:
-    """Converts source text into a token stream.
 
-    Use :func:`tokenize` for the common case; the class form exists so
-    incremental tooling can observe lexer state.
-    """
+#: Builds a token, span or position from a field tuple without the
+#: ``NamedTuple`` constructor's Python-level call: a source has thousands
+#: of tokens and each needs four tuples.
+_new = tuple.__new__
 
-    def __init__(self, source: str):
-        self.source = source
-        self.pos = 0
-        self.line = 1
-        self.column = 1
 
-    # -- low-level cursor ------------------------------------------------
+def _word_token(word: str, span: SourceSpan) -> Token:
+    kind = KEYWORDS.get(word.lower())
+    if kind is None:
+        return _new(Token, (TokenKind.IDENT, word, span, word))
+    return _new(Token, (kind, word, span, None))
 
-    def _peek(self, offset: int = 0) -> str:
-        idx = self.pos + offset
-        return self.source[idx] if idx < len(self.source) else ""
 
-    def _advance(self) -> str:
-        ch = self.source[self.pos]
-        self.pos += 1
-        if ch == "\n":
-            self.line += 1
-            self.column = 1
+def _split_word(text: str, line: int, column: int) -> List[Token]:
+    """The tokens of a ``\\w+`` run outside the ASCII fast paths.
+
+    A run can hold several tokens: ``12_x`` is ``12`` then ``_x``."""
+    out: List[Token] = []
+    while text:
+        head = text[0]
+        if head.isdigit():
+            k = 1
+            while k < len(text) and text[k].isdigit():
+                k += 1
+            digits = text[:k]
+            if k < len(text) and text[k].isalpha():
+                raise LexError(
+                    f"malformed integer literal {digits + text[k]!r}",
+                    SourceSpan(SourcePos(line, column), SourcePos(line, column + k)),
+                )
+            for i, ch in enumerate(digits):
+                if not ch.isdecimal():
+                    at = column + i
+                    raise LexError(
+                        f"invalid digit {ch!r} in integer literal",
+                        SourceSpan(SourcePos(line, at), SourcePos(line, at + 1)),
+                    )
+            span = SourceSpan(SourcePos(line, column), SourcePos(line, column + k))
+            out.append(Token(TokenKind.INT, digits, span, int(digits)))
+        elif head.isalpha() or head == "_":
+            k = len(text)
+            out.append(_word_token(text, SourceSpan(SourcePos(line, column), SourcePos(line, column + k))))
         else:
-            self.column += 1
-        return ch
-
-    def _here(self) -> SourcePos:
-        return SourcePos(self.line, self.column)
-
-    # -- scanning --------------------------------------------------------
-
-    def tokens(self) -> Iterator[Token]:
-        """Yield tokens, ending with a single ``EOF`` token."""
-        emitted_any = False
-        last_was_newline = True  # suppress leading NEWLINEs
-        while self.pos < len(self.source):
-            ch = self._peek()
-            if ch in " \t\r":
-                self._advance()
-                continue
-            if ch in "#!":
-                while self.pos < len(self.source) and self._peek() != "\n":
-                    self._advance()
-                continue
-            if ch == "\n" or ch == ";":
-                start = self._here()
-                self._advance()
-                if not last_was_newline:
-                    yield Token(TokenKind.NEWLINE, "\\n", SourceSpan(start, self._here()))
-                    last_was_newline = True
-                continue
-            tok = self._scan_token()
-            last_was_newline = False
-            emitted_any = True
-            yield tok
-        end = self._here()
-        if emitted_any and not last_was_newline:
-            yield Token(TokenKind.NEWLINE, "\\n", SourceSpan(end, end))
-        yield Token(TokenKind.EOF, "<eof>", SourceSpan(end, end))
-
-    def _scan_token(self) -> Token:
-        start = self._here()
-        ch = self._peek()
-        if ch.isdigit():
-            return self._scan_int(start)
-        if ch.isalpha() or ch == "_":
-            return self._scan_word(start)
-        if ch in _SINGLE_CHAR:
-            self._advance()
-            return Token(_SINGLE_CHAR[ch], ch, SourceSpan(start, self._here()))
-        if ch == "=":
-            self._advance()
-            if self._peek() == "=":
-                self._advance()
-                return Token(TokenKind.EQ, "==", SourceSpan(start, self._here()))
-            return Token(TokenKind.ASSIGN, "=", SourceSpan(start, self._here()))
-        if ch == "<":
-            self._advance()
-            if self._peek() == "=":
-                self._advance()
-                return Token(TokenKind.LE, "<=", SourceSpan(start, self._here()))
-            return Token(TokenKind.LT, "<", SourceSpan(start, self._here()))
-        if ch == ">":
-            self._advance()
-            if self._peek() == "=":
-                self._advance()
-                return Token(TokenKind.GE, ">=", SourceSpan(start, self._here()))
-            return Token(TokenKind.GT, ">", SourceSpan(start, self._here()))
-        if ch == "/":
-            self._advance()
-            if self._peek() == "=":  # FORTRAN-style "not equal"
-                self._advance()
-                return Token(TokenKind.NE, "/=", SourceSpan(start, self._here()))
-            return Token(TokenKind.SLASH, "/", SourceSpan(start, self._here()))
-        raise LexError(f"unexpected character {ch!r}", SourceSpan.point(start.line, start.column))
-
-    def _scan_int(self, start: SourcePos) -> Token:
-        text = []
-        while self._peek().isdigit():
-            text.append(self._advance())
-        if self._peek().isalpha():
-            raise LexError(
-                f"malformed integer literal {''.join(text) + self._peek()!r}",
-                SourceSpan(start, self._here()),
-            )
-        s = "".join(text)
-        return Token(TokenKind.INT, s, SourceSpan(start, self._here()), value=int(s))
-
-    def _scan_word(self, start: SourcePos) -> Token:
-        text = []
-        while self._peek().isalnum() or self._peek() == "_":
-            text.append(self._advance())
-        word = "".join(text)
-        kind = KEYWORDS.get(word.lower())
-        if kind is not None:
-            return Token(kind, word, SourceSpan(start, self._here()))
-        return Token(TokenKind.IDENT, word, SourceSpan(start, self._here()), value=word)
+            raise LexError(f"unexpected character {head!r}", SourceSpan.point(line, column))
+        text = text[k:]
+        column += k
+    return out
 
 
 def tokenize(source: str) -> List[Token]:
-    """Tokenize ``source`` completely, raising :class:`LexError` on bad input."""
-    return list(Lexer(source).tokens())
+    """Tokenize ``source`` completely, ending with a single ``EOF`` token;
+    raises :class:`LexError` on bad input."""
+    tokens: List[Token] = []
+    append = tokens.append
+    line, line_start = 1, 0  # current line and the offset of its first character
+    after_newline = True  # suppress leading and repeated NEWLINEs
+    for m in _TOKEN.finditer(source):
+        group = m.lastgroup
+        if group is None:
+            break
+        start, end = m.span(group)
+        column = start - line_start + 1
+        if group == "newline":
+            first = _new(SourcePos, (line, column))
+            if source[start] == "\n":
+                line += 1
+                line_start = end
+            if not after_newline:
+                last = _new(SourcePos, (line, end - line_start + 1))
+                append(_new(Token, (TokenKind.NEWLINE, "\\n", _new(SourceSpan, (first, last)), None)))
+                after_newline = True
+            continue
+        if group == "word":
+            tokens.extend(_split_word(m.group(group), line, column))
+        elif group == "bad":
+            raise LexError(f"unexpected character {m.group(group)!r}", SourceSpan.point(line, column))
+        else:
+            text = m.group(group)
+            first = _new(SourcePos, (line, column))
+            span = _new(SourceSpan, (first, _new(SourcePos, (line, end - line_start + 1))))
+            if group == "ident":
+                append(_word_token(text, span))
+            elif group == "op":
+                append(_new(Token, (_OPERATORS[text], text, span, None)))
+            else:
+                append(_new(Token, (TokenKind.INT, text, span, int(text))))
+        after_newline = False
+    end = SourcePos(line, len(source) - line_start + 1)
+    if not after_newline:
+        append(Token(TokenKind.NEWLINE, "\\n", SourceSpan(end, end)))
+    append(Token(TokenKind.EOF, "<eof>", SourceSpan(end, end)))
+    return tokens

@@ -9,13 +9,13 @@ event variables with ``post``/``wait``/``clear``, sequential ``if``/``loop``/
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import SourceSpan
 
 
 class TokenKind(enum.Enum):
-    """Lexical categories produced by :class:`repro.lang.lexer.Lexer`."""
+    """Lexical categories produced by :func:`repro.lang.lexer.tokenize`."""
 
     # Literals / identifiers
     INT = "INT"
@@ -103,8 +103,7 @@ KEYWORDS = {
 }
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     """A single lexeme with its source span.
 
     ``value`` holds the decoded payload: an ``int`` for ``INT`` tokens, the

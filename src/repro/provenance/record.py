@@ -43,17 +43,19 @@ instead of a per-iteration tax (the constant-factor overlay bounded by
 
 Representation note: fact counts grow with the *density* of the fixpoint
 (Σ|In| + Σ|Out|, quadratic on define-heavy straightline code), so the
-builder works level-synchronously with set operations per node — not
-fact-at-a-time — and the graph stores compact tuples internally,
-materializing :class:`Fact`/:class:`Justification` objects only on
-access (chains are short; the store is not).
+builder works level-synchronously per node — not fact-at-a-time — on
+definition-index bit masks (bit ``i`` is the definition with index
+``i``), and the graph stores each node's facts as the batches the
+builder derived them in (a mask and one shared entry), building a node's
+per-definition dict on first access and :class:`Fact`/
+:class:`Justification` objects only on access (chains are short; the
+store is not).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import attrgetter
-from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple, Union
 
 from ..ir.defs import Definition
 from ..pfg.edges import CONTROL_KINDS, EdgeKind
@@ -61,6 +63,9 @@ from ..pfg.graph import ParallelFlowGraph
 from ..pfg.node import PFGNode
 
 DefSet = FrozenSet[Definition]
+#: A fixpoint row: a frozenset, or the definition-index bit mask of a
+#: bitset system (bit ``i`` is the definition with index ``i``).
+Row = Union[DefSet, int]
 
 __all__ = [
     "Fact",
@@ -102,12 +107,16 @@ class Justification:
     note: str = ""
 
 
-#: Internal store: ``(slot, node)`` → ``{defn: (kind, source node | None,
-#: edge | None, note)}``.  A justification's source always concerns the
-#: *same definition* (flow comes from ``Out`` of the source node, survive
-#: from ``In`` of the fact's own node), so only the source node is stored
-#: and one entry tuple is shared by every definition of a batch.
+#: A fact's justification: ``(kind, source node | None, edge | None,
+#: note)``.  A justification's source always concerns the *same
+#: definition* (flow comes from ``Out`` of the source node, survive from
+#: ``In`` of the fact's own node), so only the source node is stored and
+#: one entry tuple is shared by every definition of a batch.
 _Entry = Tuple[str, Optional[PFGNode], Optional[Tuple[str, str, str]], str]
+#: Definitions justified together, as an index bit mask, and their
+#: shared entry.
+_Batch = Tuple[int, _Entry]
+_Key = Tuple[str, PFGNode]
 
 #: Slot the source fact lives in, by justification kind.
 _SOURCE_SLOT = {"flow": "Out", "survive": "In"}
@@ -116,23 +125,51 @@ _SOURCE_SLOT = {"flow": "Out", "survive": "In"}
 class JustificationGraph:
     """Every fact of one converged fixpoint, each with its justification.
 
-    Facts are stored as nested plain dicts; :class:`Fact`/
-    :class:`Justification` objects are materialized on access, so holding
-    a dense fixpoint's graph costs one shared-tuple dict entry per fact
-    rather than two dataclass instances.
+    The store maps ``(slot, node)`` to the batches the builder derived
+    that node's facts in, until the first access turns them into a
+    ``{defn: entry}`` dict (definitions by index within a batch, batches
+    in derivation order).  Recording therefore costs mask operations,
+    not a dict entry per fact; :class:`Fact`/:class:`Justification` objects
+    are materialized on access, so holding a dense fixpoint's graph costs
+    one shared-tuple dict entry per fact rather than two dataclass
+    instances.
     """
 
-    __slots__ = ("system", "_store")
+    __slots__ = ("system", "_defs", "_store")
 
-    def __init__(self, system: str = "") -> None:
+    def __init__(self, system: str = "", defs: Sequence[Definition] = ()) -> None:
         self.system = system
-        self._store: Dict[Tuple[str, PFGNode], Dict[Definition, _Entry]] = {}
+        #: definition by index: decodes the batch masks
+        self._defs = defs
+        self._store: Dict[_Key, Union[List[_Batch], Dict[Definition, _Entry]]] = {}
 
     def __len__(self) -> int:
-        return sum(len(bucket) for bucket in self._store.values())
+        return sum(
+            len(value) if isinstance(value, dict) else sum(mask.bit_count() for mask, _ in value)
+            for value in self._store.values()
+        )
+
+    def _bucket(self, key: _Key) -> Dict[Definition, _Entry]:
+        """The ``{defn: entry}`` dict of one ``(slot, node)``."""
+        value = self._store[key]
+        if isinstance(value, dict):
+            return value
+        bucket: Dict[Definition, _Entry] = {}
+        defs = self._defs
+        for mask, entry in value:
+            while mask:  # lowest index first
+                low = mask & -mask
+                bucket[defs[low.bit_length() - 1]] = entry
+                mask ^= low
+        self._store[key] = bucket
+        return bucket
+
+    def _buckets(self) -> Iterator[Tuple[_Key, Dict[Definition, _Entry]]]:
+        for key in self._store:
+            yield key, self._bucket(key)
 
     def _materialize(self, slot: str, node: PFGNode, defn: Definition) -> Justification:
-        kind, src_node, edge, note = self._store[(slot, node)][defn]
+        kind, src_node, edge, note = self._bucket((slot, node))[defn]
         src_slot = _SOURCE_SLOT.get(kind)
         return Justification(
             kind=kind,
@@ -150,12 +187,11 @@ class JustificationGraph:
         return self._materialize(slot, node, defn)
 
     def has_fact(self, slot: str, node: PFGNode, defn: Definition) -> bool:
-        bucket = self._store.get((slot, node))
-        return bucket is not None and defn in bucket
+        return (slot, node) in self._store and defn in self._bucket((slot, node))
 
     def items(self) -> Iterator[Tuple[Fact, Justification]]:
         """Lazy ``(fact, justification)`` pairs, grouped by (slot, node)."""
-        for (slot, node), bucket in self._store.items():
+        for (slot, node), bucket in self._buckets():
             for defn in bucket:
                 yield Fact(slot, node, defn), self._materialize(slot, node, defn)
 
@@ -178,7 +214,7 @@ class JustificationGraph:
                 )
             seen.add(at)
             steps.append(self._materialize(at[0], at[1], defn))
-            kind, src_node, _edge, _note = self._store[at][defn]
+            kind, src_node, _edge, _note = self._bucket(at)[defn]
             src_slot = _SOURCE_SLOT.get(kind)
             at = (src_slot, src_node) if src_slot is not None else None
         steps.reverse()
@@ -187,7 +223,7 @@ class JustificationGraph:
     def counts(self) -> Dict[str, int]:
         """Facts per justification kind (sorted; for stats and benches)."""
         out: Dict[str, int] = {}
-        for bucket in self._store.values():
+        for _, bucket in self._buckets():
             for entry in bucket.values():
                 kind = entry[0]
                 out[kind] = out.get(kind, 0) + 1
@@ -197,7 +233,7 @@ class JustificationGraph:
         """Facts with no derivation, in deterministic (node, def) order."""
         out = [
             Fact(slot, node, d)
-            for (slot, node), bucket in self._store.items()
+            for (slot, node), bucket in self._buckets()
             for d, entry in bucket.items()
             if entry[0] == "unsupported"
         ]
@@ -208,7 +244,7 @@ class JustificationGraph:
         """JSON-ready, solver-comparable view: fact key → {kind, source,
         edge}.  Two solvers at the same fixpoint produce equal dicts."""
         out: Dict[str, Dict[str, object]] = {}
-        for (slot, node), bucket in self._store.items():
+        for (slot, node), bucket in self._buckets():
             prefix = f"{slot}:{node.name}:"
             for d, (kind, src_node, edge, _note) in bucket.items():
                 src_slot = _SOURCE_SLOT.get(kind)
@@ -245,13 +281,17 @@ def _survive_note(n: PFGNode) -> str:
 
 def build_justifications(
     graph: ParallelFlowGraph,
-    in_sets: Dict[PFGNode, DefSet],
-    out_sets: Dict[PFGNode, DefSet],
+    in_sets: Dict[PFGNode, Row],
+    out_sets: Dict[PFGNode, Row],
     gen: Dict[PFGNode, DefSet],
     include_sync: bool = False,
     system: str = "",
 ) -> JustificationGraph:
     """Derive the justification graph of a converged fixpoint.
+
+    ``in_sets``/``out_sets`` rows are frozensets of definitions or
+    definition-index bit masks (a bitset system's own rows, so recording
+    needs no decode).
 
     ``include_sync`` widens the flow edges to synchronization edges — set
     it exactly when the system's ``In`` equation reads sync predecessors
@@ -263,36 +303,39 @@ def build_justifications(
     every solver at this fixpoint.
 
     The propagation works a node's whole wanted *def-set* at a time with
-    set operations (facts scale with Σ|In|+Σ|Out|, quadratic on
+    mask operations (facts scale with Σ|In|+Σ|Out|, quadratic on
     define-heavy code) — this is what keeps the on-cost within the 2×
     gate of ``benchmarks/run_provenance.py``.
     """
     kinds = frozenset(EdgeKind) if include_sync else frozenset(CONTROL_KINDS)
     kind_str = {k: str(k) for k in EdgeKind}
-    _idx = attrgetter("index")
-    fromkeys = dict.fromkeys
-    prov = JustificationGraph(system=system)
+    prov = JustificationGraph(system=system, defs=graph.defs)
     nodes = list(graph.document_order())
-    in_bucket = {n: {} for n in nodes}
-    out_bucket = {n: {} for n in nodes}
+    in_batches: Dict[PFGNode, List[_Batch]] = {n: [] for n in nodes}
+    out_batches: Dict[PFGNode, List[_Batch]] = {n: [] for n in nodes}
     for n in nodes:  # document-order grouping for items()
-        prov._store[("In", n)] = in_bucket[n]
-        prov._store[("Out", n)] = out_bucket[n]
+        prov._store[("In", n)] = in_batches[n]
+        prov._store[("Out", n)] = out_batches[n]
     edges_in = {
         m: [(p, kind) for p, kind in graph.in_edges(m) if kind in kinds]
         for m in nodes
     }
+    masks: Dict[DefSet, int] = {}  # equal rows are often one object: encode each once
+    in_mask = {n: _mask(in_sets[n], masks) for n in nodes}
+    out_mask = {n: _mask(out_sets[n], masks) for n in nodes}
+    gen_mask = {n: _mask(gen[n], masks) for n in nodes}
 
     # Roots: every definition is born into Out at its birth statement.
-    justified_in: Dict[PFGNode, set] = {n: set() for n in nodes}
-    justified_out: Dict[PFGNode, set] = {}
+    justified_in = dict.fromkeys(nodes, 0)
+    justified_out: Dict[PFGNode, int] = {}
     for n in nodes:
-        born = set(gen[n] & out_sets[n])
-        justified_out[n] = born
-        bucket = out_bucket[n]
-        for d in sorted(born, key=_idx):
+        born = justified_out[n] = gen_mask[n] & out_mask[n]
+        while born:  # lowest index first
+            bit = born & -born
+            d = graph.defs[bit.bit_length() - 1]
             note = str(d.stmt) if d.stmt is not None else ""
-            bucket[d] = ("gen", None, None, note)
+            out_batches[n].append((bit, ("gen", None, None, note)))
+            born ^= bit
 
     changed = True
     while changed:
@@ -300,26 +343,29 @@ def build_justifications(
         for m in nodes:
             # Flow: pull every still-underived In fact from the first
             # predecessor (edge order) whose Out fact is already derived.
-            want = in_sets[m] - justified_in[m]
-            if want:
-                for p, kind in edges_in[m]:
-                    new = justified_out[p] & want
-                    if not new:
-                        continue
-                    entry = ("flow", p, (p.name, m.name, kind_str[kind]), _flow_note(p, m, kind))
-                    in_bucket[m].update(fromkeys(sorted(new, key=_idx), entry))
-                    justified_in[m] |= new
-                    want -= new
-                    changed = True
-                    if not want:
-                        break
+            derived = justified_in[m]
+            want = in_mask[m] & ~derived
+            if not want:
+                continue  # all derived earlier, so nothing new survives either
+            for p, kind in edges_in[m]:
+                new = justified_out[p] & want
+                if not new:
+                    continue
+                entry = ("flow", p, (p.name, m.name, kind_str[kind]), _flow_note(p, m, kind))
+                in_batches[m].append((new, entry))
+                derived |= new
+                want &= ~new
+                if not want:
+                    break
+            if derived == justified_in[m]:
+                continue  # what survived of the earlier In facts is derived
+            justified_in[m] = derived
+            changed = True
             # Survive: In(m) not killed within the block leaves via Out(m).
-            new = (justified_in[m] & out_sets[m]) - gen[m] - justified_out[m]
+            new = derived & out_mask[m] & ~gen_mask[m] & ~justified_out[m]
             if new:
-                entry = ("survive", m, None, _survive_note(m))
-                out_bucket[m].update(fromkeys(sorted(new, key=_idx), entry))
+                out_batches[m].append((new, ("survive", m, None, _survive_note(m))))
                 justified_out[m] |= new
-                changed = True
 
     # Anything left in the fixpoint has no derivation from a birth site.
     entry = (
@@ -330,14 +376,27 @@ def build_justifications(
         "birth site (over-approximate chaotic fixpoint)",
     )
     for n in nodes:
-        for sets, derived, buckets in (
-            (in_sets, justified_in, in_bucket),
-            (out_sets, justified_out, out_bucket),
+        for rows, derived, batches in (
+            (in_mask, justified_in, in_batches),
+            (out_mask, justified_out, out_batches),
         ):
-            left = sets[n] - derived[n]
+            left = rows[n] & ~derived[n]
             if left:
-                buckets[n].update(fromkeys(sorted(left, key=_idx), entry))
+                batches[n].append((left, entry))
     return prov
+
+
+def _mask(defs: Row, memo: Dict[DefSet, int]) -> int:
+    """``defs`` as a definition-index bit mask."""
+    if isinstance(defs, int):
+        return defs
+    mask = memo.get(defs)
+    if mask is None:
+        mask = 0
+        for d in defs:
+            mask |= 1 << d.index
+        memo[defs] = mask
+    return mask
 
 
 def ensure_provenance(result) -> JustificationGraph:

@@ -35,7 +35,7 @@ from ..dataflow.solver import make_order, solve_round_robin
 from ..pfg.graph import ParallelFlowGraph
 from ..pfg.node import PFGNode
 from .genkill import GenKillInfo, compute_genkill
-from .result import ReachingDefsResult
+from .result import ReachingDefsResult, materialize
 
 
 class ConservativeRDSystem(EquationSystem[PFGNode]):
@@ -86,12 +86,12 @@ class ConservativeRDSystem(EquationSystem[PFGNode]):
         }
 
     def to_result(self, stats: SolveStats) -> ReachingDefsResult:
-        ops = self.ops
+        rows = materialize(self.ops, self.graph.nodes, {"In": self._in, "Out": self._out})
         return ReachingDefsResult(
             graph=self.graph,
             info=self.info,
-            in_sets={n: ops.to_frozenset(self._in[n]) for n in self.graph.nodes},
-            out_sets={n: ops.to_frozenset(self._out[n]) for n in self.graph.nodes},
+            in_sets=rows["In"],
+            out_sets=rows["Out"],
             stats=stats,
             system=self.system_name,
         )

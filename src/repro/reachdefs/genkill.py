@@ -19,20 +19,30 @@ Definitions (for node ``n``; ``defs(v)`` is all definitions of ``v``):
 So ``Kill(n) ⊎ ParallelKill(n) = OtherDefs(n)`` by construction.  On a
 sequential CFG, ``ParallelKill`` is empty and ``Kill`` coincides with the
 classical kill set.
+
+Concurrency depends only on a node's *class*, its ``(pardo_ids,
+section_path)`` label (:func:`~repro.pfg.concurrency.concurrent` reads
+nothing else), so it is decided once per pair of classes, not once per
+pair of definitions.  Each node's sets are then frozenset algebra over
+per-(variable, class) definition sets, minus the node's own definitions
+(a node never kills its own definitions).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet
+from itertools import chain
+from typing import Dict, FrozenSet, List, Tuple
 
 from ..ir.defs import Definition
-from ..obs import get_metrics
+from ..obs import get_metrics, get_tracer
 from ..pfg.concurrency import concurrent
 from ..pfg.graph import ParallelFlowGraph
 from ..pfg.node import PFGNode
 
 DefSet = FrozenSet[Definition]
+
+_EMPTY: DefSet = frozenset()
 
 
 @dataclass
@@ -56,7 +66,9 @@ def compute_genkill(graph: ParallelFlowGraph) -> GenKillInfo:
     hand tables whose keys belong to a *different* build of the same
     program.  The graph's ``_invalidate`` hook drops the memo on any
     structural mutation.  Hit/miss totals land in ``cache.genkill.*``
-    when an observability session is installed.
+    when an observability session is installed; a miss runs under a
+    ``genkill`` span and adds the class pairs it decided to
+    ``reachdefs.genkill.class_pairs``.
     """
     memo = getattr(graph, "_genkill_memo", None)
     metrics = get_metrics()
@@ -66,41 +78,89 @@ def compute_genkill(graph: ParallelFlowGraph) -> GenKillInfo:
         return memo
     if metrics.enabled:
         metrics.inc("cache.genkill.misses")
+    with get_tracer().span("genkill", nodes=len(graph.nodes)) as span:
+        info, class_pairs = _local_sets(graph)
+        span.annotate(class_pairs=class_pairs)
+    if metrics.enabled:
+        metrics.inc("reachdefs.genkill.class_pairs", class_pairs)
+    graph._genkill_memo = info
+    return info
+
+
+def _local_sets(graph: ParallelFlowGraph) -> Tuple[GenKillInfo, int]:
+    """The local sets of ``graph`` and the number of class pairs decided."""
     def_node: Dict[Definition, PFGNode] = {}
+    label: Dict[PFGNode, int] = {}
+    classes: Dict[tuple, int] = {}
+    members: List[PFGNode] = []  # one node of each class, by class index
+    #: variable -> class -> that class's definitions of the variable
+    by_class: Dict[str, Dict[int, List[Definition]]] = {}
     for node in graph.nodes:
+        key = (node.pardo_ids, node.section_path)
+        cls = classes.get(key)
+        if cls is None:
+            cls = classes[key] = len(members)
+            members.append(node)
+        label[node] = cls
         for d in node.defs:
             def_node[d] = node
+            by_class.setdefault(d.var, {}).setdefault(cls, []).append(d)
+    all_defs = {var: frozenset(chain.from_iterable(parts.values())) for var, parts in by_class.items()}
+
+    decided: Dict[Tuple[int, int], bool] = {}
+    parallel_defs: Dict[Tuple[str, int], DefSet] = {}
+
+    def concurrent_defs(var: str, cls: int) -> DefSet:
+        """Definitions of ``var`` in classes that may run alongside ``cls``."""
+        key = (var, cls)
+        found = parallel_defs.get(key)
+        if found is None:
+            parts = []
+            for other, defs in by_class[var].items():
+                pair = (cls, other) if cls <= other else (other, cls)
+                flag = decided.get(pair)
+                if flag is None:
+                    flag = decided[pair] = concurrent(members[pair[0]], members[pair[1]])
+                if flag:
+                    parts.append(defs)
+            found = parallel_defs[key] = frozenset(chain.from_iterable(parts)) if parts else _EMPTY
+        return found
 
     gen: Dict[PFGNode, DefSet] = {}
     kill: Dict[PFGNode, DefSet] = {}
     parallel_kill: Dict[PFGNode, DefSet] = {}
     other_defs: Dict[PFGNode, DefSet] = {}
-
     for node in graph.nodes:
-        gen[node] = frozenset(node.gen_defs())
-        own = set(node.defs)
-        defined_vars = {d.var for d in node.defs}
-        others = set()
-        par = set()
-        seq = set()
-        for var in defined_vars:
-            for d in graph.defs.of_var(var):
-                if d in own:
-                    continue
-                others.add(d)
-                if concurrent(def_node[d], node):
-                    par.add(d)
-                else:
-                    seq.add(d)
-        other_defs[node] = frozenset(others)
-        kill[node] = frozenset(seq)
-        parallel_kill[node] = frozenset(par)
+        defs = node.defs
+        if not defs:
+            gen[node] = kill[node] = parallel_kill[node] = other_defs[node] = _EMPTY
+            continue
+        own = frozenset(defs)
+        cls = label[node]
+        if len(defs) == 1:
+            var = defs[0].var
+            gen[node] = own
+            others = all_defs[var] - own
+            par = concurrent_defs(var, cls) if others else _EMPTY
+        else:
+            gen[node] = frozenset(node.gen_defs())
+            # variables only this node defines need no concurrency query
+            variables = [var for var in {d.var for d in defs} if not all_defs[var] <= own]
+            others = _EMPTY.union(*(all_defs[var] for var in variables)) - own
+            par = _EMPTY.union(*(concurrent_defs(var, cls) for var in variables))
+        other_defs[node] = others
+        if par:
+            par = par - own
+            kill[node] = others - par
+            parallel_kill[node] = par
+        else:
+            kill[node] = others
+            parallel_kill[node] = _EMPTY
 
     info = GenKillInfo(
         gen=gen, kill=kill, parallel_kill=parallel_kill, other_defs=other_defs, def_node=def_node
     )
-    graph._genkill_memo = info
-    return info
+    return info, len(decided)
 
 
 def sequential_kill(info: GenKillInfo, node: PFGNode) -> DefSet:

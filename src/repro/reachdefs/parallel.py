@@ -40,7 +40,7 @@ from ..dataflow.solver import run_solver
 from ..pfg.graph import ParallelFlowGraph
 from ..pfg.node import PFGNode
 from .genkill import GenKillInfo, compute_genkill
-from .result import ReachingDefsResult
+from .result import ReachingDefsResult, materialize
 
 
 class ParallelRDSystem(EquationSystem[PFGNode]):
@@ -247,12 +247,10 @@ class ParallelRDSystem(EquationSystem[PFGNode]):
         :func:`repro.dataflow.solver._finalize_provenance`)."""
         from ..provenance.record import build_justifications
 
-        ops = self.ops
-        nodes = self.graph.nodes
         self._provenance = build_justifications(
             self.graph,
-            {n: ops.to_frozenset(self.In[n]) for n in nodes},
-            {n: ops.to_frozenset(self.Out[n]) for n in nodes},
+            self.In,
+            self.Out,
             self.info.gen,
             include_sync=self.provenance_sync_edges,
             system=self.system_name,
@@ -279,31 +277,30 @@ class ParallelRDSystem(EquationSystem[PFGNode]):
             )
         }
 
+    def _result_slots(self) -> Dict[str, Dict[PFGNode, object]]:
+        """Encoded rows by slot name, as :meth:`to_result` decodes them."""
+        return {
+            "In": self.In,
+            "Out": self.Out,
+            "ACCKillin": self.ACCKillin,
+            "ACCKillout": self.ACCKillout,
+            "ForkKill": self.ForkKill,
+        }
+
     def to_result(self, stats: SolveStats, known=None) -> ReachingDefsResult:
         """``known`` maps slot name → {node: frozenset} for rows whose
         final values are already materialized (the incremental engine's
-        seeded clean regions) — frozenset conversion is skipped there."""
-        ops = self.ops
-        nodes = self.graph.nodes
-        known = known or {}
-
-        def mat(slot_name, values):
-            pre = known.get(slot_name)
-            if not pre:
-                return {n: ops.to_frozenset(values[n]) for n in nodes}
-            return {
-                n: pre[n] if n in pre else ops.to_frozenset(values[n])
-                for n in nodes
-            }
-
+        seeded clean regions); see :func:`~repro.reachdefs.result.materialize`."""
+        rows = materialize(self.ops, self.graph.nodes, self._result_slots(), known)
         return ReachingDefsResult(
             graph=self.graph,
             info=self.info,
-            in_sets=mat("In", self.In),
-            out_sets=mat("Out", self.Out),
-            acc_killin=mat("ACCKillin", self.ACCKillin),
-            acc_killout=mat("ACCKillout", self.ACCKillout),
-            fork_kill=mat("ForkKill", self.ForkKill),
+            in_sets=rows["In"],
+            out_sets=rows["Out"],
+            acc_killin=rows["ACCKillin"],
+            acc_killout=rows["ACCKillout"],
+            fork_kill=rows["ForkKill"],
+            synch_pass=rows.get("SynchPass"),
             stats=stats,
             system=self.system_name,
             provenance=self._provenance,

@@ -10,10 +10,11 @@ paper-style set printing keyed by block name.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Tuple, Union
+from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple, Union
 
 from ..dataflow.framework import SolveStats
 from ..ir.defs import Definition, Use
+from ..obs import get_metrics, get_tracer
 from ..pfg.graph import ParallelFlowGraph
 from ..pfg.node import PFGNode
 from .genkill import GenKillInfo
@@ -21,6 +22,54 @@ from .preserved import PreservedResult
 
 DefSet = FrozenSet[Definition]
 NodeRef = Union[PFGNode, str]
+Rows = Dict[PFGNode, DefSet]
+
+
+def materialize(
+    ops,
+    nodes: Sequence[PFGNode],
+    slots: Mapping[str, Mapping[PFGNode, object]],
+    known: Optional[Mapping[str, Mapping[PFGNode, DefSet]]] = None,
+) -> Dict[str, Rows]:
+    """Decode a solved system's rows into frozensets of definitions.
+
+    ``slots`` maps a slot name to its encoded ``{node: mask}`` rows;
+    ``known`` maps a slot name to rows already materialized (the
+    incremental engine's seeded clean regions), which pass through
+    unchanged.  Each distinct mask is decoded once per call, so rows
+    with equal masks, across nodes and slots, share one frozenset.  The
+    memo lives only for the call: nothing is kept on the result.
+
+    Runs under a ``materialize`` span; the rows returned and the distinct
+    masks among them add to ``reachdefs.materialize.rows`` and
+    ``reachdefs.materialize.distinct``.
+    """
+    decode = ops.to_frozenset
+    memo: Dict[object, DefSet] = {}
+    out: Dict[str, Rows] = {}
+    with get_tracer().span("materialize") as span:
+        for name, values in slots.items():
+            pre = known.get(name) if known else None
+            rows: Rows = {}
+            for n in nodes:
+                mask = values[n]
+                if pre and n in pre:
+                    rows[n] = pre[n]
+                    memo.setdefault(mask, pre[n])
+                    continue
+                row = memo.get(mask)
+                if row is None:
+                    row = memo[mask] = decode(mask)
+                rows[n] = row
+            out[name] = rows
+        n_rows = len(nodes) * len(slots)
+        distinct = len(memo)
+        span.annotate(rows=n_rows, distinct=distinct)
+    metrics = get_metrics()
+    if metrics.enabled:
+        metrics.inc("reachdefs.materialize.rows", n_rows)
+        metrics.inc("reachdefs.materialize.distinct", distinct)
+    return out
 
 
 @dataclass

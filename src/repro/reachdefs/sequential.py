@@ -23,7 +23,7 @@ from ..dataflow.solver import run_solver
 from ..pfg.graph import ParallelFlowGraph
 from ..pfg.node import PFGNode
 from .genkill import GenKillInfo, compute_genkill
-from .result import ReachingDefsResult
+from .result import ReachingDefsResult, materialize
 
 
 class SequentialRDSystem(EquationSystem[PFGNode]):
@@ -73,12 +73,10 @@ class SequentialRDSystem(EquationSystem[PFGNode]):
         """Solver post-convergence hook (see :mod:`repro.provenance`)."""
         from ..provenance.record import build_justifications
 
-        ops = self.ops
-        nodes = self.graph.nodes
         self._provenance = build_justifications(
             self.graph,
-            {n: ops.to_frozenset(self._in[n]) for n in nodes},
-            {n: ops.to_frozenset(self._out[n]) for n in nodes},
+            self._in,
+            self._out,
             self.info.gen,
             include_sync=False,
             system="sequential",
@@ -95,24 +93,14 @@ class SequentialRDSystem(EquationSystem[PFGNode]):
     def to_result(self, stats: SolveStats, known=None) -> ReachingDefsResult:
         """``known`` maps slot name → {node: frozenset} for rows whose
         final values are already materialized (the incremental engine's
-        seeded clean regions) — frozenset conversion is skipped there."""
-        ops = self.ops
-        known = known or {}
-
-        def mat(slot_name, values):
-            pre = known.get(slot_name)
-            if not pre:
-                return {n: ops.to_frozenset(values[n]) for n in self.graph.nodes}
-            return {
-                n: pre[n] if n in pre else ops.to_frozenset(values[n])
-                for n in self.graph.nodes
-            }
-
+        seeded clean regions); see :func:`~repro.reachdefs.result.materialize`."""
+        slots = {"_in": self._in, "_out": self._out}
+        rows = materialize(self.ops, self.graph.nodes, slots, known)
         return ReachingDefsResult(
             graph=self.graph,
             info=self.info,
-            in_sets=mat("_in", self._in),
-            out_sets=mat("_out", self._out),
+            in_sets=rows["_in"],
+            out_sets=rows["_out"],
             stats=stats,
             system="sequential",
             provenance=self._provenance,

@@ -214,12 +214,12 @@ class SynchRDSystem(ParallelRDSystem):
         snap["SynchPass"] = {n.name: ops.to_frozenset(self.SynchPass[n]) for n in nodes}
         return snap
 
+    def _result_slots(self) -> Dict[str, Dict[PFGNode, object]]:
+        return {**super()._result_slots(), "SynchPass": self.SynchPass}
+
     def to_result(self, stats: SolveStats) -> ReachingDefsResult:
         result = super().to_result(stats)
-        ops = self.ops
-        result.synch_pass = {n: ops.to_frozenset(self.SynchPass[n]) for n in self.graph.nodes}
         result.preserved = self.preserved
-        result.system = self.system_name
         return result
 
 

@@ -50,6 +50,9 @@ end program
 
 BAD_SRC = "program bad\nx = = 1\nend\n"
 
+#: ``²`` is a digit to ``str.isdigit`` but not to ``int``.
+DIGIT_SRC = "program digits\nx = 1\u00b2\nend\n"
+
 
 def _raise(exc):
     def boom(*args, **kwargs):
@@ -69,6 +72,7 @@ def _no_degrade(monkeypatch):
 #: fault → (source, CLI flags, BatchOptions, serve params, injection, expected)
 FAULTS = {
     "lang-error": (BAD_SRC, [], BatchOptions(), {}, None, ("error", 1)),
+    "non-decimal-digit": (DIGIT_SRC, [], BatchOptions(), {}, None, ("error", 1)),
     "budget-trip": (
         SYNC_SRC,
         ["--max-passes", "1", "--no-degrade"],
@@ -109,7 +113,7 @@ def _fresh_ast_memo():
 def test_same_outcome_on_every_surface(fault, tmp_path, monkeypatch, capsys):
     source, flags, options, params, inject, expected = FAULTS[fault]
     path = tmp_path / f"{fault}.pcf"
-    path.write_text(source)
+    path.write_text(source, encoding="utf-8")
     if inject is not None:
         inject(monkeypatch)
 

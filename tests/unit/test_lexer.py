@@ -133,3 +133,39 @@ def test_sync_keywords():
     assert kinds("post wait clear event")[:4] == [
         TokenKind.POST, TokenKind.WAIT, TokenKind.CLEAR, TokenKind.EVENT,
     ]
+
+
+@pytest.mark.parametrize("source, column", [("x = \u00b2", 5), ("x = 1\u00b2", 6), ("x = 1\u00b23", 6)])
+def test_non_decimal_digit_is_a_lex_error(source, column):
+    # "\u00b2" passes str.isdigit but int() rejects it
+    with pytest.raises(LexError) as info:
+        tokenize(source)
+    assert info.value.span.start == (1, column)
+    assert info.value.span.end == (1, column + 1)
+    assert "invalid digit" in info.value.message
+
+
+def test_unicode_decimal_digits_are_integers():
+    tok = tokenize("\u0663\uff11\uff12")[0]
+    assert tok.kind is TokenKind.INT
+    assert tok.value == 312
+
+
+def test_word_run_splits_after_integer():
+    toks = tokenize("12_x")
+    assert [(t.kind, t.text) for t in toks[:2]] == [(TokenKind.INT, "12"), (TokenKind.IDENT, "_x")]
+    assert toks[1].span.start.column == 3
+
+
+def test_token_and_span_values():
+    from repro.lang.errors import SourcePos, SourceSpan
+    from repro.lang.tokens import Token
+
+    span = SourceSpan(start=SourcePos(line=1, column=5), end=SourcePos(line=1, column=6))
+    tok = Token(kind=TokenKind.IDENT, text="x", span=span, value="x")
+    assert tokenize("x = x")[2] == tok
+    assert repr(tok) == "Token(IDENT='x' @ 1:5)"
+    assert repr(span.start) == "SourcePos(line=1, column=5)"
+    assert str(span) == "1:5"
+    assert SourcePos(1, 9) < SourcePos(2, 1)
+    assert span.merge(SourceSpan.point(3, 2)) == SourceSpan(SourcePos(1, 5), SourcePos(3, 2))
