@@ -47,6 +47,16 @@ class EquationSystem(Generic[N]):
         """An immutable view of current state (for per-pass traces); optional."""
         return None
 
+    # -- stabilized-solver protocol (systems with a kill layer) -------------
+
+    def state_key(self, nodes: Optional[Iterable[N]] = None) -> Hashable:
+        """A hashable key of the current state, restricted to ``nodes``
+        when given; two states have equal keys iff they have equal
+        snapshots.  The stabilized solver compares it after every round,
+        so it must not decode: return the encoded rows.  Required only of
+        systems that expose ``update_kill``."""
+        raise NotImplementedError(f"{type(self).__name__} does not implement state_key()")
+
     # -- provenance protocol (opt-in; see repro.provenance) -----------------
 
     #: When True, every solver calls :meth:`record_justifications` once

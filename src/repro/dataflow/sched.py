@@ -41,7 +41,10 @@ Observability: schedule construction runs under a ``schedule-build``
 tracer span (annotated with region counts) and feeds
 ``solve.scc.schedule_builds`` / ``solve.scc.schedule_cache_hits``
 counters; the solve itself reports the usual ``solve`` span and
-``solve.*`` counters with solver name ``scc``.
+``solve.*`` counters with solver name ``scc``.  A phase-split cyclic
+region runs under a ``region`` span with one ``round`` child per
+stabilization round, each ending in a ``converge`` span that times the
+round-state check.
 
 Guarded execution: a :class:`~repro.dataflow.budget.ResourceBudget` is
 charged one pass per cyclic-region sweep and one update per node
@@ -247,25 +250,6 @@ def _phase_split(system) -> bool:
         hasattr(system, attr)
         for attr in ("update_flow", "update_kill", "reset_flow_nodes", "reset_kill_nodes")
     )
-
-
-def _region_snapshot(system, rnodes):
-    """``system.snapshot()`` restricted to the region's nodes —
-    frozenset-valued, so equality is well-defined for every backend.
-
-    Restriction happens *before* materialization where the system
-    supports it: a full-graph snapshot per convergence round is
-    O(|graph| * |defs|) and dominated wall clock on wide multi-region
-    programs, where each region only ever compares its own rows."""
-    try:
-        return system.snapshot(nodes=rnodes)
-    except TypeError:  # system without restricted-snapshot support
-        snap = system.snapshot()
-        names = {getattr(n, "name", n) for n in rnodes}
-        return {
-            slot: {name: value for name, value in values.items() if name in names}
-            for slot, values in snap.items()
-        }
 
 
 def _restrict_kill_state(state, nodes):
@@ -701,17 +685,27 @@ def _solve_region_stabilized(
 
     with tracer.span("region", index=region.index, nodes=len(rnodes)):
         sweep(system.update_flow, "flow")
-        history = [_region_snapshot(system, rnodes)]
+        # The region check compares decoded snapshots, restricted to the
+        # region's rows before materialization.  ``converge`` spans make
+        # its cost visible in ``repro stats`` and ``--profile``.
+        with tracer.span("converge") as converge_span:
+            history = [system.snapshot(nodes=rnodes)]
+            rows = len(rnodes) * len(history[0])
+            converge_span.annotate(rows=rows)
         kill_history = [_restrict_kill_state(system.kill_state(), rnodes)]
         for round_index in range(max_rounds):
-            system.reset_kill_nodes(rnodes)
-            sweep(system.update_kill, "kill")
-            system.reset_flow_nodes(rnodes)
-            sweep(system.update_flow, "flow")
-            current = _region_snapshot(system, rnodes)
-            if current == history[-1]:
+            with tracer.span("round", index=round_index):
+                system.reset_kill_nodes(rnodes)
+                sweep(system.update_kill, "kill")
+                system.reset_flow_nodes(rnodes)
+                sweep(system.update_flow, "flow")
+                with tracer.span("converge", rows=rows):
+                    current = system.snapshot(nodes=rnodes)
+                    settled = current == history[-1]
+                    repeated = not settled and current in history
+            if settled:
                 return
-            if current in history:
+            if repeated:
                 # Oscillation: meet the region's kill layers over the
                 # cycle, then one final flow phase (cf. solve_stabilized).
                 start = history.index(current)

@@ -315,9 +315,18 @@ def solve_stabilized(
     final flow phase is run.  ``stats.order`` gains a ``+cycle`` suffix
     when this path triggers.
 
+    **Convergence check.**  Round states are compared by
+    ``system.state_key()`` — a hashable tuple of the *encoded* rows of
+    every slot — never by decoded snapshots: encoded equality is exact, so
+    rows, stats and the ``+cycle`` decision are those of a snapshot
+    comparison, without a ``to_frozenset`` per row per round.  Each check
+    runs under a ``converge`` span (child of ``round``, annotated with the
+    number of rows compared).  ``snapshot()`` is called only on the error
+    paths, once.
+
     The required ``EquationSystem`` surface is ``update_flow``/
-    ``update_kill``/``reset_flow``/``reset_kill``/``snapshot``/
-    ``kill_state``/``set_kill_state``/``meet_values``.
+    ``update_kill``/``reset_flow``/``reset_kill``/``state_key``/
+    ``snapshot``/``kill_state``/``set_kill_state``/``meet_values``.
     """
     nodes = list(order) if order is not None else list(system.nodes())
     tracer = get_tracer()
@@ -361,7 +370,7 @@ def solve_stabilized(
         if tracer.enabled:
             stats.span = span
         sweep_to_fixpoint(system.update_flow, "flow")
-        history: List[object] = [system.snapshot()]
+        history: List[tuple] = [system.state_key()]
         kill_history: List[object] = [system.kill_state()]
         for round_index in range(max_rounds):
             with tracer.span("round", index=round_index):
@@ -369,14 +378,18 @@ def solve_stabilized(
                 sweep_to_fixpoint(system.update_kill, "kill")
                 system.reset_flow()
                 sweep_to_fixpoint(system.update_flow, "flow")
-            current = system.snapshot()
-            if current == history[-1]:
+                with tracer.span("converge") as converge_span:
+                    current = system.state_key()
+                    settled = current == history[-1]
+                    repeated = not settled and current in history
+                    converge_span.annotate(rows=len(current))
+            if settled:
                 stats.converged = True
                 _finalize_provenance(system, stats)
                 span.annotate(rounds=round_index + 1, **stats.as_dict())
                 _record_solver_metrics("stabilized", order_name, stats)
                 return stats
-            if current in history:
+            if repeated:
                 # Oscillation: meet the kill layers over the cycle, then one
                 # final flow phase under the (now conservative) frozen kills.
                 start = history.index(current)

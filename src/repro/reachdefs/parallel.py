@@ -277,6 +277,17 @@ class ParallelRDSystem(EquationSystem[PFGNode]):
             )
         }
 
+    def state_key(self, nodes=None) -> tuple:
+        """The encoded rows of every result slot as one hashable tuple —
+        the stabilized solver's convergence and cycle check.  Encoded
+        equality is exact (int bitsets over one universe and frozensets
+        are both canonical), so two states have equal keys iff they have
+        equal snapshots, and nothing is decoded.  ``nodes`` restricts the
+        key to a subset, as for :meth:`snapshot`."""
+        if nodes is None:
+            nodes = self.graph.nodes
+        return tuple(slot[n] for slot in self._result_slots().values() for n in nodes)
+
     def _result_slots(self) -> Dict[str, Dict[PFGNode, object]]:
         """Encoded rows by slot name, as :meth:`to_result` decodes them."""
         return {

@@ -86,9 +86,9 @@ class ChaosSystem:
     """Equation-system proxy injecting the faults of a :class:`ChaosPlan`.
 
     Wraps ``update`` / ``update_flow`` / ``update_kill``; everything else
-    (initialization, snapshots, the stabilized-solver kill-state
-    protocol) passes straight through, so any solver accepts the wrapped
-    system wherever it accepted the original.
+    (initialization, snapshots, the stabilized-solver ``state_key`` and
+    kill-state protocol) passes straight through, so any solver accepts
+    the wrapped system wherever it accepted the original.
     """
 
     def __init__(self, system, plan: ChaosPlan):

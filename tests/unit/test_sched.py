@@ -8,11 +8,12 @@ from repro.dataflow.framework import EquationSystem
 from repro.dataflow.sched import build_schedule, get_schedule, solve_scc
 from repro.dataflow.solver import SOLVER_NAMES, run_solver, solve_round_robin
 from repro.paper import programs
+from repro.pfg import build_pfg
 from repro.reachdefs import solve_parallel, solve_sequential, solve_synch
 from repro.reachdefs.parallel import ParallelRDSystem
 from repro.reachdefs.synch import SynchRDSystem
 from repro.reachdefs.preserved import resolve_preserved
-from repro.synthetic import chain, diamond_chain, nested_parallel
+from repro.synthetic import chain, diamond_chain, nested_parallel, par_diamond_loop
 
 
 class ChainReach(EquationSystem):
@@ -233,3 +234,35 @@ def test_scc_through_analyze_and_stats_render():
     d = result.stats.as_dict()
     assert "passes" not in d
     assert d["order"].startswith("scc/")
+
+
+class BrokenRegionSnapshot(ParallelRDSystem):
+    """A system whose restricted snapshot fails with a genuine TypeError."""
+
+    def snapshot(self, nodes=None):
+        if nodes is not None:
+            raise TypeError("bug inside snapshot(nodes=...)")
+        return super().snapshot()
+
+
+def test_region_snapshot_type_error_propagates():
+    # A TypeError raised inside the region check is a bug, not a missing
+    # ``nodes=`` parameter: it must surface instead of silently falling
+    # back to a full-graph decode every round.
+    system = BrokenRegionSnapshot(build_pfg(par_diamond_loop(2, 2)))
+    with pytest.raises(TypeError, match="bug inside snapshot"):
+        solve_scc(system)
+
+
+def test_region_rounds_carry_converge_spans():
+    system = ParallelRDSystem(build_pfg(par_diamond_loop(2, 2)))
+    with obs.session() as sess:
+        solve_scc(system)
+    region = sess.tracer.find("region")
+    assert region is not None
+    converges = [s for s, _ in region.walk() if s.name == "converge"]
+    rounds = [s for s in region.children if s.name == "round"]
+    assert rounds and all(r.children[-1].name == "converge" for r in rounds)
+    # one check of the initial state, then one per round
+    assert len(converges) == len(rounds) + 1
+    assert {s.attrs["rows"] for s in converges} == {5 * region.attrs["nodes"]}

@@ -1,5 +1,6 @@
 """Stabilized-solver internals: phase behaviour and cycle resolution."""
 
+from repro import obs
 from repro.lang import parse_program
 from repro.pfg import build_pfg
 from repro.reachdefs import solve_synch
@@ -83,3 +84,16 @@ def test_flow_and_kill_phase_partition_state():
     system.reset_flow()
     assert all(system.ops.equals(system.In[n], system.ops.empty()) for n in nodes)
     assert all(system.ops.equals(system.ACCKillin[n], killin_before[n]) for n in nodes)
+
+
+def test_every_round_ends_in_a_converge_span():
+    graph = build_pfg(parse_program(OSCILLATOR))
+    with obs.session() as sess:
+        solve_synch(graph, solver="stabilized", filter_synch_pass=False)
+    solve = sess.tracer.find("solve")
+    rounds = [s for s in solve.children if s.name == "round"]
+    assert len(rounds) >= 2  # the oscillator needs a cycle to settle
+    for r in rounds:
+        converge = r.children[-1]
+        assert converge.name == "converge"
+        assert converge.attrs["rows"] == 6 * len(graph.nodes)
