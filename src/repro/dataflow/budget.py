@@ -89,8 +89,8 @@ class ResourceBudget:
         max_updates: Optional[int] = None,
         clock: Callable[[], float] = time.monotonic,
     ):
-        if deadline_s is not None and deadline_s < 0:
-            raise ValueError("deadline_s must be non-negative")
+        if deadline_s is not None and not deadline_s >= 0:
+            raise ValueError("deadline_s must be a non-negative number")
         self.deadline_s = deadline_s
         self.max_passes = max_passes
         self.max_updates = max_updates
@@ -109,17 +109,6 @@ class ResourceBudget:
 
     def charge_updates(self, n: int = 1) -> None:
         self.updates += n
-
-    def charge_region(self, sweeps: int, updates: int) -> None:
-        """Charge one solved region's whole cost in a single call.
-
-        Used at the dense scheduler's wavefront barrier
-        (:func:`repro.dataflow.sched.solve_scc` with ``workers > 1``):
-        pooled regions solve in worker processes and report their sweep
-        and update totals only when collected, so the budget is charged
-        — and checked — per region at the barrier rather than per sweep."""
-        self.passes += sweeps
-        self.updates += updates
 
     def elapsed(self) -> float:
         if self._started_at is None:

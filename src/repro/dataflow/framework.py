@@ -104,13 +104,6 @@ class SolveStats:
     span annotations) omits ``passes``/``changing_passes`` instead of
     reporting a misleading ``0``.
 
-    ``dense_regions`` / ``scalar_regions`` count per-region dispatch
-    decisions when the scc engine runs with a
-    :class:`~repro.dataflow.dense.DenseConfig`: cyclic regions solved by
-    the vectorized evaluator vs. routed to the scalar fallback.  Both
-    stay 0 (and out of :meth:`as_dict`) when dense solving was not
-    requested, so existing stats records are unchanged.
-
     ``regions_reused`` / ``regions_solved`` are filled only by the
     incremental re-analysis engine (:mod:`repro.incremental`): clean
     condensation regions whose rows were installed verbatim from the
@@ -127,8 +120,6 @@ class SolveStats:
     snapshots: List[object] = field(default_factory=list)
     span: Optional[object] = None
     sweepless: bool = False
-    dense_regions: int = 0
-    scalar_regions: int = 0
     regions_reused: int = 0
     regions_solved: int = 0
 
@@ -142,9 +133,6 @@ class SolveStats:
             changed_updates=self.changed_updates,
             converged=self.converged,
         )
-        if self.dense_regions or self.scalar_regions:
-            record["dense_regions"] = self.dense_regions
-            record["scalar_regions"] = self.scalar_regions
         if self.regions_reused or self.regions_solved:
             record["regions_reused"] = self.regions_reused
             record["regions_solved"] = self.regions_solved

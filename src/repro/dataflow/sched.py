@@ -62,23 +62,11 @@ fine with this solver (pinned by the chaos tests).
 from __future__ import annotations
 
 import heapq
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import AbstractSet, Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
+from typing import AbstractSet, Callable, Dict, List, Optional, Sequence, TypeVar
 
 from ..obs import get_metrics, get_tracer
-from . import dense as _dense  # thresholds read at call time (tests patch them)
 from .budget import NonConvergenceError, ResourceBudget, check_budget
-from .dense import (
-    DenseConfig,
-    RegionDiverged,
-    RegionSolution,
-    apply_region_solution,
-    build_region_program,
-    dense_profile,
-    run_region_program,
-    solve_region_payload,
-)
 from .framework import EquationSystem, SolveStats
 
 N = TypeVar("N")
@@ -282,7 +270,6 @@ def solve_scc(
     max_rounds: int = DEFAULT_MAX_REGION_ROUNDS,
     budget: Optional[ResourceBudget] = None,
     verify: bool = False,
-    dense: Optional[DenseConfig] = None,
     skip_regions: Optional[AbstractSet[int]] = None,
     seed: Optional[Callable[[], None]] = None,
 ) -> SolveStats:
@@ -296,24 +283,11 @@ def solve_scc(
     system whose ``dependents`` under-approximates its true reads (the
     extra sweep's updates are counted in ``stats.node_updates``).
 
-    ``dense`` (a :class:`~repro.dataflow.dense.DenseConfig`) routes
-    eligible cyclic regions through the vectorized region evaluator
-    (:mod:`repro.dataflow.dense`) — same fixpoints, byte-identical, with
-    per-region dispatch counted in ``stats.dense_regions`` /
-    ``stats.scalar_regions``.  With ``dense.workers > 1``, independent
-    dense regions at the same condensation depth are solved concurrently
-    on a process pool (wavefront scheduling): regions in one wave cannot
-    read each other's values (every dependence edge strictly increases
-    condensation depth), so the parallel solve is observationally
-    identical to the serial one.  Pooled regions are budget-charged at
-    the wave barrier (a deadline can overshoot by at most one wave).
-
     ``skip_regions`` / ``seed`` are the incremental re-analysis hooks
     (:mod:`repro.incremental`): after ``initialize()`` the ``seed``
     callback installs retained rows for the skipped (clean) regions, and
     every region whose index is in ``skip_regions`` is then excluded
-    from evaluation — both the serial loop and the wavefront scheduler
-    honour the skip set.  Soundness is the caller's obligation: a
+    from evaluation.  Soundness is the caller's obligation: a
     skipped region's seeded values must already be its region-local
     least fixpoint and every dependence *into* a solved region must come
     from a seeded or earlier-solved region.  Skipped/solved counts land
@@ -336,7 +310,6 @@ def solve_scc(
     else:
         priority = {n: i for i, n in enumerate(schedule.nodes)}
     phase_split = _phase_split(system)
-    profile = dense_profile(system) if dense is not None else None
 
     with tracer.span(
         "solve",
@@ -357,17 +330,11 @@ def solve_scc(
             max_passes=max_passes,
             max_rounds=max_rounds,
             phase_split=phase_split,
-            dense_cfg=dense,
-            profile=profile,
-            skip_regions=skip_regions,
         )
-        if profile is not None and dense.workers > 1:
-            _solve_waves(ctx)
-        else:
-            for region in schedule.regions:
-                if skip_regions is not None and region.index in skip_regions:
-                    continue
-                _solve_one_region(ctx, region)
+        for region in schedule.regions:
+            if skip_regions is not None and region.index in skip_regions:
+                continue
+            _solve_one_region(ctx, region)
         if skip_regions is not None:
             stats.regions_reused = sum(
                 1 for r in schedule.regions if r.index in skip_regions
@@ -405,15 +372,11 @@ class _RegionContext:
     max_passes: int
     max_rounds: int
     phase_split: bool
-    dense_cfg: Optional[DenseConfig]
-    profile: Optional[str]
-    skip_regions: Optional[AbstractSet[int]] = None
 
 
 def _solve_one_region(ctx: _RegionContext, region: Region) -> None:
     """Evaluate one region to local fixpoint: acyclic singletons directly,
-    cyclic regions via the dense evaluator when configured and eligible,
-    else the scalar stabilized/worklist drivers."""
+    cyclic regions via the stabilized/worklist drivers."""
     system, stats, budget = ctx.system, ctx.stats, ctx.budget
     if budget is not None:
         check_budget(budget, stats, system)
@@ -439,16 +402,6 @@ def _solve_one_region(ctx: _RegionContext, region: Region) -> None:
         if budget is not None:
             budget.charge_updates()
         return
-    if ctx.dense_cfg is not None:
-        built = _dense_region_build(ctx, region)
-        if built is not None:
-            rnodes, prog = built
-            _run_dense_region(ctx, region, rnodes, prog)
-            return
-        stats.scalar_regions += 1
-        metrics = get_metrics()
-        if metrics.enabled:
-            metrics.inc("solve.dense.scalar_regions")
     if ctx.phase_split:
         _solve_region_stabilized(
             system,
@@ -464,145 +417,6 @@ def _solve_one_region(ctx: _RegionContext, region: Region) -> None:
         _solve_region_worklist(
             system, region, ctx.schedule, ctx.priority, stats, budget, ctx.max_passes
         )
-
-
-def _dense_region_build(ctx: _RegionContext, region: Region):
-    """Compile ``region`` for dense evaluation, or None for the scalar
-    fallback (unsupported system, or an auto-mode threshold says the
-    matrix formulation won't pay)."""
-    if ctx.profile is None:
-        return None
-    cfg = ctx.dense_cfg
-    auto = cfg.mode == "auto"
-    n = len(region.nodes)
-    words = getattr(ctx.system.ops, "n_words", 1)
-    if auto and (n < _dense.MIN_NODES or n * words < _dense.MIN_CELLS):
-        return None
-    rnodes = sorted(region.nodes, key=lambda nd: ctx.priority.get(nd, 0))
-    prog = build_region_program(
-        ctx.system, rnodes, ctx.profile, min_width=_dense.MIN_WIDTH if auto else 0.0
-    )
-    if prog is None:
-        return None
-    return rnodes, prog
-
-
-def _run_dense_region(ctx: _RegionContext, region: Region, rnodes, prog) -> None:
-    """Solve one compiled region in-process, budget-charged per sweep
-    exactly like the scalar sweep loops."""
-    system, stats, budget = ctx.system, ctx.stats, ctx.budget
-
-    def on_sweep(rows: int) -> None:
-        if budget is not None:
-            budget.charge_pass()
-            budget.charge_updates(rows)
-            check_budget(budget, stats, system)
-
-    with ctx.tracer.span(
-        "dense-region", index=region.index, nodes=len(rnodes), words=prog.n_words
-    ) as span:
-        try:
-            sol = run_region_program(
-                prog, ctx.max_passes, ctx.max_rounds, on_sweep=on_sweep
-            )
-        except RegionDiverged as exc:
-            raise NonConvergenceError(
-                stats, reason=str(exc), snapshot=system.snapshot()
-            ) from None
-        apply_region_solution(system, rnodes, sol)
-        if ctx.tracer.enabled:
-            span.annotate(sweeps=sol.sweeps, rounds=sol.rounds, cycle=sol.cycle)
-    _account_dense(stats, sol)
-
-
-def _account_dense(stats: SolveStats, sol: RegionSolution) -> None:
-    stats.node_updates += sol.node_updates
-    stats.changed_updates += sol.changed_updates
-    stats.dense_regions += 1
-    if sol.cycle and not stats.order.endswith("+cycle"):
-        stats.order += "+cycle"
-    metrics = get_metrics()
-    if metrics.enabled:
-        metrics.inc("solve.dense.regions")
-        metrics.inc("solve.dense.sweeps", sol.sweeps)
-        metrics.inc("solve.dense.rounds", sol.rounds)
-
-
-def region_depths(schedule: Schedule) -> List[int]:
-    """Longest-path depth of each region in the condensation DAG.  Every
-    dependence edge crossing regions goes from a strictly shallower to a
-    strictly deeper region, so regions of equal depth are provably
-    independent — the wavefront invariant."""
-    depth = [0] * len(schedule.regions)
-    for region in schedule.regions:  # topological order
-        d = depth[region.index]
-        for n in region.nodes:
-            for m in schedule.dependents[n]:
-                t = schedule.region_of[m]
-                if t != region.index and depth[t] < d + 1:
-                    depth[t] = d + 1
-    return depth
-
-
-def _solve_waves(ctx: _RegionContext) -> None:
-    """Wavefront scheduling: group regions by condensation depth and,
-    within each wave, farm dense-compiled regions out to a process pool
-    while the scalar remainder runs in-process.  Wave order is a valid
-    topological order, so every region still sees only final upstream
-    values; pooled regions are budget-charged (and the budget checked)
-    at the wave barrier."""
-    stats, budget, system = ctx.stats, ctx.budget, ctx.system
-    depths = region_depths(ctx.schedule)
-    waves: Dict[int, List[Region]] = {}
-    for region in ctx.schedule.regions:
-        waves.setdefault(depths[region.index], []).append(region)
-    metrics = get_metrics()
-    pool: Optional[ProcessPoolExecutor] = None
-    try:
-        for d in sorted(waves):
-            serial: List[Region] = []
-            jobs: List[Tuple[Region, list, object]] = []
-            for region in waves[d]:
-                if ctx.skip_regions is not None and region.index in ctx.skip_regions:
-                    continue
-                if region.cyclic:
-                    built = _dense_region_build(ctx, region)
-                    if built is not None:
-                        jobs.append((region, built[0], built[1]))
-                        continue
-                serial.append(region)
-            if len(jobs) < 2:
-                # Nothing to overlap: run the whole wave in-process (the
-                # single dense job, if any, still solves densely).
-                for region in waves[d]:
-                    _solve_one_region(ctx, region)
-                continue
-            if pool is None:
-                pool = ProcessPoolExecutor(max_workers=ctx.dense_cfg.workers)
-            futures = [
-                pool.submit(solve_region_payload, (prog, ctx.max_passes, ctx.max_rounds))
-                for (_, _, prog) in jobs
-            ]
-            if metrics.enabled:
-                metrics.inc("solve.dense.waves")
-                metrics.inc("solve.dense.pooled_regions", len(jobs))
-            for region in serial:
-                _solve_one_region(ctx, region)
-            for (region, rnodes, prog), fut in zip(jobs, futures):
-                try:
-                    sol = fut.result()
-                except RegionDiverged as exc:
-                    raise NonConvergenceError(
-                        stats, reason=str(exc), snapshot=system.snapshot()
-                    ) from None
-                apply_region_solution(system, rnodes, sol)
-                if budget is not None:
-                    budget.charge_region(sol.sweeps, sol.node_updates)
-                    check_budget(budget, stats, system)
-                _account_dense(stats, sol)
-    finally:
-        if pool is not None:
-            pool.shutdown()
 
 
 def _solve_region_worklist(

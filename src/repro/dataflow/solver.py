@@ -24,8 +24,7 @@ list every surface accepts) to an engine:
 
 ``scc`` → :func:`~repro.dataflow.sched.solve_scc`
     The sparse SCC-scheduled engine that evaluates dependence regions in
-    topological order; a :class:`~repro.dataflow.dense.DenseConfig`
-    routes cyclic regions through the vectorized evaluator.
+    topological order.
 
 Orderings (``make_order``): ``document`` (creation order), ``rpo``
 (reverse postorder over control edges — the "depth first traversal" the
@@ -448,7 +447,6 @@ def run_solver(
     solver: str = "stabilized",
     snapshot_passes: bool = False,
     budget: Optional[ResourceBudget] = None,
-    dense=None,
 ) -> SolveStats:
     """Solve ``system`` over ``graph`` with the engine named ``solver``.
 
@@ -456,9 +454,7 @@ def run_solver(
     order string is ``order`` for round-robin and ``<solver>/<order>``
     otherwise.  ``snapshot_passes`` records the paper's per-sweep
     iterates, so only ``round-robin`` accepts it.  ``budget`` (a
-    :class:`~repro.dataflow.budget.ResourceBudget`) guards the run;
-    ``dense`` (a :class:`~repro.dataflow.dense.DenseConfig`) is read by
-    ``scc`` only.
+    :class:`~repro.dataflow.budget.ResourceBudget`) guards the run.
 
     The engines are called through their module-level names (never a
     table built at import time), so a caller that wraps those names
@@ -483,4 +479,4 @@ def run_solver(
         )
     if solver == "worklist":
         return solve_worklist(system, nodes, order_name=f"worklist/{order}", budget=budget)
-    return solve_scc(system, nodes, order_name=f"scc/{order}", budget=budget, dense=dense)
+    return solve_scc(system, nodes, order_name=f"scc/{order}", budget=budget)

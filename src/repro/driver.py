@@ -63,7 +63,6 @@ def analyze(
     budget=None,
     cache: bool = True,
     record_provenance: bool = False,
-    dense=None,
     graph=None,
 ) -> ReachingDefsResult:
     """Analyze ``program`` with the most precise applicable equation system.
@@ -80,12 +79,7 @@ def analyze(
     visit-order-independent solution; ``"round-robin"`` is the paper's
     chaotic iteration (see DESIGN.md §5 "solver modes"); ``"scc"`` is the
     sparse SCC-scheduled engine (:mod:`repro.dataflow.sched`) — same
-    fixpoints, far fewer node updates on mostly-acyclic graphs.  With
-    ``dense`` (a :class:`repro.dataflow.dense.DenseConfig`), ``scc``
-    routes large cyclic regions through the vectorized dense evaluator
-    (:mod:`repro.dataflow.dense`) — byte-identical fixpoints,
-    matrix-shaped inner loop; ``DenseConfig(mode="always")`` forces it on
-    for every eligible region, ``workers`` solves regions in parallel.
+    fixpoints, far fewer node updates on mostly-acyclic graphs.
 
     ``budget`` is an optional :class:`repro.dataflow.ResourceBudget`
     bounding the whole analysis; exhaustion raises
@@ -121,9 +115,6 @@ def analyze(
             solver,
             preserved,
             record_provenance,
-            # Dense thresholds change dispatch counts in result.stats
-            # (never the sets); workers change neither — see DenseConfig.key.
-            dense.key() if dense is not None else None,
         )
         # Results are only valid for the exact AST analyzed (PFG nodes
         # hold statement objects; the interpreter matches by identity —
@@ -140,7 +131,7 @@ def analyze(
         graph = cached_build_pfg(program) if cache else build_pfg(program)
     result = solve_system(
         graph, backend=backend, order=order, solver=solver, preserved=preserved,
-        budget=budget, record_provenance=record_provenance, dense=dense,
+        budget=budget, record_provenance=record_provenance,
     )
     if key is not None:
         GLOBAL_CACHE.put(key, result)
@@ -250,7 +241,6 @@ def optimize(
     budget: Optional[ResourceBudget] = None,
     degrade: bool = True,
     solver: str = "stabilized",
-    dense=None,
 ) -> OptimizationReport:
     """Run the full analysis pipeline on source text or a parsed program.
 
@@ -271,8 +261,7 @@ def optimize(
     ``solver`` selects the fixpoint engine as in :func:`analyze`
     (``"stabilized"`` default; ``"scc"`` for the sparse SCC-scheduled
     engine, ``"round-robin"``/``"worklist"`` for the paper's chaotic
-    iteration); ``dense`` is the optional
-    :class:`~repro.dataflow.dense.DenseConfig` forwarded to ``scc``.
+    iteration).
     """
     tracer = get_tracer()
     with tracer.span("optimize") as pipeline:
@@ -280,7 +269,7 @@ def optimize(
         with tracer.span("analyze", backend=backend, preserved=preserved):
             result, degradation = _analysis_step(
                 program, backend=backend, solver=solver, preserved=preserved,
-                budget=budget, dense=dense, degrade=degrade,
+                budget=budget, degrade=degrade,
             )
         report = _report(program, result, degradation, observable_at_exit)
     if tracer.enabled:
@@ -299,7 +288,6 @@ def _analysis_step(
     solver: str,
     preserved: str,
     budget: Optional[ResourceBudget],
-    dense,
     degrade: bool,
     order: str = "document",
     start: DegradationLevel = DegradationLevel.FULL,
@@ -310,11 +298,11 @@ def _analysis_step(
     if degrade:
         return analyze_with_degradation(
             program, backend=backend, order=order, solver=solver, preserved=preserved,
-            budget=budget, dense=dense, start=start,
+            budget=budget, start=start,
         )
     result = analyze(
         program, backend=backend, order=order, solver=solver, preserved=preserved,
-        budget=budget, dense=dense,
+        budget=budget,
     )
     return result, None
 
@@ -406,7 +394,6 @@ class RequestOptions:
     order: str = "document"
     solver: str = "stabilized"
     preserved: str = "approx"
-    dense: object = None
     #: Fall down the degradation ladder (``False`` = fail fast).
     degrade: bool = True
     #: Ladder rung to start on (the serve admission level; needs ``degrade``).
@@ -523,7 +510,7 @@ def run_request(
             if base is not None:
                 incremental = incremental_analyze(
                     base, outcome.program, backend=options.backend, solver=options.solver,
-                    preserved=options.preserved, budget=budget, dense=options.dense,
+                    preserved=options.preserved, budget=budget,
                 )
                 outcome.result, outcome.incremental = incremental.result, incremental.stamp()
                 return outcome
@@ -535,7 +522,7 @@ def run_request(
         outcome.result, outcome.degradation = _analysis_step(
             outcome.program, backend=options.backend, order=options.order,
             solver=options.solver, preserved=options.preserved, budget=budget,
-            dense=options.dense, degrade=options.degrade, start=options.level,
+            degrade=options.degrade, start=options.level,
         )
         if outcome.degradation is None:
             store_base(outcome.program, outcome.result)

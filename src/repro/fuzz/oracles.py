@@ -61,7 +61,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..cssa import build_cssa
-from ..dataflow.dense import DenseConfig
 from ..dataflow.solver import DETERMINISTIC_SOLVERS, SOLVER_NAMES
 from ..interp.trace import StmtLocationIndex
 from ..ir.defs import Use
@@ -78,18 +77,9 @@ from ..reachdefs import (
 )
 from .mutate import MUTATORS, Mutation, apply_mutators
 
-#: Every solver name (the registry tuple).
+#: Every solver name (the registry tuple): the engines compared by the
+#: agreement and incremental oracles.
 ALL_SOLVERS: Tuple[str, ...] = SOLVER_NAMES
-
-#: One engine configuration: a solver name and the DenseConfig it runs with.
-Engine = Tuple[str, Optional[DenseConfig]]
-
-#: Engines compared by the agreement and incremental oracles: every
-#: solver, plus ``scc`` with the vectorized dense-region evaluator forced
-#: on, so the campaign differentially checks it against every scalar engine.
-ALL_ENGINES: Tuple[Engine, ...] = tuple((s, None) for s in ALL_SOLVERS) + (
-    ("scc", DenseConfig(mode="always")),
-)
 
 #: Cap on per-oracle failure details; a broken equation system fails on
 #: most nodes and drowning the report helps nobody.
@@ -111,7 +101,7 @@ class OracleFailure:
 class OracleConfig:
     """Knobs shared by the registry (one instance per campaign)."""
 
-    engines: Tuple[Engine, ...] = ALL_ENGINES
+    engines: Tuple[str, ...] = ALL_SOLVERS
     backend: str = "bitset"
     mutators: Tuple[str, ...] = tuple(MUTATORS)
     mutation_seed: int = 0
@@ -152,14 +142,8 @@ def default_oracle_names(dynamic: bool = False) -> Tuple[str, ...]:
 # ---------------------------------------------------------------------------
 
 
-def _engine_name(engine: Engine) -> str:
-    solver, dense = engine
-    return solver if dense is None else f"{solver} (dense={dense.mode})"
-
-
-def _solve(graph, cfg: OracleConfig, engine: Engine) -> ReachingDefsResult:
-    solver, dense = engine
-    return solve_system(graph, backend=cfg.backend, solver=solver, dense=dense)
+def _solve(graph, cfg: OracleConfig, solver: str) -> ReachingDefsResult:
+    return solve_system(graph, backend=cfg.backend, solver=solver)
 
 
 def _trim(failures: List[OracleFailure], total: int) -> List[OracleFailure]:
@@ -197,15 +181,14 @@ def solver_agreement(program: ast.Program, cfg: OracleConfig) -> List[OracleFail
     the deterministic least resolution would mean lost soundness facts.
     """
     graph = build_pfg(program)
-    baseline_name = _engine_name(cfg.engines[0])
-    baseline = _solve(graph, cfg, cfg.engines[0])
+    baseline_name = cfg.engines[0]
+    baseline = _solve(graph, cfg, baseline_name)
     exact_mode = solver_agreement_mode(program) == "exact"
     failures: List[OracleFailure] = []
     mismatches = 0
-    for engine in cfg.engines[1:]:
-        result = _solve(graph, cfg, engine)
-        solver = _engine_name(engine)
-        exact = exact_mode or engine[0] in DETERMINISTIC_SOLVERS
+    for solver in cfg.engines[1:]:
+        result = _solve(graph, cfg, solver)
+        exact = exact_mode or solver in DETERMINISTIC_SOLVERS
         for node in graph.nodes:
             for which in ("In", "Out"):
                 a = baseline.set_names(which, node)
@@ -472,23 +455,19 @@ def incremental_equivalence(
         return []
     failures: List[OracleFailure] = []
     mismatches = 0
-    engines = tuple(e for e in cfg.engines if e[0] in DETERMINISTIC_SOLVERS) or (
-        ("stabilized", None),
-    )
-    for engine in engines:
+    engines = tuple(s for s in cfg.engines if s in DETERMINISTIC_SOLVERS) or ("stabilized",)
+    for solver in engines:
         base_graph = build_pfg(program)
         base = IncrementalBase(
-            program=program, graph=base_graph, result=_solve(base_graph, cfg, engine)
+            program=program, graph=base_graph, result=_solve(base_graph, cfg, solver)
         )
         outcome = incremental_analyze(
-            base, edit.program, backend=cfg.backend, solver=engine[0], dense=engine[1],
-            cache=False, verify=True,
+            base, edit.program, backend=cfg.backend, solver=solver, cache=False, verify=True,
         )
-        scratch = _solve(build_pfg(edit.program), cfg, engine)
+        scratch = _solve(build_pfg(edit.program), cfg, solver)
         slots: Tuple[str, ...] = ("In", "Out")
         if scratch.acc_killin is not None and outcome.result.acc_killin is not None:
             slots += ("ACCKillin", "ACCKillout", "ForkKill")
-        label = _engine_name(engine)
         for node in scratch.graph.nodes:
             for which in slots:
                 a = scratch.set_names(which, node.name)
@@ -499,7 +478,7 @@ def incremental_equivalence(
                         failures.append(
                             OracleFailure(
                                 "incremental-equivalence",
-                                f"{which}({node.name}) [{label}, edit: {edit.detail}, "
+                                f"{which}({node.name}) [{solver}, edit: {edit.detail}, "
                                 f"fallback={outcome.fallback}]: incremental "
                                 f"{sorted(b)} vs scratch {sorted(a)}",
                             )

@@ -26,13 +26,10 @@ stays whole-program: any Post/Wait on either side triggers a full-solve
 fallback (counted, never wrong).
 
 The base state lives in :data:`~repro.dataflow.cache.GLOBAL_CACHE` under
-``("incr", <program digest>)``.  The key carries **no** backend, solver,
-dense-mode, or worker components on purpose: the retained rows are
-backend-independent ``frozenset`` values and solver choice never changes
-them, so one base serves every configuration — this is the same
-wall-clock-only-knobs-out-of-identity contract as
-:meth:`DenseConfig.key <repro.dataflow.dense.DenseConfig.key>` (which
-excludes ``workers``).
+``("incr", <program digest>)``.  The key carries **no** backend or
+solver components on purpose: the retained rows are backend-independent
+``frozenset`` values and solver choice never changes them, so one base
+serves every configuration.
 """
 
 from __future__ import annotations
@@ -41,7 +38,6 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional
 
 from ..dataflow.cache import GLOBAL_CACHE, MISSING, cached_build_pfg, program_digest
-from ..dataflow.dense import DenseConfig
 from ..dataflow.sched import get_schedule, solve_scc
 from ..dataflow.solver import make_order
 from ..driver import analyze
@@ -117,8 +113,8 @@ def store_base(program: ast.Program, result: ReachingDefsResult,
                cache=None) -> Optional[IncrementalBase]:
     """Retain ``result`` as the incremental base for ``program``.
 
-    Stored under ``("incr", digest)`` — deliberately no backend / solver
-    / dense / workers components (see module docstring).  Results from
+    Stored under ``("incr", digest)`` — deliberately no backend or solver
+    components (see module docstring).  Results from
     systems the engine cannot extend (conservative, synch) are stored
     too: a later delta against them falls back cleanly, and the entry
     still answers "have we seen this digest".
@@ -146,7 +142,6 @@ def incremental_analyze(
     solver: str = "stabilized",
     preserved: str = "approx",
     budget=None,
-    dense: Optional[DenseConfig] = None,
     verify: bool = False,
     cache: bool = True,
 ) -> IncrementalOutcome:
@@ -163,8 +158,7 @@ def incremental_analyze(
 
     Reuse is solver-independent (see module docstring), so ``solver``
     only affects the fallback path and the result's provenance; the
-    dirty cone itself is always evaluated by the scc engine (honouring
-    ``dense``, including wavefront workers).
+    dirty cone itself is always evaluated by the scc engine.
     """
     metrics = get_metrics()
     metrics.inc("solve.incr.requests")
@@ -177,7 +171,7 @@ def incremental_analyze(
         # benchmarks/run_incremental.py pins this at <= 5%).
         result = analyze(
             program, backend=backend, solver=solver, preserved=preserved,
-            budget=budget, dense=dense, cache=cache, graph=graph,
+            budget=budget, cache=cache, graph=graph,
         )
         if cache:
             store_base(program, result)
@@ -253,7 +247,6 @@ def incremental_analyze(
         order_name="incr/scc",
         budget=budget,
         verify=verify,
-        dense=dense,
         skip_regions=clean,
         seed=install,
     )

@@ -35,16 +35,15 @@ def solve_system(
     preserved: str = "approx",
     budget=None,
     record_provenance: bool = False,
-    dense=None,
 ) -> ReachingDefsResult:
     """Solve ``graph`` with its :func:`equation_family` system.
 
-    ``preserved`` only matters to §6; ``solver`` and ``dense`` as in
+    ``preserved`` only matters to §6; ``solver`` as in
     :func:`~repro.dataflow.solver.run_solver`."""
     family = equation_family(graph)
     kwargs = dict(
         backend=backend, order=order, budget=budget,
-        record_provenance=record_provenance, dense=dense,
+        record_provenance=record_provenance,
     )
     if family == "synch":
         return solve_synch(graph, solver=solver, preserved=preserved, **kwargs)

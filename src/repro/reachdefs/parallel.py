@@ -37,6 +37,7 @@ from typing import Dict, Iterable, List, Optional
 from ..dataflow.bitset import make_backend
 from ..dataflow.framework import EquationSystem, SolveStats
 from ..dataflow.solver import run_solver
+from ..obs import get_tracer
 from ..pfg.graph import ParallelFlowGraph
 from ..pfg.node import PFGNode
 from .genkill import GenKillInfo, compute_genkill
@@ -326,17 +327,16 @@ def solve_parallel(
     snapshot_passes: bool = False,
     budget=None,
     record_provenance: bool = False,
-    dense=None,
 ) -> ReachingDefsResult:
     """Run the §5 parallel reaching-definitions system to fixpoint.
 
     ``record_provenance=True`` derives the justification graph after
     convergence and attaches it as ``result.provenance``
-    (:mod:`repro.provenance`).  ``solver``, ``snapshot_passes``,
-    ``budget`` and ``dense`` as in
-    :func:`~repro.dataflow.solver.run_solver`."""
-    system = ParallelRDSystem(graph, backend=backend, record_provenance=record_provenance)
+    (:mod:`repro.provenance`).  ``solver``, ``snapshot_passes`` and
+    ``budget`` as in :func:`~repro.dataflow.solver.run_solver`."""
+    with get_tracer().span("encode"):
+        system = ParallelRDSystem(graph, backend=backend, record_provenance=record_provenance)
     stats = run_solver(
-        system, graph, order, solver, snapshot_passes=snapshot_passes, budget=budget, dense=dense
+        system, graph, order, solver, snapshot_passes=snapshot_passes, budget=budget
     )
     return system.to_result(stats)

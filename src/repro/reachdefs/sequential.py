@@ -20,6 +20,7 @@ from typing import Dict, Iterable, Optional
 from ..dataflow.bitset import make_backend
 from ..dataflow.framework import EquationSystem, SolveStats
 from ..dataflow.solver import run_solver
+from ..obs import get_tracer
 from ..pfg.graph import ParallelFlowGraph
 from ..pfg.node import PFGNode
 from .genkill import GenKillInfo, compute_genkill
@@ -115,15 +116,15 @@ def solve_sequential(
     snapshot_passes: bool = False,
     budget=None,
     record_provenance: bool = False,
-    dense=None,
 ) -> ReachingDefsResult:
     """Run sequential reaching definitions to fixpoint on ``graph``.
 
-    ``solver``, ``snapshot_passes``, ``budget`` and ``dense`` as in
+    ``solver``, ``snapshot_passes`` and ``budget`` as in
     :func:`~repro.dataflow.solver.run_solver`; the system has no kill
     layer, so ``"stabilized"`` runs round-robin."""
-    system = SequentialRDSystem(graph, backend=backend, record_provenance=record_provenance)
+    with get_tracer().span("encode"):
+        system = SequentialRDSystem(graph, backend=backend, record_provenance=record_provenance)
     stats = run_solver(
-        system, graph, order, solver, snapshot_passes=snapshot_passes, budget=budget, dense=dense
+        system, graph, order, solver, snapshot_passes=snapshot_passes, budget=budget
     )
     return system.to_result(stats)

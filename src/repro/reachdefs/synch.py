@@ -70,6 +70,7 @@ from typing import Dict, Iterable, List, Optional
 
 from ..dataflow.framework import SolveStats
 from ..dataflow.solver import run_solver
+from ..obs import get_tracer
 from ..pfg.graph import ParallelFlowGraph
 from ..pfg.node import PFGNode
 from .genkill import GenKillInfo
@@ -234,7 +235,6 @@ def solve_synch(
     filter_synch_pass: bool = True,
     budget=None,
     record_provenance: bool = False,
-    dense=None,
 ) -> ReachingDefsResult:
     """Run the §6 synchronized reaching-definitions system to fixpoint.
 
@@ -250,15 +250,18 @@ def solve_synch(
     computation — the Preserved approximation and the equation solve
     draw from the same allowance.
     """
-    pres = resolve_preserved(graph, mode=preserved, oracle=preserved_oracle, budget=budget)
-    system = SynchRDSystem(
-        graph,
-        preserved=pres,
-        backend=backend,
-        filter_synch_pass=filter_synch_pass,
-        record_provenance=record_provenance,
-    )
+    tracer = get_tracer()
+    with tracer.span("preserved", mode=preserved):
+        pres = resolve_preserved(graph, mode=preserved, oracle=preserved_oracle, budget=budget)
+    with tracer.span("encode"):
+        system = SynchRDSystem(
+            graph,
+            preserved=pres,
+            backend=backend,
+            filter_synch_pass=filter_synch_pass,
+            record_provenance=record_provenance,
+        )
     stats = run_solver(
-        system, graph, order, solver, snapshot_passes=snapshot_passes, budget=budget, dense=dense
+        system, graph, order, solver, snapshot_passes=snapshot_passes, budget=budget
     )
     return system.to_result(stats)

@@ -140,7 +140,6 @@ def analyze_with_degradation(
     solver: str = "stabilized",
     preserved: str = "approx",
     budget: Optional[ResourceBudget] = None,
-    dense=None,
     start: DegradationLevel = DegradationLevel.FULL,
 ) -> Tuple[ReachingDefsResult, Optional[DegradationRecord]]:
     """Analyze with the ladder above; always returns a sound result.
@@ -162,9 +161,8 @@ def analyze_with_degradation(
     program rung 1 is its own system, stamped as the rung it was asked
     for.
 
-    ``solver`` / ``dense`` select the fixpoint engine and dense-region
-    configuration exactly as in :func:`repro.analyze`; every precise rung
-    uses them (the terminal conservative rung is solver-independent).
+    ``solver`` selects the fixpoint engine exactly as in
+    :func:`repro.analyze`; every precise rung uses it (the terminal conservative rung is solver-independent).
     """
     from ..dataflow.cache import cached_build_pfg
 
@@ -195,7 +193,7 @@ def analyze_with_degradation(
             with tracer.span("analyze-attempt", level=_LEVEL_NAMES[level]):
                 result = solve_system(
                     graph, backend=backend, order=order, solver=solver,
-                    preserved=rung_preserved, budget=rung_budget, dense=dense,
+                    preserved=rung_preserved, budget=rung_budget,
                 )
         except NonConvergenceError as err:
             reasons.append(f"{_LEVEL_NAMES[level]} analysis did not converge: {err.reason}")

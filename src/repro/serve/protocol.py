@@ -47,7 +47,7 @@ status         code  meaning
 =============  ====  ======================================================
 bad-request    1     malformed envelope (missing id/source, unknown option)
 timeout        2     worker blew the request deadline and was killed
-crashed        2     worker died and retries were exhausted
+crashed        2     worker died (retries exhausted) or its call failed
 shed           5     admission control refused: queue full (HTTP 429)
 draining       5     daemon is draining, not admitting (HTTP 503)
 =============  ====  ======================================================
@@ -59,6 +59,7 @@ load-shedding is distinguishable from any per-program outcome.
 
 from __future__ import annotations
 
+import math
 from typing import Dict, Optional, Tuple
 
 from .. import driver
@@ -132,14 +133,20 @@ def validate_request(obj: object) -> Dict[str, object]:
             raise ProtocolError(
                 f"'params.{key}' must be one of {', '.join(valid)} (got {value!r})"
             )
+    # ``bool`` is an ``int`` subclass and ``json.loads`` accepts NaN and
+    # Infinity, so both need rejecting explicitly.
     max_passes = params.get("max_passes")
-    if max_passes is not None and (not isinstance(max_passes, int) or max_passes <= 0):
+    if max_passes is not None and (
+        isinstance(max_passes, bool) or not isinstance(max_passes, int) or max_passes <= 0
+    ):
         raise ProtocolError("'params.max_passes' must be a positive integer")
     deadline = params.get("deadline_s")
     if deadline is not None and (
-        not isinstance(deadline, (int, float)) or deadline <= 0
+        isinstance(deadline, bool)
+        or not isinstance(deadline, (int, float))
+        or not 0 < deadline < math.inf
     ):
-        raise ProtocolError("'params.deadline_s' must be a positive number")
+        raise ProtocolError("'params.deadline_s' must be a finite positive number")
     base_digest = params.get("base_digest")
     if base_digest is not None and (
         not isinstance(base_digest, str) or not base_digest.strip()

@@ -16,6 +16,10 @@ serving half of the zero-lost-requests invariant:
 * a worker that **blows the request deadline** is killed and respawned,
   and the request terminates immediately with a ``timeout`` record — the
   deadline is already spent, so retrying would double the damage;
+* a worker whose call fails **any other way** (e.g. an unusable
+  timeout) is killed and respawned, and the request terminates with a
+  ``crashed`` record — the worker's pipe state is unknown, so it is
+  never handed back to the pool;
 * a worker found **dead while idle** is replaced before it is ever handed
   a job.
 
@@ -126,6 +130,18 @@ class ProcessWorker:
                 self._conn.close()
             except OSError:
                 pass
+
+
+def _terminal(status: str, error: str, attempts: int) -> Dict[str, object]:
+    """A terminal record for a job that produced no analysis result."""
+    return {
+        "status": status,
+        "error": error,
+        "result": None,
+        "degradation": None,
+        "counters": {},
+        "attempts": attempts,
+    }
 
 
 class Supervisor:
@@ -278,35 +294,35 @@ class Supervisor:
                 self._retire(worker, respawn=True)
                 with self._lock:
                     self.timeouts += 1
-                return {
-                    "status": "timeout",
-                    "error": (
-                        f"worker gave no reply within {timeout_s:.3f}s "
-                        f"(deadline {deadline_s}s + grace); killed and respawned"
-                    ),
-                    "result": None,
-                    "degradation": None,
-                    "counters": {},
-                    "attempts": attempts,
-                }
+                return _terminal(
+                    "timeout",
+                    f"worker gave no reply within {timeout_s:.3f}s "
+                    f"(deadline {deadline_s}s + grace); killed and respawned",
+                    attempts,
+                )
             except WorkerCrash as err:
                 self._retire(worker, respawn=True)
                 if attempts > self.retries:
-                    return {
-                        "status": "crashed",
-                        "error": (
-                            f"worker crashed and retries exhausted "
-                            f"after {attempts} attempt(s): {err}"
-                        ),
-                        "result": None,
-                        "degradation": None,
-                        "counters": {},
-                        "attempts": attempts,
-                    }
+                    return _terminal(
+                        "crashed",
+                        f"worker crashed and retries exhausted "
+                        f"after {attempts} attempt(s): {err}",
+                        attempts,
+                    )
                 with self._lock:
                     self.retried += 1
                 self._sleep(self._backoff(attempts))
                 continue
+            except Exception as err:
+                # Not a fault a retry can cure; the worker may hold a
+                # half-sent job, so it is replaced rather than reused.
+                self._retire(worker, respawn=True)
+                return _terminal(
+                    "crashed",
+                    f"worker call failed ({type(err).__name__}: {err}); "
+                    "killed and respawned",
+                    attempts,
+                )
             else:
                 self._idle.put(worker)
                 record["attempts"] = attempts

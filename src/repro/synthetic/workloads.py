@@ -9,7 +9,7 @@ Deterministic program shapes that isolate one scaling dimension each:
 * ``nested_parallel(d)``  — d-deep nested constructs (ForkKill nesting);
 * ``loop_nest(d, m)``     — d nested loops (back-edge iteration pressure);
 * ``diamond_loop(n)``     — n diamonds inside one loop (one large cyclic
-  SCC; the dense evaluator's sequential target shape);
+  SCC through the sequential system);
 * ``par_diamond_loop(k, m)`` — m parallel constructs × k diamond sections
   inside one loop (one large cyclic SCC through the §5 kill layer);
 * ``sync_pipeline(k)``    — k sections chained producer→consumer with
@@ -167,8 +167,8 @@ def fig3_repeated(n_copies: int) -> ast.Program:
 def diamond_loop(n_diamonds: int) -> ast.Program:
     """n if/else diamonds inside ONE loop.  Unlike ``diamond_chain``
     (acyclic — every region is a singleton) the enclosing back edge puts
-    all the diamonds into a single large cyclic SCC: the dense region
-    evaluator's target shape for the sequential system."""
+    all the diamonds into a single large cyclic SCC of the sequential
+    system."""
     loop_body: list = []
     for i in range(n_diamonds):
         loop_body.append(
@@ -186,8 +186,7 @@ def diamond_loop(n_diamonds: int) -> ast.Program:
 def par_diamond_loop(n_sections: int, n_constructs: int) -> ast.Program:
     """``n_constructs`` parallel-sections constructs (each with
     ``n_sections`` sections holding an if/else diamond) inside ONE loop:
-    a single cyclic SCC exercising the full §5 kill layer — the dense
-    evaluator's target shape for the parallel system."""
+    a single cyclic SCC exercising the full §5 kill layer."""
     loop_body: list = []
     for j in range(n_constructs):
         sections = []

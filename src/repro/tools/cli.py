@@ -66,14 +66,12 @@ output, ``--profile OUT.jsonl`` exports the span/metric records as JSONL
 Solver flags (``analyze``/``report``/``check``/``batch``/``explain``/
 ``races``/``stats``): ``--solver {stabilized,round-robin,worklist,scc}``
 selects the fixpoint engine; ``scc`` is the sparse SCC-scheduled engine
-(``docs/performance.md``).  ``--region-workers N`` (``analyze``/
-``report``/``stats``) with N > 1 turns on ``scc``'s dense dispatch for
-large cyclic regions and solves independent ones on N processes (results
-are identical, only wall-clock changes).
+(``docs/performance.md``).
 
-Budget flags (``analyze``/``report``/``check``): ``--max-passes N`` and
-``--deadline SECONDS`` bound the fixpoint solve
-(:class:`repro.dataflow.budget.ResourceBudget`).  ``report`` degrades
+Budget flags (``analyze``/``report``/``check``/``batch``): ``--max-passes N``
+(N ≥ 1) and ``--deadline SECONDS`` (finite, > 0) bound the fixpoint solve
+(:class:`repro.dataflow.budget.ResourceBudget`); other values are usage
+errors, the values serve rejects as invalid requests.  ``report`` degrades
 gracefully on exhaustion (see ``docs/robustness.md``) unless
 ``--no-degrade`` is given; ``analyze`` always fails fast.
 
@@ -104,6 +102,7 @@ code  command-specific meaning
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from contextlib import contextmanager
 from dataclasses import replace
@@ -148,38 +147,24 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _add_region_workers_flag(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--region-workers",
-        type=_positive_int,
-        default=1,
-        metavar="N",
-        help="solve independent dense regions on N processes (scc only; "
-        "identical results, wall-clock only)",
-    )
-
-
-def _dense_from(args: argparse.Namespace):
-    """A DenseConfig when ``--region-workers`` asks for more than one
-    process (auto dispatch on ``scc``), else None (library defaults)."""
-    if args.region_workers == 1:
-        return None
-    from ..dataflow.dense import DenseConfig
-
-    return DenseConfig(workers=args.region_workers)
+def _positive_seconds(text: str) -> float:
+    value = float(text)
+    if not (0 < value < math.inf):
+        raise argparse.ArgumentTypeError(f"must be a finite number above 0 (got {text})")
+    return value
 
 
 def _add_budget_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--max-passes",
-        type=int,
+        type=_positive_int,
         default=None,
         metavar="N",
         help="abort the fixpoint solve after N sweeps (exit 2 on exhaustion)",
     )
     p.add_argument(
         "--deadline",
-        type=float,
+        type=_positive_seconds,
         default=None,
         metavar="SECONDS",
         help="abort the fixpoint solve after this much wall time",
@@ -269,7 +254,6 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         order=args.order,
         solver=args.solver,
         preserved=args.preserved,
-        dense=_dense_from(args),
         degrade=False,
     )
     if args.base:
@@ -343,7 +327,6 @@ def cmd_report(args: argparse.Namespace) -> int:
         budget=_budget_from(args),
         degrade=not args.no_degrade,
         solver=args.solver,
-        dense=_dense_from(args),
     )
     sys.stdout.write(report.render())
     return 0
@@ -375,9 +358,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
     interpreter run unless ``--no-run``), then a summary; the installed
     session (``stats`` implies ``--trace``) prints the phase-time tree."""
     prog = _load(args.file)
-    report = optimize(
-        prog, preserved=args.preserved, solver=args.solver, dense=_dense_from(args)
-    )
+    report = optimize(prog, preserved=args.preserved, solver=args.solver)
     if not args.no_run:
         run_program(
             prog,
@@ -396,13 +377,6 @@ def cmd_stats(args: argparse.Namespace) -> int:
         f"{len(result.graph)} blocks, {len(result.graph.defs)} definitions, "
         f"{effort} ({result.stats.order})\n"
     )
-    # Per-region dense dispatch, so the auto-mode thresholds are
-    # observable in the field (only scc populates these).
-    if result.stats.dense_regions or result.stats.scalar_regions:
-        sys.stdout.write(
-            f"dense dispatch: {result.stats.dense_regions} region(s) vectorized, "
-            f"{result.stats.scalar_regions} scalar fallback\n"
-        )
     return 0
 
 
@@ -667,7 +641,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--order", default="document")
     p.add_argument("--preserved", default="approx", choices=["approx", "none"])
     _add_solver_flag(p)
-    _add_region_workers_flag(p)
     _add_obs_flags(p)
     _add_budget_flags(p)
     p.set_defaults(func=cmd_analyze)
@@ -689,7 +662,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="fail fast (exit 2) instead of falling down the degradation ladder",
     )
     _add_solver_flag(p)
-    _add_region_workers_flag(p)
     _add_obs_flags(p)
     _add_budget_flags(p)
     p.set_defaults(func=cmd_report)
@@ -1017,7 +989,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--profile", metavar="OUT.jsonl", help="also export JSONL")
     _add_solver_flag(p)
-    _add_region_workers_flag(p)
     p.set_defaults(func=cmd_stats, trace=True, count_ops=True)
 
     return parser

@@ -203,6 +203,20 @@ class TestOverload:
         assert by_status.get("ok", 0) + by_status.get("shed", 0) == n
         assert health["admission"]["shed"] >= by_status["shed"]
 
+    def test_non_finite_deadline_is_rejected_and_the_worker_survives(self):
+        # json.loads accepts NaN; one such request must not take the only
+        # worker out of the pool.
+        config = ServeConfig(workers=1, max_pending=2, deadline_s=10.0)
+        with ServerThread(config) as srv:
+            with ServeClient("127.0.0.1", srv.port) as c:
+                bad_status, bad = c.rpc(SEQ, "nan-1", options={"deadline_s": float("nan")})
+                status, env = c.rpc(SEQ, "after-nan")
+        assert bad_status == 400
+        assert bad["status"] == "bad-request"
+        assert "deadline_s" in bad["error"]
+        assert status == 200
+        assert env["status"] == "ok"
+
     def test_degradation_policy_steps_down_under_load(self):
         # queue_l1=0 makes every request degrade one rung (drill mode).
         config = ServeConfig(

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 
 from repro import analyze
-from repro.dataflow.dense import DenseConfig
 from repro.fuzz.mutate import random_edit_script
 from repro.incremental import IncrementalBase, incremental_analyze
 from repro.lang import ast, parse_program
@@ -161,15 +160,8 @@ def test_antivacuity_local_edit_reuses_most_regions():
     assert outcome.regions_reused > total // 2
 
 
-@pytest.mark.parametrize(
-    "solver,dense",
-    [
-        pytest.param("stabilized", None, id="stabilized"),
-        pytest.param("scc", None, id="scc"),
-        pytest.param("scc", DenseConfig(mode="always"), id="scc-dense"),
-    ],
-)
-def test_solver_independence(solver, dense):
+@pytest.mark.parametrize("solver", ["stabilized", "scc"])
+def test_solver_independence(solver):
     """The incremental answer matches a from-scratch solve under every
     deterministic solver (reuse itself always runs the scc machinery)."""
     program = workloads.wide_parallel(5, 3)
@@ -177,10 +169,10 @@ def test_solver_independence(solver, dense):
     old = v2.body[-1].sections[4].body[0]
     v2.body[-1].sections[4].body[0] = ast.Assign(target=old.target, expr=ast.IntLit(9))
     base = IncrementalBase.from_result(
-        program, analyze(program, solver=solver, dense=dense, cache=False)
+        program, analyze(program, solver=solver, cache=False)
     )
     outcome = incremental_analyze(
-        base, v2, solver=solver, dense=dense, verify=True, cache=False
+        base, v2, solver=solver, verify=True, cache=False
     )
-    scratch = analyze(v2, solver=solver, dense=dense, cache=False)
+    scratch = analyze(v2, solver=solver, cache=False)
     assert _sets(scratch) == _sets(outcome.result)

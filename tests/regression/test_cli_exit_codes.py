@@ -115,6 +115,8 @@ def diverge_file(tmp_path):
         ["run", "{f}"],
         ["stats", "{f}"],
         ["batch", "{f}"],
+        ["analyze", "{f}", "--max-passes", "500", "--deadline", "30"],
+        ["batch", "{f}", "--max-passes", "500", "--deadline", "0.5e2"],
     ],
 )
 def test_success_is_0(argv, good_file, capsys):
@@ -141,6 +143,27 @@ def test_missing_file_is_1(command, capsys):
 def test_bad_syntax_is_1(command, bad_file, capsys):
     assert main([command, bad_file]) == 1
     assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("command", ["analyze", "report", "check", "batch"])
+@pytest.mark.parametrize(
+    "flag,value",
+    [
+        ("--max-passes", "0"),
+        ("--max-passes", "-1"),
+        ("--deadline", "nan"),
+        ("--deadline", "inf"),
+        ("--deadline", "-1"),
+        ("--deadline", "0"),
+    ],
+)
+def test_budget_values_serve_rejects_are_usage_errors(command, flag, value, good_file, capsys):
+    # The same values ``repro serve`` answers with bad-request; argparse
+    # exits with its own usage code before any analysis runs.
+    with pytest.raises(SystemExit) as exc:
+        main([command, good_file, flag, value])
+    assert exc.value.code == 2
+    assert f"argument {flag}:" in capsys.readouterr().err
 
 
 def test_batch_without_inputs_is_1(capsys):

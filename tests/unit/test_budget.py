@@ -115,6 +115,12 @@ def test_negative_deadline_rejected():
         ResourceBudget(deadline_s=-1)
 
 
+def test_nan_deadline_rejected():
+    # NaN compares false with everything, so it would never fire.
+    with pytest.raises(ValueError, match="deadline_s"):
+        ResourceBudget(deadline_s=float("nan"))
+
+
 def test_spent_and_fresh():
     t = [0.0]
     b = ResourceBudget(deadline_s=9.0, max_passes=7, max_updates=11, clock=lambda: t[0])

@@ -136,6 +136,22 @@ def test_report_profile_writes_jsonl(program_file, capsys, tmp_path):
     assert "wrote" in capsys.readouterr().err
 
 
+def test_report_profile_names_every_analyze_layer(capsys, tmp_path):
+    # fig9 has post/wait, so the §6 system runs and Preserved is computed.
+    import json
+
+    from repro.paper import programs
+
+    src = tmp_path / "fig9.pcf"
+    src.write_text(programs.SOURCES["fig9"])
+    out_path = tmp_path / "fig9.jsonl"
+    assert main(["report", str(src), "--profile", str(out_path)]) == 0
+    records = [json.loads(line) for line in out_path.read_text().splitlines()]
+    spans = {r["name"] for r in records if r["type"] == "span"}
+    layers = {"parse", "pfg-build", "genkill", "preserved", "encode", "solve", "materialize"}
+    assert layers <= spans, sorted(layers - spans)
+
+
 def test_analyze_trace(program_file, capsys):
     assert main(["analyze", program_file, "--trace"]) == 0
     out = capsys.readouterr().out
@@ -452,28 +468,3 @@ def test_batch_profile_merges_worker_counters(program_file, sync_file, tmp_path)
     # fleet-aggregated pipeline counters from the per-task sessions
     assert counters["solve.runs"] >= 2
     assert counters["cache.pfg.misses"] >= 2
-
-
-@pytest.mark.parametrize("command", ["check", "batch", "explain", "races"])
-def test_region_workers_only_where_honoured(program_file, command, capsys):
-    argv = [command, program_file, "--region-workers", "2"]
-    if command == "explain":
-        argv += ["--stmt", "3"]
-    with pytest.raises(SystemExit) as exc:
-        main(argv)
-    assert exc.value.code == 2
-    assert "unrecognized arguments: --region-workers" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("command", ["analyze", "report", "stats"])
-@pytest.mark.parametrize("workers", ["0", "-3"])
-def test_region_workers_below_one_rejected(program_file, command, workers, capsys):
-    with pytest.raises(SystemExit) as exc:
-        main([command, program_file, "--solver", "scc", "--region-workers", workers])
-    assert exc.value.code == 2
-    assert "--region-workers: must be at least 1" in capsys.readouterr().err
-
-
-def test_region_workers_accepted_on_stats(program_file, capsys):
-    assert main(["stats", program_file, "--solver", "scc", "--region-workers", "2", "--no-run"]) == 0
-    assert "scc/document" in capsys.readouterr().out

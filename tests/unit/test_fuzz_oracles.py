@@ -5,7 +5,6 @@ behaves (crash containment, opt-in dynamic oracle, metrics).
 
 import pytest
 
-from repro.dataflow.dense import DenseConfig
 from repro.fuzz.oracles import (
     DETERMINISTIC_SOLVERS,
     ORACLES,
@@ -154,12 +153,6 @@ def test_metamorphic_oracle_runs_all_mutators():
 
 def test_oracle_config_defaults():
     cfg = OracleConfig()
-    assert cfg.engines == (
-        ("stabilized", None),
-        ("round-robin", None),
-        ("worklist", None),
-        ("scc", None),
-        ("scc", DenseConfig(mode="always")),
-    )
+    assert cfg.engines == ("stabilized", "round-robin", "worklist", "scc")
     assert cfg.backend == "bitset"
     assert cfg.dynamic_runs == 3

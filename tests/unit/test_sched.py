@@ -4,7 +4,7 @@ import pytest
 
 from repro import analyze, obs, parse_program
 from repro.dataflow.budget import BudgetExceeded, ResourceBudget
-from repro.dataflow.framework import EquationSystem
+from repro.dataflow.framework import EquationSystem, SolveStats
 from repro.dataflow.sched import build_schedule, get_schedule, solve_scc
 from repro.dataflow.solver import SOLVER_NAMES, run_solver, solve_round_robin
 from repro.paper import programs
@@ -234,6 +234,26 @@ def test_scc_through_analyze_and_stats_render():
     d = result.stats.as_dict()
     assert "passes" not in d
     assert d["order"].startswith("scc/")
+
+
+def test_scc_stats_record_on_a_cyclic_program():
+    # A from-scratch scc solve through cyclic regions reports exactly the
+    # sweepless fields: no per-region dispatch or reuse counts.
+    result = solve_parallel(build_pfg(par_diamond_loop(4, 3)), solver="scc")
+    assert set(result.stats.as_dict()) == {
+        "order", "node_updates", "changed_updates", "converged",
+    }
+
+
+def test_stats_dict_includes_region_fields_only_when_nonzero():
+    # Old BENCH records predate the incremental region counts: they only
+    # appear once the re-analysis engine has set them.
+    plain = SolveStats(order="scc", converged=True, sweepless=True)
+    assert "regions_reused" not in plain.as_dict()
+    assert "regions_solved" not in plain.as_dict()
+    reused = SolveStats(order="scc", converged=True, sweepless=True, regions_reused=2)
+    assert reused.as_dict()["regions_reused"] == 2
+    assert reused.as_dict()["regions_solved"] == 0
 
 
 class BrokenRegionSnapshot(ParallelRDSystem):

@@ -44,7 +44,11 @@ class TestValidateRequest:
             (lambda r: r["params"].update(solver="magic"), "solver"),
             (lambda r: r["params"].update(max_passes=0), "max_passes"),
             (lambda r: r["params"].update(max_passes="ten"), "max_passes"),
+            (lambda r: r["params"].update(max_passes=True), "max_passes"),
             (lambda r: r["params"].update(deadline_s=-1), "deadline_s"),
+            (lambda r: r["params"].update(deadline_s=float("nan")), "deadline_s"),
+            (lambda r: r["params"].update(deadline_s=float("inf")), "deadline_s"),
+            (lambda r: r["params"].update(deadline_s=True), "deadline_s"),
             (lambda r: r.update(chaos="yes"), "chaos"),
         ],
     )

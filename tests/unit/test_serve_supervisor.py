@@ -130,6 +130,24 @@ def test_timeout_kills_respawns_and_does_not_retry():
     assert stats["respawns"] == 1
 
 
+def test_unexpected_call_error_retires_and_respawns_the_worker():
+    # Any other failure of ``call`` (e.g. a pipe poll refusing its
+    # timeout) ends the job as ``crashed`` without a retry, and the
+    # worker is replaced, so the pool never shrinks.
+    factory = ScriptedFactory([[ValueError], [{"status": "ok"}]])
+    sup = _supervisor(factory, retries=3).start()
+    record = sup.execute({"source": "p"}, deadline_s=1.0)
+    assert record["status"] == "crashed"
+    assert record["attempts"] == 1
+    assert "ValueError" in record["error"]
+    assert factory.spawned[0].killed
+    stats = sup.stats()
+    assert stats["respawns"] == 1
+    assert stats["retries"] == 0
+    assert sup.execute({"source": "p"}, deadline_s=1.0)["status"] == "ok"
+    assert len(factory.spawned[1].calls) == 1
+
+
 def test_wall_clock_allowance_is_deadline_plus_grace():
     factory = ScriptedFactory([[{"status": "ok"}]])
     sup = _supervisor(factory, deadline_grace_s=2.0).start()
