@@ -25,8 +25,8 @@ enforces three live gates:
 * **identity pin** — every cell's incremental In/Out rows must equal the
   from-scratch rows byte-for-byte (the property suite proves this at
   depth; the bench re-asserts it on the exact gate workloads);
-* **overhead gate** — the fallback path (a delta request whose base
-  digest matches nothing useful — here: a structurally disjoint base)
+* **overhead gate** — the fallback path (``incremental_analyze`` off a
+  base that matches nothing useful — here: a structurally disjoint one)
   must cost within 5% of a plain full solve, re-measured A/B with extra
   repeats: the diff/fallback machinery must be effectively free when it
   cannot help.
@@ -161,7 +161,7 @@ def _overhead_ab(name):
 
     B's base is a structurally disjoint program, so ``incremental_analyze``
     runs its matcher, finds nothing, and falls back internally — the
-    worst honest cost of offering the delta form."""
+    worst honest cost of trying reuse."""
     decoy_prog = chain(40)
     decoy = IncrementalBase.from_result(
         decoy_prog, analyze(decoy_prog, solver="scc", cache=False)

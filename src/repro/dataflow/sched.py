@@ -248,20 +248,6 @@ def _restrict_kill_state(state, nodes):
     }
 
 
-def _meet_region_kills(system, states):
-    meet = system.meet_values
-    out: Dict[str, Dict[object, object]] = {}
-    first = states[0]
-    for slot in first:
-        out[slot] = {}
-        for node in first[slot]:
-            value = first[slot][node]
-            for other in states[1:]:
-                value = meet(value, other[slot][node])
-            out[slot][node] = value
-    return out
-
-
 def solve_scc(
     system: EquationSystem[N],
     order: Optional[Sequence[N]] = None,
@@ -526,7 +512,9 @@ def _solve_region_stabilized(
                 cycle_kills = kill_history[start:] + [
                     _restrict_kill_state(system.kill_state(), rnodes)
                 ]
-                system.set_kill_state(_meet_region_kills(system, cycle_kills))
+                from .solver import _meet_kill_states  # deferred: avoid import cycle
+
+                system.set_kill_state(_meet_kill_states(system, cycle_kills))
                 system.reset_flow_nodes(rnodes)
                 sweep(system.update_flow, "flow")
                 if not stats.order.endswith("+cycle"):

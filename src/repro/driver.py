@@ -7,8 +7,8 @@
   :class:`OptimizationReport`.  Raises on failure; ``python -m repro
   report FILE``;
 * :func:`run_request` — one request as the CLI, batch and serve surfaces
-  make it: parse, a fresh budget, the incremental path or the ladder, and
-  a typed :class:`Outcome` instead of an exception.
+  make it: parse, a fresh budget, the ladder, and a typed
+  :class:`Outcome` instead of an exception.
 
 :func:`classify` and :data:`STATUS_CODES` are the one mapping from an
 exception to a status and from a status to an exit code
@@ -46,7 +46,7 @@ from .dataflow.framework import FixpointDiverged, SolveStats
 from .interp.interp import StepBudgetExceeded
 from .lang import ast, parse_program
 from .lang.errors import LangError
-from .obs import get_metrics, get_tracer
+from .obs import get_tracer
 from .pfg import build_pfg
 from .pfg.validate import PFGInvariantError
 from .reachdefs import solve_system
@@ -401,8 +401,6 @@ class RequestOptions:
     #: Limits of the fresh budget each request arms.
     max_passes: Optional[int] = None
     deadline_s: Optional[float] = None
-    #: Digest of a retained base solve: re-analyze incrementally off it.
-    base_digest: Optional[str] = None
 
     def budget(self) -> Optional[ResourceBudget]:
         if self.max_passes is None and self.deadline_s is None:
@@ -413,16 +411,14 @@ class RequestOptions:
 @dataclass
 class Outcome:
     """What one request produced: a typed status, and on success the
-    result with its degradation record or incremental stamp.  Client
-    analyses run on first access, never before."""
+    result with its degradation record.  Client analyses run on first
+    access, never before."""
 
     status: str = "ok"
     error: Optional[str] = None
     program: Optional[ast.Program] = None
     result: Optional[ReachingDefsResult] = None
     degradation: Optional[DegradationRecord] = None
-    #: The ``incremental`` provenance block, when a base digest was given.
-    incremental: Optional[Dict[str, object]] = None
     #: The failure, as raised (the CLI re-raises it for its ``--profile``
     #: stamp), and the partial solver stats a budget trip left behind.
     exception: Optional[Exception] = None
@@ -438,7 +434,7 @@ class Outcome:
         """Turn this outcome into the classified failure ``err``."""
         self.status, self.error = classify(err)
         self.exception = err
-        self.result = self.degradation = self.incremental = None
+        self.result = self.degradation = None
         if isinstance(err, NonConvergenceError):
             self.partial_stats = err.stats
 
@@ -491,42 +487,18 @@ def run_request(
 ) -> Outcome:
     """Run one analysis request; never raises for an ``Exception``.
 
-    Parses ``source``, arms a fresh budget, then either re-analyzes
-    incrementally off the base ``options.base_digest`` names (stamping a
-    ``base-miss`` fallback when no such base is retained, ``degraded``
-    when the level is not 0), or runs the ladder from rung
-    ``options.level`` — the fail-fast :func:`analyze` when
-    ``options.degrade`` is off.  Full-precision solves are retained as
-    incremental bases for later delta requests."""
-    # deferred: repro.incremental imports this module
-    from .incremental import IncrementalOutcome, incremental_analyze, lookup_base, store_base
-
+    Parses ``source``, arms a fresh budget, then runs the ladder from
+    rung ``options.level`` — the fail-fast :func:`analyze` when
+    ``options.degrade`` is off."""
     outcome = Outcome()
     try:
         outcome.program = parse_program(source) if isinstance(source, str) else source
-        budget = options.budget()
-        if options.base_digest is not None:
-            base = lookup_base(options.base_digest) if options.level == 0 else None
-            if base is not None:
-                incremental = incremental_analyze(
-                    base, outcome.program, backend=options.backend, solver=options.solver,
-                    preserved=options.preserved, budget=budget,
-                )
-                outcome.result, outcome.incremental = incremental.result, incremental.stamp()
-                return outcome
-            get_metrics().inc("solve.incr.fallbacks")
-            outcome.incremental = IncrementalOutcome(
-                result=None, base_digest=options.base_digest,
-                fallback="degraded" if options.level else "base-miss",
-            ).stamp()
         outcome.result, outcome.degradation = _analysis_step(
             outcome.program, backend=options.backend, order=options.order,
-            solver=options.solver, preserved=options.preserved, budget=budget,
+            solver=options.solver, preserved=options.preserved, budget=options.budget(),
             degrade=options.degrade, start=options.level,
         )
-        if outcome.degradation is None:
-            store_base(outcome.program, outcome.result)
-        else:
+        if outcome.degradation is not None:
             outcome.status = "degraded"
     except Exception as err:
         outcome.fail(err)

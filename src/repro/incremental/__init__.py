@@ -2,10 +2,7 @@
 
 Public surface::
 
-    from repro.incremental import (
-        IncrementalBase, IncrementalOutcome,
-        incremental_analyze, store_base, lookup_base,
-    )
+    from repro.incremental import IncrementalBase, incremental_analyze
 
     base = IncrementalBase.from_result(prog_v1, analyze(prog_v1, solver="scc"))
     outcome = incremental_analyze(base, prog_v2)
@@ -14,8 +11,8 @@ Public surface::
 
 See :mod:`repro.incremental.engine` for the reuse/soundness argument,
 :mod:`repro.incremental.diff` for the version matcher, and
-``docs/incremental.md`` for the dirty-frontier algorithm, the fallback
-matrix, and the serve delta wire form.
+``docs/incremental.md`` for the dirty-frontier algorithm and the
+fallback matrix.
 """
 
 from .diff import GraphMatch, dirty_regions, match_graphs, node_fingerprint
@@ -27,8 +24,6 @@ from .engine import (
     IncrementalBase,
     IncrementalOutcome,
     incremental_analyze,
-    lookup_base,
-    store_base,
 )
 
 __all__ = [
@@ -41,8 +36,6 @@ __all__ = [
     "FALLBACK_UNMATCHED",
     "dirty_regions",
     "incremental_analyze",
-    "lookup_base",
     "match_graphs",
     "node_fingerprint",
-    "store_base",
 ]

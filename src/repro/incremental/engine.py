@@ -24,20 +24,14 @@ under **any** requested deterministic solver, not just ``scc``.  The §6
 synchronized system is non-monotone through the Preserved interplay and
 stays whole-program: any Post/Wait on either side triggers a full-solve
 fallback (counted, never wrong).
-
-The base state lives in :data:`~repro.dataflow.cache.GLOBAL_CACHE` under
-``("incr", <program digest>)``.  The key carries **no** backend or
-solver components on purpose: the retained rows are backend-independent
-``frozenset`` values and solver choice never changes them, so one base
-serves every configuration.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional
 
-from ..dataflow.cache import GLOBAL_CACHE, MISSING, cached_build_pfg, program_digest
+from ..dataflow.cache import cached_build_pfg
 from ..dataflow.sched import get_schedule, solve_scc
 from ..dataflow.solver import make_order
 from ..driver import analyze
@@ -50,8 +44,7 @@ from ..reachdefs.result import ReachingDefsResult
 from ..reachdefs.sequential import SequentialRDSystem
 from .diff import dirty_regions, match_graphs
 
-#: Engine-level fallback reasons (the request pipeline adds "base-miss"
-#: and "degraded" — see docs/incremental.md for the full matrix).
+#: Fallback reasons (docs/incremental.md has the matrix).
 FALLBACK_SYNC = "sync"
 FALLBACK_UNMATCHED = "unmatched"
 FALLBACK_SYSTEM = "system-mismatch"
@@ -66,14 +59,6 @@ class IncrementalBase:
     program: ast.Program
     graph: ParallelFlowGraph
     result: ReachingDefsResult
-    digest: str = ""
-
-    def __post_init__(self):
-        if not self.digest:
-            # cached_build_pfg stamps the digest on the graph it builds.
-            self.digest = getattr(self.graph, "program_digest", None) or program_digest(
-                self.program
-            )
 
     @classmethod
     def from_result(cls, program: ast.Program, result: ReachingDefsResult) -> "IncrementalBase":
@@ -82,56 +67,19 @@ class IncrementalBase:
 
 @dataclass
 class IncrementalOutcome:
-    """What an incremental request produced: the (always-present) result
-    plus the reuse/fallback provenance that lands on serve responses."""
+    """What one incremental re-analysis produced: the (always-present)
+    result plus its reuse/fallback provenance."""
 
     result: ReachingDefsResult
-    base_digest: str
     regions_reused: int = 0
     regions_solved: int = 0
     nodes_matched: int = 0
     nodes_dirty: int = 0
     fallback: Optional[str] = None
 
-    def stamp(self) -> Dict[str, object]:
-        """The ``incremental`` provenance block for responses/CLI."""
-        return {
-            "base_digest": self.base_digest,
-            "regions_reused": self.regions_reused,
-            "regions_resolved": self.regions_solved,
-            "nodes_matched": self.nodes_matched,
-            "nodes_dirty": self.nodes_dirty,
-            "fallback": self.fallback,
-        }
-
     def to_base(self, program: ast.Program) -> IncrementalBase:
         """Promote this outcome to the base for the next edit in a chain."""
         return IncrementalBase.from_result(program, self.result)
-
-
-def store_base(program: ast.Program, result: ReachingDefsResult,
-               cache=None) -> Optional[IncrementalBase]:
-    """Retain ``result`` as the incremental base for ``program``.
-
-    Stored under ``("incr", digest)`` — deliberately no backend or solver
-    components (see module docstring).  Results from
-    systems the engine cannot extend (conservative, synch) are stored
-    too: a later delta against them falls back cleanly, and the entry
-    still answers "have we seen this digest".
-    """
-    cache = GLOBAL_CACHE if cache is None else cache
-    if not cache.enabled:
-        return None
-    base = IncrementalBase.from_result(program, result)
-    cache.put(("incr", base.digest), base)
-    return base
-
-
-def lookup_base(digest: str, cache=None) -> Optional[IncrementalBase]:
-    """The retained base for ``digest``, or ``None`` (→ full-solve path)."""
-    cache = GLOBAL_CACHE if cache is None else cache
-    hit = cache.get(("incr", digest), MISSING)
-    return None if hit is MISSING else hit
 
 
 def incremental_analyze(
@@ -173,11 +121,7 @@ def incremental_analyze(
             program, backend=backend, solver=solver, preserved=preserved,
             budget=budget, cache=cache, graph=graph,
         )
-        if cache:
-            store_base(program, result)
-        return IncrementalOutcome(
-            result=result, base_digest=base.digest, fallback=reason
-        )
+        return IncrementalOutcome(result=result, fallback=reason)
     family = equation_family(graph)
     if family == "synch" or equation_family(base.graph) == "synch":
         return fall_back(FALLBACK_SYNC)
@@ -253,11 +197,8 @@ def incremental_analyze(
     result = system.to_result(stats, known=known)
     metrics.inc("solve.incr.regions_reused", stats.regions_reused)
     metrics.inc("solve.incr.regions_resolved", stats.regions_solved)
-    if cache:
-        store_base(program, result)
     return IncrementalOutcome(
         result=result,
-        base_digest=base.digest,
         regions_reused=stats.regions_reused,
         regions_solved=stats.regions_solved,
         nodes_matched=match.n_matched,

@@ -9,24 +9,13 @@ Every RPC exchange is JSON over HTTP.  A request is::
      "params": {"source": "program ... end program",
                 "backend": "bitset", "preserved": "approx",
                 "solver": "stabilized", "max_passes": null,
-                "deadline_s": null,
-                "base_digest": null},    # delta form: see below
+                "deadline_s": null},
      "chaos": {"kill_attempts": 0, "delay_ms": 0}}   # honored only with --chaos
 
-The **delta form** sets ``params.base_digest`` to the ``digest`` field of
-a prior response: the worker then re-analyzes the new source
-*incrementally* off the retained base solve (:mod:`repro.incremental`),
-reusing every condensation region the edit provably did not perturb.
-Fallback — base digest unknown, structural mismatch, any
-synchronization involvement, or a degraded admission level — silently
-takes the ordinary full-analysis path; either way the response is
-terminal and carries an ``incremental`` provenance block
-(``{base_digest, regions_reused, regions_resolved, nodes_matched,
-nodes_dirty, fallback}``) in ``result``, so clients can observe reuse
-without a second request shape.
-
-and **every admitted request receives exactly one terminal response** —
-the zero-lost-requests invariant the chaos drills enforce::
+Any other ``params`` key is an unknown option: the request is answered
+``bad-request`` before admission.  **Every admitted request receives
+exactly one terminal response** — the zero-lost-requests invariant the
+chaos drills enforce::
 
     {"schema": "repro-serve/1", "id": "req-1",
      "status": "ok", "code": 0, "error": null,
@@ -93,6 +82,7 @@ VALID_BACKENDS = BACKEND_NAMES
 VALID_PRESERVED = ("approx", "none")
 VALID_SOLVERS = SOLVER_NAMES
 VALID_METHODS = ("analyze",)
+VALID_PARAMS = ("source", "backend", "preserved", "solver", "max_passes", "deadline_s")
 
 
 class ProtocolError(ValueError):
@@ -120,6 +110,11 @@ def validate_request(obj: object) -> Dict[str, object]:
     params = obj.get("params")
     if not isinstance(params, dict):
         raise ProtocolError("'params' must be an object")
+    for key in params:
+        if key not in VALID_PARAMS:
+            raise ProtocolError(
+                f"unknown option 'params.{key}'; supported: {', '.join(VALID_PARAMS)}"
+            )
     source = params.get("source")
     if not isinstance(source, str) or not source.strip():
         raise ProtocolError("'params.source' must be non-empty program text")
@@ -147,14 +142,6 @@ def validate_request(obj: object) -> Dict[str, object]:
         or not 0 < deadline < math.inf
     ):
         raise ProtocolError("'params.deadline_s' must be a finite positive number")
-    base_digest = params.get("base_digest")
-    if base_digest is not None and (
-        not isinstance(base_digest, str) or not base_digest.strip()
-    ):
-        raise ProtocolError(
-            "'params.base_digest' must be a non-empty digest string "
-            "(the 'digest' field of a prior response)"
-        )
     chaos = obj.get("chaos")
     if chaos is not None and not isinstance(chaos, dict):
         raise ProtocolError("'chaos' must be an object")

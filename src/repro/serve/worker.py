@@ -96,7 +96,6 @@ def execute_request(
     from ..driver import RequestOptions
 
     t0 = time.perf_counter()
-    base_digest = params.get("base_digest")
     options = RequestOptions(
         backend=str(params.get("backend") or "bitset"),
         preserved=str(params.get("preserved") or "approx"),
@@ -104,7 +103,6 @@ def execute_request(
         level=level,
         max_passes=params.get("max_passes"),
         deadline_s=deadline_s,
-        base_digest=str(base_digest) if base_digest is not None else None,
     )
     with obs.session() as sess:
         record = _execute(str(params["source"]), options)
@@ -131,7 +129,6 @@ def _execute(source: str, options) -> Dict[str, object]:
         options.solver,
         options.max_passes,
         options.level,
-        options.base_digest,
     )
     cached = GLOBAL_CACHE.get(serve_key, MISSING)
     if cached is not MISSING:
@@ -149,9 +146,7 @@ def _execute(source: str, options) -> Dict[str, object]:
 def _record(outcome) -> Dict[str, object]:
     """The worker's record for ``outcome``: only the anomaly and
     sync-issue counts are computed, since only they are sent."""
-    result = outcome.summary()
-    if result is not None and outcome.incremental is not None:
-        result["incremental"] = outcome.incremental
+    result = outcome.summary()  # first: a failing client fails the outcome
     return {
         "status": outcome.status,
         "error": outcome.error,

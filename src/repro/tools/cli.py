@@ -105,7 +105,6 @@ import argparse
 import math
 import sys
 from contextlib import contextmanager
-from dataclasses import replace
 from pathlib import Path
 from typing import List, Optional
 
@@ -255,17 +254,10 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         solver=args.solver,
         preserved=args.preserved,
         degrade=False,
+        max_passes=args.max_passes,
+        deadline_s=args.deadline,
     )
-    if args.base:
-        # Delta mode: solve BASE in full (retained as an incremental base),
-        # then re-analyze FILE off its rows (repro.incremental).
-        base = run_request(_load(args.base), options)
-        if base.exception is not None:
-            raise base.exception
-        options = replace(options, base_digest=base.digest)
-    outcome = run_request(
-        _load(args.file), replace(options, max_passes=args.max_passes, deadline_s=args.deadline)
-    )
+    outcome = run_request(_load(args.file), options)
     if outcome.exception is not None:
         raise outcome.exception  # main() classifies it, after the --profile stamp
     result = outcome.result
@@ -290,11 +282,6 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             sys.stdout.write(f"  {issue.format()}\n")
     sys.stdout.write("\n")
     sys.stdout.write(render_kv({k: str(v) for k, v in result.stats.as_dict().items()}, "solver"))
-    if outcome.incremental is not None:
-        sys.stdout.write("\n")
-        sys.stdout.write(
-            render_kv({k: str(v) for k, v in outcome.incremental.items()}, "incremental")
-        )
     return 0
 
 
@@ -631,12 +618,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="run reaching-definitions analysis")
     p.add_argument("file")
-    p.add_argument(
-        "--base",
-        metavar="FILE",
-        help="prior program version: analyze FILE incrementally off BASE's "
-        "solve, reusing unperturbed SCC regions (repro.incremental)",
-    )
     _add_backend_flag(p)
     p.add_argument("--order", default="document")
     p.add_argument("--preserved", default="approx", choices=["approx", "none"])

@@ -166,6 +166,21 @@ def test_budget_values_serve_rejects_are_usage_errors(command, flag, value, good
     assert f"argument {flag}:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "--base", "{f}", "{f}"],
+    ],
+)
+def test_unknown_options_are_usage_errors(argv, good_file, capsys):
+    # argparse rejects an option the command does not offer with its
+    # usage code, before any analysis runs.
+    with pytest.raises(SystemExit) as exc:
+        main([a.format(f=good_file) for a in argv])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_batch_without_inputs_is_1(capsys):
     assert main(["batch"]) == 1
 

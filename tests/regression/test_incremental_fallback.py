@@ -1,12 +1,11 @@
 """Regression: the incremental fallback contract.
 
-Every fallback condition — sync-touching edits, base-digest misses,
-structurally unmatched diffs, base-system mismatches, degraded admission
-levels — must produce a *full* solve with ``solve.incr.fallbacks``
-counted, and the serve delta form must stay terminal (zero-lost
-invariant) in every case.  A fallback is never an error: the response
-carries the ordinary result plus an ``incremental`` stamp naming the
-reason."""
+Every fallback condition — sync-touching edits, structurally unmatched
+diffs, base-system mismatches — must produce a *full* solve with
+``solve.incr.fallbacks`` counted.  A fallback is never an error: the
+outcome carries the ordinary result plus ``fallback`` naming the reason.
+Serve has no delta form: a request carrying ``base_digest`` is a
+``bad-request``."""
 
 import pytest
 
@@ -18,9 +17,7 @@ from repro.incremental import (
     IncrementalBase,
     incremental_analyze,
 )
-from repro.lang import ast, pretty
 from repro.serve.protocol import ProtocolError, validate_request
-from repro.serve.worker import execute_request
 from repro.synthetic import workloads
 
 SYNC_SRC = """
@@ -104,89 +101,14 @@ def test_system_family_change_falls_back():
 
 
 # ---------------------------------------------------------------------------
-# Serve delta form: zero-lost under every fallback
+# Serve has no delta form
 # ---------------------------------------------------------------------------
-
-
-def test_serve_base_miss_is_terminal_full_solve():
-    program = workloads.diamond_chain(4)
-    record = execute_request(
-        {"source": pretty(program), "base_digest": "no-such-digest"}
-    )
-    assert record["status"] == "ok"
-    stamp = record["result"]["incremental"]
-    assert stamp["fallback"] == "base-miss"
-    assert stamp["regions_reused"] == 0
-    assert record["counters"].get("solve.incr.fallbacks") == 1
-
-
-def test_serve_delta_roundtrip_reuses():
-    v1 = workloads.diamond_chain(8)
-    first = execute_request({"source": pretty(v1)})
-    assert first["status"] == "ok"
-    v2 = workloads.diamond_chain(8)
-    v2.body[-1].then_body[0] = ast.Assign(target="x", expr=ast.IntLit(77))
-    second = execute_request(
-        {"source": pretty(v2), "base_digest": first["result"]["digest"]}
-    )
-    assert second["status"] == "ok"
-    stamp = second["result"]["incremental"]
-    assert stamp["fallback"] is None
-    assert stamp["regions_reused"] >= 1
-    # The delta response must agree with a plain response for the same source.
-    plain = execute_request({"source": pretty(v2)})
-    assert plain["result"]["anomalies"] == second["result"]["anomalies"]
-    assert plain["result"]["digest"] == second["result"]["digest"]
-
-
-def test_serve_delta_degraded_level_falls_back():
-    """Admission at a degraded level answers a different question — the
-    delta form must not reuse full-precision rows there."""
-    v1 = workloads.diamond_chain(4)
-    first = execute_request({"source": pretty(v1)})
-    record = execute_request(
-        {"source": pretty(v1), "base_digest": first["result"]["digest"]},
-        level=2,
-    )
-    assert record["status"] == "degraded"
-    assert record["result"]["incremental"]["fallback"] == "degraded"
-
-
-def test_serve_delta_parse_error_still_terminal():
-    record = execute_request(
-        {"source": "program broken ??? end program", "base_digest": "x" * 64}
-    )
-    assert record["status"] == "error"
-    assert record["error"]
-
-
-def test_serve_delta_sync_edit_terminal_and_identical():
-    v1 = workloads.diamond_chain(4)
-    first = execute_request({"source": pretty(v1)})
-    record = execute_request(
-        {"source": SYNC_SRC, "base_digest": first["result"]["digest"]}
-    )
-    assert record["status"] == "ok"
-    assert record["result"]["incremental"]["fallback"] == "sync"
-    plain = execute_request({"source": SYNC_SRC})
-    assert plain["result"]["digest"] == record["result"]["digest"]
-
-
-# ---------------------------------------------------------------------------
-# Protocol validation of the delta form
-# ---------------------------------------------------------------------------
-
-
-def test_protocol_accepts_base_digest():
-    validate_request(
-        {"id": 1, "params": {"source": "program p\nx = 1\nend program",
-                             "base_digest": "abc123"}}
-    )
 
 
 @pytest.mark.parametrize("bad", [7, "", "   ", ["d"], {"d": 1}])
 def test_protocol_rejects_bad_base_digest(bad):
-    with pytest.raises(ProtocolError):
+    """``base_digest`` is an unknown option, whatever its value."""
+    with pytest.raises(ProtocolError, match="base_digest"):
         validate_request(
             {"id": 1, "params": {"source": "program p\nx = 1\nend program",
                                  "base_digest": bad}}

@@ -137,17 +137,3 @@ def test_run_request_never_raises():
     degraded = run_request(CLEAN, RequestOptions(max_passes=1))
     assert (degraded.status, degraded.code) == ("degraded", 0)
     assert degraded.degradation.level_name == "conservative"
-
-
-def test_run_request_base_digest_paths():
-    from repro.driver import RequestOptions, run_request
-
-    first = run_request(RACY)
-    delta = run_request(RACY, RequestOptions(base_digest=first.digest))
-    assert delta.status == "ok" and delta.incremental["fallback"] is None
-    miss = run_request(RACY, RequestOptions(base_digest="no-such-digest"))
-    assert miss.incremental["fallback"] == "base-miss"
-    assert miss.incremental["regions_reused"] == 0
-    degraded = run_request(RACY, RequestOptions(base_digest=first.digest, level=2))
-    assert degraded.status == "degraded"
-    assert degraded.incremental["fallback"] == "degraded"

@@ -1,17 +1,9 @@
-"""Unit: the incremental diff/engine internals, plus the cache-identity
-audit — region-row reuse must be valid across every wall-clock-only knob,
-so no such knob may appear in a cache key."""
+"""Unit: the incremental diff/engine internals, plus the serve cache-key
+audit — no wall-clock-only knob may appear in a cache key."""
 
 from repro import analyze
-from repro.dataflow.cache import AnalysisCache, GLOBAL_CACHE, MISSING
 from repro.fuzz.oracles import default_oracle_names
-from repro.incremental import (
-    IncrementalBase,
-    incremental_analyze,
-    lookup_base,
-    match_graphs,
-    store_base,
-)
+from repro.incremental import IncrementalBase, incremental_analyze, match_graphs
 from repro.lang import ast
 from repro.pfg import build_pfg
 from repro.synthetic import workloads
@@ -88,9 +80,7 @@ def test_incremental_stats_and_metrics_surface():
     assert stats["regions_reused"] == outcome.regions_reused > 0
     assert stats["regions_solved"] == outcome.regions_solved > 0
     assert outcome.result.stats.order == "incr/scc"
-    stamp = outcome.stamp()
-    assert stamp["regions_resolved"] == outcome.regions_solved
-    assert stamp["fallback"] is None
+    assert outcome.fallback is None
 
 
 def test_fullscratch_stats_keep_zero_region_counters():
@@ -100,54 +90,28 @@ def test_fullscratch_stats_keep_zero_region_counters():
     assert "regions_reused" not in result.stats.as_dict()
 
 
-def test_store_and_lookup_base_roundtrip():
-    program = workloads.diamond_chain(5)
-    result = analyze(program, solver="scc", cache=False)
-    base = store_base(program, result)
-    assert base is not None
-    hit = lookup_base(base.digest)
-    assert hit is base
-    assert lookup_base("missing-digest") is None
-
-
 # ---------------------------------------------------------------------------
 # Cache identity audit
 # ---------------------------------------------------------------------------
 
 
-def test_incr_base_key_has_no_option_components():
-    """The incremental base is keyed by program digest alone: retained
-    rows are backend-independent frozensets and solver choice never
-    changes them, so one base must serve every configuration."""
-    cache = AnalysisCache()
-    program = workloads.diamond_chain(5)
-    # Base produced under one configuration…
-    result = analyze(program, solver="scc", backend="set", cache=False)
-    base = store_base(program, result, cache=cache)
-    assert cache.get(("incr", base.digest), MISSING) is base
-    # …is found by lookups regardless of the requester's configuration:
-    # the key has no backend/solver components at all.
-    assert lookup_base(base.digest, cache=cache) is base
-
-
 def test_serve_key_audit_no_wallclock_knobs():
     """Audit the serve record key construction: every component is
     result-affecting (source, backend, preserved, solver, max_passes
-    bounds the iteration, level picks the system, base_digest switches
-    the delta path); wall-clock-only knobs (deadline_s, workers) must
-    stay out.  Guarded by reading the worker source so a drive-by edit
-    shows up here."""
+    bounds the iteration, level picks the system); wall-clock-only knobs
+    (deadline_s, workers) must stay out.  Guarded by reading the worker
+    source so a drive-by edit shows up here."""
     import inspect
 
     from repro.serve import worker
 
     src = inspect.getsource(worker._execute)
     key_block = src.split("serve_key = (")[1].split(")")[0]
-    assert "deadline" not in key_block
-    assert "workers" not in key_block
-    for component in ("source_digest", "backend", "preserved", "solver",
-                      "max_passes", "level", "base_digest"):
-        assert component in key_block
+    components = [c.strip() for c in key_block.split(",") if c.strip()]
+    assert components == [
+        '"serve"', "source_digest", "options.backend", "options.preserved",
+        "options.solver", "options.max_passes", "options.level",
+    ]
 
 
 def test_incremental_equivalence_in_default_battery():

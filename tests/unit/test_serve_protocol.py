@@ -50,6 +50,8 @@ class TestValidateRequest:
             (lambda r: r["params"].update(deadline_s=float("inf")), "deadline_s"),
             (lambda r: r["params"].update(deadline_s=True), "deadline_s"),
             (lambda r: r.update(chaos="yes"), "chaos"),
+            (lambda r: r["params"].update(solvr="scc"), "params.solvr"),
+            (lambda r: r["params"].update(base_digest="abc123"), "params.base_digest"),
         ],
     )
     def test_violations_raise_with_actionable_message(self, mutate, fragment):
