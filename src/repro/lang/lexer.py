@@ -1,4 +1,4 @@
-"""Regex lexer for the mini-PCF language.
+"""Regex scanner for the mini-PCF language.
 
 Design notes
 ------------
@@ -13,16 +13,27 @@ Design notes
   and continues with ``str.isalnum`` or ``_`` (which is exactly ``\\w``).
   A digit that is not a decimal digit (``²``) is a :class:`LexError`.
 * One compiled pattern is matched once per token; blanks and comments are
-  folded into the match, and line/column are carried from the newlines.
+  folded into the match.
+* :func:`scan` is the one scanner.  It returns a row
+  ``(kind, text, value, start, end)`` per token, with ``start`` and
+  ``end`` character offsets, plus the offsets at which lines start.  The
+  parser reads the rows directly and builds a :class:`SourceSpan`
+  (:func:`source_span`) only for the tokens an AST node or an error
+  keeps; :func:`tokenize` builds a :class:`Token` with its span for every
+  row.
 """
 
 from __future__ import annotations
 
 import re
-from typing import List
+from bisect import bisect_right
+from typing import Callable, List, Tuple
 
 from .errors import LexError, SourcePos, SourceSpan
 from .tokens import KEYWORDS, Token, TokenKind
+
+#: One token: kind, text, decoded value, start and end offsets.
+Row = Tuple[TokenKind, str, object, int, int]
 
 _OPERATORS = {
     "+": TokenKind.PLUS,
@@ -56,96 +67,117 @@ _TOKEN = re.compile(
     re.VERBOSE,
 )
 
+_IDENT = TokenKind.IDENT
+_INT = TokenKind.INT
+_NEWLINE = TokenKind.NEWLINE
 
 #: Builds a token, span or position from a field tuple without the
-#: ``NamedTuple`` constructor's Python-level call: a source has thousands
-#: of tokens and each needs four tuples.
+#: ``NamedTuple`` constructor's Python-level call.
 _new = tuple.__new__
 
 
-def _word_token(word: str, span: SourceSpan) -> Token:
+def _position(lines: List[int], offset: int) -> SourcePos:
+    """Line and column of ``offset``, given the offsets at which lines start."""
+    line = bisect_right(lines, offset)
+    return _new(SourcePos, (line, offset - lines[line - 1] + 1))
+
+
+def source_span(lines: List[int], start: int, end: int) -> SourceSpan:
+    """The span between two offsets."""
+    return _new(SourceSpan, (_position(lines, start), _position(lines, end)))
+
+
+def _word_row(word: str, start: int, end: int) -> Row:
     kind = KEYWORDS.get(word.lower())
     if kind is None:
-        return _new(Token, (TokenKind.IDENT, word, span, word))
-    return _new(Token, (kind, word, span, None))
+        return (_IDENT, word, word, start, end)
+    return (kind, word, None, start, end)
 
 
-def _split_word(text: str, line: int, column: int) -> List[Token]:
-    """The tokens of a ``\\w+`` run outside the ASCII fast paths.
+def _split_word(text: str, base: int, lines: List[int], append: Callable[[Row], None]) -> None:
+    """Append the rows of a ``\\w+`` run at offset ``base`` that the ASCII
+    fast paths do not take.
 
     A run can hold several tokens: ``12_x`` is ``12`` then ``_x``."""
-    out: List[Token] = []
-    while text:
-        head = text[0]
+    i, n = 0, len(text)
+    while i < n:
+        head = text[i]
         if head.isdigit():
-            k = 1
-            while k < len(text) and text[k].isdigit():
+            k = i + 1
+            while k < n and text[k].isdigit():
                 k += 1
-            digits = text[:k]
-            if k < len(text) and text[k].isalpha():
+            digits = text[i:k]
+            if k < n and text[k].isalpha():
                 raise LexError(
                     f"malformed integer literal {digits + text[k]!r}",
-                    SourceSpan(SourcePos(line, column), SourcePos(line, column + k)),
+                    source_span(lines, base + i, base + k),
                 )
-            for i, ch in enumerate(digits):
+            for j, ch in enumerate(digits):
                 if not ch.isdecimal():
-                    at = column + i
+                    at = base + i + j
                     raise LexError(
-                        f"invalid digit {ch!r} in integer literal",
-                        SourceSpan(SourcePos(line, at), SourcePos(line, at + 1)),
+                        f"invalid digit {ch!r} in integer literal", source_span(lines, at, at + 1)
                     )
-            span = SourceSpan(SourcePos(line, column), SourcePos(line, column + k))
-            out.append(Token(TokenKind.INT, digits, span, int(digits)))
+            append((_INT, digits, int(digits), base + i, base + k))
         elif head.isalpha() or head == "_":
-            k = len(text)
-            out.append(_word_token(text, SourceSpan(SourcePos(line, column), SourcePos(line, column + k))))
+            k = n
+            append(_word_row(text[i:], base + i, base + k))
         else:
-            raise LexError(f"unexpected character {head!r}", SourceSpan.point(line, column))
-        text = text[k:]
-        column += k
-    return out
+            raise LexError(f"unexpected character {head!r}", source_span(lines, base + i, base + i))
+        i = k
+
+
+def scan(source: str) -> Tuple[List[Row], List[int]]:
+    """Scan ``source`` completely into rows ending with a single ``EOF``
+    row, and the offsets at which its lines start; raises
+    :class:`LexError` on bad input."""
+    rows: List[Row] = []
+    append = rows.append
+    lines = [0]
+    after_newline = True  # suppress leading and repeated NEWLINEs
+    keyword = KEYWORDS.get
+    for m in _TOKEN.finditer(source):
+        group = m.lastgroup
+        if group is None:
+            break
+        start, end = m.start(group), m.end()  # the token ends the match
+        if group == "ident":
+            text = source[start:end]
+            kind = keyword(text.lower())
+            if kind is None:
+                append((_IDENT, text, text, start, end))
+            else:
+                append((kind, text, None, start, end))
+        elif group == "op":
+            text = source[start:end]
+            append((_OPERATORS[text], text, None, start, end))
+        elif group == "newline":
+            if source[start] == "\n":
+                lines.append(end)
+            if not after_newline:
+                append((_NEWLINE, "\\n", None, start, end))
+                after_newline = True
+            continue
+        elif group == "int":
+            text = source[start:end]
+            append((_INT, text, int(text), start, end))
+        elif group == "word":
+            _split_word(source[start:end], start, lines, append)
+        else:
+            raise LexError(f"unexpected character {source[start]!r}", source_span(lines, start, start))
+        after_newline = False
+    end = len(source)
+    if not after_newline:
+        append((_NEWLINE, "\\n", None, end, end))
+    append((TokenKind.EOF, "<eof>", None, end, end))
+    return rows, lines
 
 
 def tokenize(source: str) -> List[Token]:
     """Tokenize ``source`` completely, ending with a single ``EOF`` token;
     raises :class:`LexError` on bad input."""
-    tokens: List[Token] = []
-    append = tokens.append
-    line, line_start = 1, 0  # current line and the offset of its first character
-    after_newline = True  # suppress leading and repeated NEWLINEs
-    for m in _TOKEN.finditer(source):
-        group = m.lastgroup
-        if group is None:
-            break
-        start, end = m.span(group)
-        column = start - line_start + 1
-        if group == "newline":
-            first = _new(SourcePos, (line, column))
-            if source[start] == "\n":
-                line += 1
-                line_start = end
-            if not after_newline:
-                last = _new(SourcePos, (line, end - line_start + 1))
-                append(_new(Token, (TokenKind.NEWLINE, "\\n", _new(SourceSpan, (first, last)), None)))
-                after_newline = True
-            continue
-        if group == "word":
-            tokens.extend(_split_word(m.group(group), line, column))
-        elif group == "bad":
-            raise LexError(f"unexpected character {m.group(group)!r}", SourceSpan.point(line, column))
-        else:
-            text = m.group(group)
-            first = _new(SourcePos, (line, column))
-            span = _new(SourceSpan, (first, _new(SourcePos, (line, end - line_start + 1))))
-            if group == "ident":
-                append(_word_token(text, span))
-            elif group == "op":
-                append(_new(Token, (_OPERATORS[text], text, span, None)))
-            else:
-                append(_new(Token, (TokenKind.INT, text, span, int(text))))
-        after_newline = False
-    end = SourcePos(line, len(source) - line_start + 1)
-    if not after_newline:
-        append(Token(TokenKind.NEWLINE, "\\n", SourceSpan(end, end)))
-    append(Token(TokenKind.EOF, "<eof>", SourceSpan(end, end)))
-    return tokens
+    rows, lines = scan(source)
+    return [
+        _new(Token, (kind, text, source_span(lines, start, end), value))
+        for kind, text, value, start, end in rows
+    ]

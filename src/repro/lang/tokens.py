@@ -58,7 +58,7 @@ class TokenKind(enum.Enum):
     RPAREN = ")"
     COMMA = ","
     EQ = "=="
-    NE = "!="
+    NE = "/="
     LT = "<"
     LE = "<="
     GT = ">"

@@ -53,6 +53,9 @@ BAD_SRC = "program bad\nx = = 1\nend\n"
 #: ``²`` is a digit to ``str.isdigit`` but not to ``int``.
 DIGIT_SRC = "program digits\nx = 1\u00b2\nend\n"
 
+#: Parentheses nested deeper than the interpreter's stack allows.
+DEEP_SRC = "program deep\nx = " + "(" * 3000 + "1" + ")" * 3000 + "\nend\n"
+
 
 def _raise(exc):
     def boom(*args, **kwargs):
@@ -73,6 +76,7 @@ def _no_degrade(monkeypatch):
 FAULTS = {
     "lang-error": (BAD_SRC, [], BatchOptions(), {}, None, ("error", 1)),
     "non-decimal-digit": (DIGIT_SRC, [], BatchOptions(), {}, None, ("error", 1)),
+    "deep-nesting": (DEEP_SRC, [], BatchOptions(), {}, None, ("error", 1)),
     "budget-trip": (
         SYNC_SRC,
         ["--max-passes", "1", "--no-degrade"],

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.lang.errors import LexError
-from repro.lang.lexer import tokenize
+from repro.lang.lexer import _OPERATORS, tokenize
 from repro.lang.tokens import TokenKind
 
 
@@ -62,6 +62,13 @@ def test_all_operators():
         TokenKind.GT, TokenKind.GE, TokenKind.ASSIGN,
     ]
     assert kinds(src)[: len(expected)] == expected
+
+
+def test_operator_kinds_are_spelled_as_lexed():
+    # Parse errors name an expected kind by its value, so the value must be
+    # the spelling the lexer reads ("!" would open a comment).
+    for kind in _OPERATORS.values():
+        assert _OPERATORS[kind.value] is kind
 
 
 def test_hash_comment_ignored():

@@ -2,8 +2,9 @@
 
 import pytest
 
-from repro.lang import ast, parse_expression, parse_program
-from repro.lang.errors import ParseError
+from repro import obs
+from repro.lang import ast, parse_expression, parse_program, tokenize
+from repro.lang.errors import ParseError, SourcePos, SourceSpan
 
 
 def body_of(source):
@@ -235,3 +236,76 @@ def test_empty_expression_rejected():
 
 def test_fortran_ne_in_expression():
     assert parse_expression("a /= b") == ast.BinOp("/=", ast.Var("a"), ast.Var("b"))
+
+
+def test_comparison_is_non_associative():
+    with pytest.raises(ParseError, match="expected end of expression, found '<'"):
+        parse_expression("a < b < c")
+    with pytest.raises(ParseError, match="expected end of statement, found '=='"):
+        parse_program("program p\nx = not a == b == c\nend")
+
+
+def test_not_binds_between_and_and_comparison():
+    assert parse_expression("not a < b and c") == ast.BinOp(
+        "and", ast.UnaryOp("not", ast.BinOp("<", ast.Var("a"), ast.Var("b"))), ast.Var("c")
+    )
+    with pytest.raises(ParseError, match="expected an expression, found 'not'"):
+        parse_expression("a + not b")
+
+
+def test_unary_minus_binds_tightest():
+    assert parse_expression("- -x * y") == ast.BinOp(
+        "*", ast.UnaryOp("-", ast.UnaryOp("-", ast.Var("x"))), ast.Var("y")
+    )
+
+
+# -- spans and nesting ----------------------------------------------------------------
+
+
+def test_statement_spans():
+    prog = parse_program("program p\n  if a then\n    x = 1\n  endif\nend")
+    (stmt,) = prog.body
+    assert stmt.span == SourceSpan(SourcePos(2, 3), SourcePos(4, 8))
+    assert stmt.then_body[0].span == SourceSpan(SourcePos(3, 5), SourcePos(3, 6))
+    assert prog.span == SourceSpan(SourcePos(1, 1), SourcePos(5, 4))
+
+
+def test_error_span_is_the_offending_token():
+    with pytest.raises(ParseError) as info:
+        parse_program("program p\nx = 1\ny = = 2\nend")
+    assert info.value.span == SourceSpan(SourcePos(3, 5), SourcePos(3, 6))
+    assert str(info.value) == "3:5: expected an expression, found '='"
+
+
+def test_two_hundred_nesting_levels_parse():
+    nested = "(" * 200 + "x" + ")" * 200
+    assert parse_expression(nested) == ast.Var("x")
+    (stmt,) = body_of(f"program p\ny = {nested}\nend")
+    assert stmt.expr == ast.Var("x")
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "program p\nx = " + "(" * 3000 + "1" + ")" * 3000 + "\nend",
+        "program p\n" + "loop\n" * 1500 + "endloop\n" * 1500 + "end",
+    ],
+    ids=["parentheses", "loops"],
+)
+def test_nesting_past_the_stack_is_a_parse_error(source):
+    with pytest.raises(ParseError, match="nesting too deep") as info:
+        parse_program(source)
+    assert info.value.span.start.line >= 2
+
+
+def test_deep_expression_is_a_parse_error():
+    with pytest.raises(ParseError, match="nesting too deep"):
+        parse_expression("(" * 3000 + "1" + ")" * 3000)
+
+
+def test_parse_span_counts_scanner_rows():
+    source = "program p\nx = 1 ; y = x\nend\n"
+    with obs.session() as sess:
+        parse_program(source)
+    (span,) = [s for s, _ in sess.tracer.roots[0].walk() if s.name == "parse"]
+    assert span.attrs == {"chars": len(source), "tokens": len(tokenize(source)), "program": "p"}
