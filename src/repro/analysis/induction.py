@@ -32,7 +32,6 @@ from ..lang import ast
 from ..pfg.graph import ParallelFlowGraph
 from ..pfg.node import PFGNode
 from ..reachdefs.result import ReachingDefsResult
-from .mustexec import loop_body
 
 
 @dataclass(frozen=True)
@@ -62,11 +61,12 @@ class InductionVariable:
 
 
 def find_loops(graph: ParallelFlowGraph) -> List[LoopInfo]:
-    """All natural loops, one per control back edge."""
-    loops = []
-    for latch, header in sorted(graph.back_edges(), key=lambda e: (e[1].id, e[0].id)):
-        loops.append(LoopInfo(header=header, latch=latch, body=loop_body(graph, latch, header)))
-    return loops
+    """All natural loops, one per control back edge, sorted by header id
+    then latch id."""
+    return [
+        LoopInfo(header=header, latch=latch, body=body)
+        for header, latch, body in graph.index().loops
+    ]
 
 
 def _increment_step(stmt: ast.Assign) -> Optional[int]:

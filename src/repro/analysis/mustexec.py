@@ -40,11 +40,11 @@ def compute_must_done(graph: ParallelFlowGraph) -> Dict[PFGNode, FrozenSet[PFGNo
     # reaches the fixpoint because every forward predecessor precedes its
     # successor in RPO.
     must: Dict[PFGNode, FrozenSet[PFGNode]] = {n: frozenset() for n in graph.nodes}
+    back = graph.back_edges()
     changed = True
     while changed:
         changed = False
         for node in order:
-            back = graph.back_edges()
             seq_preds = [p for p in graph.seq_preds(node) if (p, node) not in back]
             par_preds = graph.par_preds(node)
             if node.is_join:
@@ -74,16 +74,12 @@ def compute_must_done(graph: ParallelFlowGraph) -> Dict[PFGNode, FrozenSet[PFGNo
 
 def loop_body(graph: ParallelFlowGraph, latch: PFGNode, header: PFGNode) -> FrozenSet[PFGNode]:
     """The natural loop of back edge ``latch -> header``: header plus all
-    nodes that reach the latch without passing through the header."""
-    body: Set[PFGNode] = {header, latch}
-    stack = [latch]
-    while stack:
-        node = stack.pop()
-        for p in graph.control_preds(node):
-            if p not in body:
-                body.add(p)
-                stack.append(p)
-    return frozenset(body)
+    nodes that reach the latch without passing through the header (read
+    off the graph's index; ``ValueError`` if the edge is not a back edge)."""
+    for loop_header, loop_latch, body in graph.index().loops:
+        if loop_header is header and loop_latch is latch:
+            return body
+    raise ValueError(f"{latch.name} -> {header.name} is not a back edge")
 
 
 def always_executes_per_iteration(

@@ -29,15 +29,17 @@ These are conservative *warnings* in the paper's spirit (its analysis
 flags "potential anomalies"); programs flagged STALE_EVENT are exactly
 those on which the dynamic oracle can exhibit executions outside the
 static sets (see ``tests/regression/test_fig3_stale_event.py``).
+
+The checks read reachability masks and natural loops off the graph's
+:class:`~repro.pfg.graph.GraphIndex`, so linting a graph twice is cheap.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import List, Optional, Set, Tuple
+from typing import List, Optional
 
-from ..lang import ast
 from ..pfg.graph import ParallelFlowGraph
 from ..pfg.node import PFGNode
 
@@ -75,46 +77,11 @@ class SyncIssue:
         return f"{self.kind} '{self.event}'{where}: {detail}"
 
 
-def _forward_reachable(graph: ParallelFlowGraph, sources) -> Set[PFGNode]:
-    """Nodes reachable from ``sources`` over forward control + sync edges."""
-    back = graph.back_edges()
-    seen = set(sources)
-    stack = list(sources)
-    while stack:
-        node = stack.pop()
-        for succ, _kind in graph.out_edges(node):
-            if (node, succ) in back or succ in seen:
-                continue
-            seen.add(succ)
-            stack.append(succ)
-    return seen
-
-
-def _loops_containing(graph: ParallelFlowGraph, node: PFGNode) -> List[Tuple[PFGNode, PFGNode]]:
-    """(header, latch) of every natural loop whose body contains ``node``."""
-    from .mustexec import loop_body
-
-    out = []
-    for latch, header in graph.back_edges():
-        if node in loop_body(graph, latch, header):
-            out.append((header, latch))
-    return out
-
-
-def _clears_of_event(graph: ParallelFlowGraph, event: str) -> List[PFGNode]:
-    out = []
-    for node in graph.nodes:
-        for stmt in node.stmts:
-            if isinstance(stmt, ast.Clear) and stmt.event == event:
-                out.append(node)
-                break
-    return out
-
-
 def lint_synchronization(graph: ParallelFlowGraph) -> List[SyncIssue]:
     """Run all synchronization checks on ``graph``."""
     issues: List[SyncIssue] = []
     events = set(graph.posts_of_event) | set(graph.waits_of_event)
+    index = graph.index()
 
     for event in sorted(events):
         posts = graph.posts_of_event.get(event, [])
@@ -131,22 +98,19 @@ def lint_synchronization(graph: ParallelFlowGraph) -> List[SyncIssue]:
             # control+sync edges — sync edges only add orderings).  A post
             # at the end of the wait's own block is downstream of its wait
             # by extended-basic-block construction.
-            downstream = _forward_reachable(graph, [wait])
+            downstream = index.sync_reach[wait.id]
             if wait.post_event != event:
-                downstream = downstream - {wait}
-            if all(p in downstream for p in posts):
+                downstream &= ~(1 << wait.id)
+            if all(downstream >> p.id & 1 for p in posts):
                 issues.append(
                     SyncIssue(SyncIssueKind.WAIT_ONLY_ORDERED_AFTER, event, wait)
                 )
                 continue
             # Stale event: the wait re-executes (some loop contains it) and
             # no clear of the event exists inside any such loop.
-            clears = _clears_of_event(graph, event)
-            for header, latch in _loops_containing(graph, wait):
-                from .mustexec import loop_body
-
-                body = loop_body(graph, latch, header)
-                if not any(c in body for c in clears):
+            clears = graph.clears_of_event.get(event, [])
+            for _header, _latch, body in index.loops:
+                if wait in body and not any(c in body for c in clears):
                     issues.append(SyncIssue(SyncIssueKind.STALE_EVENT, event, wait))
                     break
     return issues

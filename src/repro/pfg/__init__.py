@@ -1,13 +1,7 @@
 """The Parallel Flow Graph (paper §4) and its supporting analyses."""
 
 from .builder import PFGBuilder, build_pfg
-from .concurrency import (
-    concurrent,
-    concurrent_nodes,
-    mhp_matrix,
-    mutually_exclusive,
-    same_thread,
-)
+from .concurrency import concurrent, mutually_exclusive
 from .dot import to_dot
 from .edges import CONTROL_KINDS, EdgeKind
 from .graph import ParallelFlowGraph
@@ -19,10 +13,7 @@ __all__ = [
     "PFGBuilder",
     "build_pfg",
     "concurrent",
-    "concurrent_nodes",
-    "mhp_matrix",
     "mutually_exclusive",
-    "same_thread",
     "to_dot",
     "CONTROL_KINDS",
     "EdgeKind",

@@ -128,6 +128,10 @@ class PFGBuilder:
             node, cursor = self._open_for_append(cursor, stmt.label)
             if not isinstance(stmt, ast.Skip):
                 node.stmts.append(stmt)
+            if isinstance(stmt, ast.Clear):
+                clears = self.graph.clears_of_event.setdefault(stmt.event, [])
+                if node not in clears:
+                    clears.append(node)
             return cursor
         if isinstance(stmt, ast.Post):
             return self._build_post(stmt, cursor)

@@ -13,11 +13,11 @@ This drives:
   (two ``post`` blocks of one event that sit on opposite branches of the
   same sequential conditional can never both execute in one construct
   instance, so each — when executed — is the unique releaser of a wait).
+
+Mutual exclusion is two bit tests on the graph index's reachability masks.
 """
 
 from __future__ import annotations
-
-from typing import Dict, FrozenSet, List
 
 from .graph import ParallelFlowGraph
 from .node import PFGNode
@@ -48,22 +48,6 @@ def concurrent(a: PFGNode, b: PFGNode) -> bool:
     return False
 
 
-def concurrent_nodes(graph: ParallelFlowGraph, n: PFGNode) -> List[PFGNode]:
-    """All nodes that may execute concurrently with ``n``, document order."""
-    return [m for m in graph.nodes if concurrent(n, m)]
-
-
-def mhp_matrix(graph: ParallelFlowGraph) -> Dict[PFGNode, FrozenSet[PFGNode]]:
-    """The full MHP relation, node -> frozenset of concurrent nodes."""
-    return {n: frozenset(concurrent_nodes(graph, n)) for n in graph.nodes}
-
-
-def same_thread(a: PFGNode, b: PFGNode) -> bool:
-    """True iff ``a`` and ``b`` always run on the same logical thread —
-    identical section paths and no parallel-do iteration ambiguity."""
-    return a.section_path == b.section_path and not (set(a.pardo_ids) | set(b.pardo_ids))
-
-
 def mutually_exclusive(graph: ParallelFlowGraph, a: PFGNode, b: PFGNode) -> bool:
     """Conservative: True only when at most one of ``a``, ``b`` can execute
     in a single construct instance.
@@ -75,21 +59,5 @@ def mutually_exclusive(graph: ParallelFlowGraph, a: PFGNode, b: PFGNode) -> bool
     """
     if a is b or concurrent(a, b):
         return False
-    return not _forward_reaches(graph, a, b) and not _forward_reaches(graph, b, a)
-
-
-def _forward_reaches(graph: ParallelFlowGraph, src: PFGNode, dst: PFGNode) -> bool:
-    """Reachability over forward (non-back) control edges."""
-    back = graph.back_edges()
-    seen = {src}
-    stack = [src]
-    while stack:
-        node = stack.pop()
-        if node is dst:
-            return True
-        for succ in graph.control_succs(node):
-            if (node, succ) in back or succ in seen:
-                continue
-            seen.add(succ)
-            stack.append(succ)
-    return False
+    reach = graph.index().control_reach
+    return not (reach[a.id] >> b.id & 1 or reach[b.id] >> a.id & 1)

@@ -4,21 +4,24 @@ A directed graph over :class:`~repro.pfg.node.PFGNode` with
 :class:`~repro.pfg.edges.EdgeKind`-tagged edges, plus the bookkeeping the
 data-flow equations need: predecessor families split by edge kind
 (``seq_preds`` / ``par_preds`` / ``sync_preds``), fork↔join matching, event
-post/wait indexes, the definition table, and control-flow traversal orders
-(reverse postorder, back-edge detection).
+post/wait/clear indexes, the definition table, and one :class:`GraphIndex`
+of control-flow facts (reverse postorder, back edges, forward
+predecessors, natural loops, forward reachability) that every analysis
+reads instead of walking the graph itself.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from functools import cached_property
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..ir.defs import DefTable
 from ..lang import ast
 from .edges import CONTROL_KINDS, EdgeKind
 from .node import NodeKind, PFGNode
 
-
-from dataclasses import dataclass
+Adjacency = Dict[PFGNode, List[Tuple[PFGNode, EdgeKind]]]
 
 
 @dataclass
@@ -55,12 +58,13 @@ class ParallelFlowGraph:
         #: event name -> nodes that post / wait on it
         self.posts_of_event: Dict[str, List[PFGNode]] = {}
         self.waits_of_event: Dict[str, List[PFGNode]] = {}
+        #: event name -> nodes holding a ``clear`` of it (each node once)
+        self.clears_of_event: Dict[str, List[PFGNode]] = {}
         #: construct id -> section names (filled by the builder)
         self.section_names: Dict[int, Tuple[str, ...]] = {}
         #: Parallel Do constructs, in document order (filled by the builder)
         self.pardos: List["ParDoInfo"] = []
-        self._rpo_cache: Optional[List[PFGNode]] = None
-        self._back_edge_cache: Optional[Set[Tuple[PFGNode, PFGNode]]] = None
+        self._index: Optional[GraphIndex] = None
 
     # -- construction -------------------------------------------------------
 
@@ -93,8 +97,7 @@ class ParallelFlowGraph:
         self._by_name[name] = node
 
     def _invalidate(self) -> None:
-        self._rpo_cache = None
-        self._back_edge_cache = None
+        self._index = None
         # Gen/kill local sets are a pure function of graph structure and
         # are memoized on the graph (see repro.reachdefs.genkill); any
         # structural change voids them.
@@ -208,31 +211,27 @@ class ParallelFlowGraph:
                 postorder.append(node)
         return postorder, back
 
-    def reverse_postorder(self) -> List[PFGNode]:
+    def index(self) -> "GraphIndex":
+        """The control-flow facts of this graph, built on first use."""
+        if self._index is None:
+            postorder, back = self._dfs()
+            self._index = GraphIndex(self.nodes, self._succs, self._preds, postorder, back)
+        return self._index
+
+    def reverse_postorder(self) -> Tuple[PFGNode, ...]:
         """Control-flow reverse postorder from the entry (unreachable nodes
         appended last, in id order)."""
-        if self._rpo_cache is None:
-            postorder, back = self._dfs()
-            rpo = list(reversed(postorder))
-            seen = set(rpo)
-            rpo.extend(n for n in self.nodes if n not in seen)
-            self._rpo_cache = rpo
-            self._back_edge_cache = back
-        return list(self._rpo_cache)
+        return self.index().rpo
 
-    def back_edges(self) -> Set[Tuple[PFGNode, PFGNode]]:
+    def back_edges(self) -> FrozenSet[Tuple[PFGNode, PFGNode]]:
         """Control back edges (loop latches) found by DFS from entry."""
-        if self._back_edge_cache is None:
-            self.reverse_postorder()
-        assert self._back_edge_cache is not None
-        return set(self._back_edge_cache)
+        return self.index().back_edges
 
-    def forward_control_preds(self, n: PFGNode) -> List[PFGNode]:
+    def forward_control_preds(self, n: PFGNode) -> Tuple[PFGNode, ...]:
         """Control predecessors of ``n`` excluding back edges — the edge
         relation over which Preserved sets are computed (single
         construct-instance semantics, DESIGN.md §2)."""
-        back = self.back_edges()
-        return [p for p in self.control_preds(n) if (p, n) not in back]
+        return self.index().forward_preds[n]
 
     def document_order(self) -> List[PFGNode]:
         """Nodes in creation (program) order — the order the paper's tables
@@ -259,3 +258,79 @@ class ParallelFlowGraph:
             for dst, kind in self._succs[n]:
                 lines.append(f"    -[{kind}]-> {dst.name}")
         return "\n".join(lines)
+
+
+class GraphIndex:
+    """Control-flow facts of one graph, each computed once.
+
+    RPO and back edges come from the graph's DFS; forward predecessors,
+    natural loops and reachability are built on first use, so programs
+    without loops or posts never pay for them.  All of it is tuples and
+    frozensets, since cached graphs are shared across requests.  The index
+    holds the graph's node list and adjacency dicts, never the graph: a
+    graph ↔ index cycle would leave dropped graphs to the cyclic GC.
+    """
+
+    def __init__(self, nodes: List[PFGNode], succs: Adjacency, preds: Adjacency, postorder, back):
+        self._nodes, self._succs, self._preds = nodes, succs, preds
+        seen = set(postorder)
+        #: reverse postorder; unreachable nodes last, in id order
+        self.rpo = tuple(reversed(postorder)) + tuple(n for n in nodes if n not in seen)
+        #: control back edges ``(latch, header)``
+        self.back_edges: FrozenSet[Tuple[PFGNode, PFGNode]] = frozenset(back)
+
+    @cached_property
+    def forward_preds(self) -> Dict[PFGNode, Tuple[PFGNode, ...]]:
+        """node -> its control predecessors over non-back edges."""
+        back = self.back_edges
+        return {
+            n: tuple(p for p, k in self._preds[n] if k in CONTROL_KINDS and (p, n) not in back)
+            for n in self._nodes
+        }
+
+    @cached_property
+    def loops(self) -> Tuple[Tuple[PFGNode, PFGNode, FrozenSet[PFGNode]], ...]:
+        """Natural loops ``(header, latch, body)``, one per back edge,
+        sorted by header id then latch id.  The body is the header plus
+        every node that reaches the latch without passing the header."""
+        loops = []
+        for latch, header in sorted(self.back_edges, key=lambda e: (e[1].id, e[0].id)):
+            body, stack = {header, latch}, [latch]
+            while stack:
+                for p, k in self._preds[stack.pop()]:
+                    if k in CONTROL_KINDS and p not in body:
+                        body.add(p)
+                        stack.append(p)
+            loops.append((header, latch, frozenset(body)))
+        return tuple(loops)
+
+    @cached_property
+    def control_reach(self) -> Tuple[int, ...]:
+        """``control_reach[a.id] >> b.id & 1`` iff ``a`` reaches ``b`` over
+        forward control edges (reflexive)."""
+        return self._reach(CONTROL_KINDS)
+
+    @cached_property
+    def sync_reach(self) -> Tuple[int, ...]:
+        """As :attr:`control_reach`, over forward control and sync edges."""
+        return self._reach(tuple(EdgeKind))
+
+    def _reach(self, kinds: Sequence[EdgeKind]) -> Tuple[int, ...]:
+        # One fixpoint over reverse RPO: sync edges (and unreachable
+        # nodes) may point upstream, so sweep until nothing changes.
+        back = self.back_edges
+        order = [
+            (n.id, [m.id for m, k in self._succs[n] if k in kinds and (n, m) not in back])
+            for n in reversed(self.rpo)
+        ]
+        reach = [1 << n.id for n in self._nodes]
+        changed = True
+        while changed:
+            changed = False
+            for i, succs in order:
+                mask = reach[i]
+                for j in succs:
+                    mask |= reach[j]
+                if mask != reach[i]:
+                    reach[i], changed = mask, True
+        return tuple(reach)

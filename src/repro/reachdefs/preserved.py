@@ -89,6 +89,7 @@ def compute_preserved(
     if budget is not None:
         budget.start()
     order = graph.reverse_postorder()
+    forward_preds = graph.index().forward_preds
     preserved: Dict[PFGNode, FrozenSet[PFGNode]] = {n: frozenset() for n in graph.nodes}
 
     # Precompute, per wait node, which posts are sole-releaser candidates.
@@ -125,7 +126,7 @@ def compute_preserved(
         changed = False
         for node in order:
             acc = set(preserved[node])
-            for p in graph.forward_control_preds(node):
+            for p in forward_preds[node]:
                 acc.add(p)
                 acc |= preserved[p]
             if node.is_wait:

@@ -2,13 +2,7 @@
 
 from repro.lang import parse_program
 from repro.pfg import build_pfg
-from repro.pfg.concurrency import (
-    concurrent,
-    concurrent_nodes,
-    mhp_matrix,
-    mutually_exclusive,
-    same_thread,
-)
+from repro.pfg.concurrency import concurrent, mutually_exclusive
 
 
 def test_fig3_concurrency(fig3_graph):
@@ -45,18 +39,6 @@ def test_inner_fork_concurrent_with_sibling_section(fig3_graph):
     g = fig3_graph
     # node 7 (inner fork) lives in section B, concurrent with section A.
     assert concurrent(g.node("7"), g.node("4"))
-
-
-def test_mhp_matrix_matches_pointwise(fig3_graph):
-    matrix = mhp_matrix(fig3_graph)
-    for a in fig3_graph.nodes:
-        assert matrix[a] == frozenset(concurrent_nodes(fig3_graph, a))
-
-
-def test_same_thread(fig3_graph):
-    g = fig3_graph
-    assert same_thread(g.node("3"), g.node("6"))
-    assert not same_thread(g.node("3"), g.node("9"))
 
 
 def test_mutually_exclusive_branches(fig3_graph):

@@ -114,6 +114,11 @@ def test_post_seals_block():
     assert g.posts_of_event["e"] == [n1]
 
 
+def test_clears_indexed_once_per_block():
+    g = build("program p\nevent e\nevent f\n(1) clear(e)\n(1) clear(f)\n(1) clear(e)\n(1) post(e)\n(2) clear(e)\nend")
+    assert g.clears_of_event == {"e": [g.node("1"), g.node("2")], "f": [g.node("1")]}
+
+
 def test_wait_starts_block():
     g = build("program p\nevent e\n(1) x=1\nwait(e)\ny=2\nend")
     (wait,) = g.waits

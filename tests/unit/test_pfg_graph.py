@@ -1,9 +1,18 @@
-"""Graph container tests: adjacency views, traversal, back edges."""
+"""Graph container tests: adjacency views, traversal, back edges, and the
+lifetime of the graph index."""
+
+import gc
+import weakref
 
 import pytest
 
+from repro import optimize
+from repro.analysis import find_loops, lint_synchronization
 from repro.lang import parse_program
-from repro.pfg import EdgeKind, NodeKind, ParallelFlowGraph, build_pfg
+from repro.paper import SOURCES
+from repro.pfg import EdgeKind, NodeKind, ParallelFlowGraph, build_pfg, mutually_exclusive
+from repro.reachdefs.preserved import compute_preserved
+from repro.synthetic import diamond_chain
 
 
 def test_duplicate_edges_ignored():
@@ -89,3 +98,58 @@ def test_describe_mentions_every_node(fig3_graph):
     text = fig3_graph.describe()
     for n in fig3_graph.nodes:
         assert f"[{n.name}:" in text
+
+
+BRANCHES = """program p
+(1) x = 1
+if c then
+  (2) x = 2
+else
+  (3) x = 3
+endif
+(4) y = x
+end"""
+
+
+def test_queried_graph_is_freed_without_the_cycle_collector():
+    graph = build_pfg(parse_program(SOURCES["fig3"]))
+    gc.disable()
+    try:
+        compute_preserved(graph)
+        lint_synchronization(graph)
+        find_loops(graph)
+        mutually_exclusive(graph, graph.node("4"), graph.node("5"))
+        ref = weakref.ref(graph)
+        del graph
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+def test_add_edge_refreshes_the_index():
+    g = build_pfg(parse_program(BRANCHES))
+    n1, n2, n3, n4 = (g.node(name) for name in "1234")
+    assert g.back_edges() == frozenset()
+    assert find_loops(g) == []
+    assert mutually_exclusive(g, n2, n3)
+
+    g.add_edge(n4, n1, EdgeKind.SEQ)
+    assert g.back_edges() == {(n4, n1)}
+    assert [(loop.header, loop.latch) for loop in find_loops(g)] == [(n1, n4)]
+    assert mutually_exclusive(g, n2, n3)
+
+    g.add_edge(n2, n3, EdgeKind.SEQ)
+    assert not mutually_exclusive(g, n2, n3)
+
+
+def test_index_views_are_immutable(fig3_graph):
+    assert isinstance(fig3_graph.back_edges(), frozenset)
+    assert isinstance(fig3_graph.reverse_postorder(), tuple)
+    for node in fig3_graph.nodes:
+        assert isinstance(fig3_graph.forward_control_preds(node), tuple)
+
+
+def test_program_without_posts_builds_no_reachability():
+    report = optimize(diamond_chain(6))
+    built = vars(report.result.graph.index())
+    assert "control_reach" not in built and "sync_reach" not in built
