@@ -1,11 +1,11 @@
 """repro.batch — concurrent batch analysis over many programs.
 
-The scale-out layer: shard independent program files across a process
-pool, run the request pipeline (``repro.driver.run_request``) per
-program with per-task budgets and the degradation ladder, stream a
-``repro-batch/1`` JSONL manifest, and merge per-worker observability
-counters into the parent session.  Exposed on the command line as
-``python -m repro batch``; see ``docs/batch.md``.
+The scale-out layer: shard independent program files across the
+supervised worker pool ``repro serve`` runs on, run the request pipeline
+(``repro.driver.run_request``) per program with per-task budgets and the
+degradation ladder, stream a ``repro-batch/1`` JSONL manifest, and merge
+per-worker observability counters into the parent session.  Exposed on
+the command line as ``python -m repro batch``; see ``docs/batch.md``.
 
 Quickstart::
 

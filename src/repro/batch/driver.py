@@ -7,9 +7,10 @@ programs across workers — per-program solve cost is irreducible in the
 worst case ("On the computational complexity of Data Flow Analysis",
 PAPERS.md).  :func:`run_batch` takes a list of program files, runs the
 request pipeline (:func:`repro.driver.run_request`) on each, and shards
-the tasks across a :class:`concurrent.futures.ProcessPoolExecutor`
-(``workers > 1``) or runs them serially in-process (``workers == 1`` —
-the deterministic mode tests and debugging want).
+the tasks across the worker pool ``repro serve`` runs on — a
+:class:`~repro.serve.supervisor.Supervisor` (``workers > 1``) — or runs
+them serially in-process (``workers == 1`` — the deterministic mode
+tests and debugging want).
 
 Guarantees, per task:
 
@@ -41,25 +42,27 @@ renders the deterministic end-of-run summary table.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor, as_completed
+from concurrent.futures import ThreadPoolExecutor, as_completed
 from dataclasses import asdict, dataclass
+from functools import partial
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Union
 
 from ..driver import STATUS_CODES, Outcome, RequestOptions, run_request
 from ..obs import get_metrics, get_tracer
+from ..serve.supervisor import WORKER_STATUS_CODES, Supervisor
 from .manifest import ManifestWriter, batch_exit_code, render_batch_summary
 
 #: Task status → code: the CLI's table (:data:`repro.driver.STATUS_CODES`)
-#: plus ``crashed``, a worker process that died mid-task (infrastructure),
-#: so a manifest row answers "what would this program have exited with?".
-TASK_EXIT_CODES = {**STATUS_CODES, "crashed": 2}
+#: plus the worker pool's ``timeout`` and ``crashed`` (infrastructure), so
+#: a manifest row answers "what would this program have exited with?".
+TASK_EXIT_CODES = {**STATUS_CODES, **WORKER_STATUS_CODES}
 
 
 @dataclass(frozen=True)
 class BatchOptions:
-    """Per-task pipeline options (picklable: plain fields only, so one
-    instance travels to every pool worker)."""
+    """Per-task pipeline options (plain fields only, so one instance
+    travels to every pool worker)."""
 
     backend: str = "bitset"
     preserved: str = "approx"
@@ -89,8 +92,8 @@ class BatchOptions:
 def run_task(path: str, options: BatchOptions) -> Dict[str, object]:
     """Run the request pipeline on one program file; never raises.
 
-    Top-level (picklable) so it can be a process-pool entry point.  Runs
-    under its own observability session and returns a JSON-ready ``task``
+    Top-level, so the pool's workers can run it.  Runs under its own
+    observability session and returns a JSON-ready ``task``
     record (see :mod:`repro.batch.manifest`) whose ``counters`` snapshot
     the caller merges into its own metrics.
     """
@@ -125,7 +128,7 @@ def run_task(path: str, options: BatchOptions) -> Dict[str, object]:
             outcome.degradation.as_dict() if outcome.degradation is not None else None
         )
         record["interp"] = None
-        record["attempts"] = 1  # the driver overrides after worker-crash retries
+        record["attempts"] = 1  # the supervisor overrides after worker-crash retries
         if options.run and outcome.result is not None:
             scheduler = RandomScheduler(seed=options.seed, max_loop_iters=options.max_loop_iters)
             try:
@@ -155,26 +158,25 @@ def run_task(path: str, options: BatchOptions) -> Dict[str, object]:
     return record
 
 
-def _crash_record(path: str, err: BaseException, attempts: int = 1) -> Dict[str, object]:
-    """Record for a task whose *worker process* died (``run_task`` itself
-    never raises) — e.g. the pool broke under memory pressure.  Written
-    only once the retry allowance (see :func:`run_batch`) is exhausted;
-    ``attempts`` records how many tries the task was given."""
+def _run_job(task, options: BatchOptions, path: str, level: int = 0, deadline_s=None):
+    """The pool's job handler; the task's budget comes from ``options``."""
+    return task(path, options)
+
+
+def _pool_record(path: str, terminal: Dict[str, object]) -> Dict[str, object]:
+    """Record for a task the pool ended (``timeout``, ``crashed``) from the
+    supervisor's ``terminal`` record; no task body ran to completion."""
+    status = str(terminal["status"])
     return {
         "type": "task",
-        "file": str(path),
-        "program": None,
-        "digest": None,
-        "status": "crashed",
-        "code": TASK_EXIT_CODES["crashed"],
-        "error": f"worker crashed: {type(err).__name__}: {err}",
-        "system": None,
-        "stats": None,
-        "anomalies": None,
-        "sync_issues": None,
+        "file": path,
+        **dict.fromkeys(("program", "digest", "system", "stats", "anomalies", "sync_issues")),
         "degradation": None,
         "interp": None,
-        "attempts": attempts,
+        "status": status,
+        "code": TASK_EXIT_CODES[status],
+        "error": terminal["error"],
+        "attempts": terminal["attempts"],
         "wall_s": 0.0,
         "counters": {},
         "metrics": {},
@@ -217,17 +219,18 @@ def run_batch(
     """Analyze every program in ``paths``; see the module docstring.
 
     ``workers == 1`` runs serially in-process (deterministic record
-    order); ``workers > 1`` shards across a process pool and records
-    arrive in completion order.  ``manifest_path`` streams the
-    ``repro-batch/1`` JSONL manifest as results land.
+    order); ``workers > 1`` dispatches from ``workers`` threads onto a
+    :class:`~repro.serve.supervisor.Supervisor` of ``workers`` processes,
+    and records arrive in completion order.  ``manifest_path`` streams
+    the ``repro-batch/1`` JSONL manifest as results land.
 
-    **Crash retry**: a task whose *worker process* died (``run_task``
-    itself never raises, so a lost future means infrastructure trouble —
-    an OOM-killed worker breaks the whole pool and fails every in-flight
-    future with it) is resubmitted on a fresh pool up to ``retries``
-    times, with capped exponential backoff between rounds, before a
-    terminal ``crashed`` record is written.  Every task record carries
-    ``attempts`` (1 = first try succeeded).
+    **Crash retry** (pooled): a task whose *worker process* died
+    (``run_task`` itself never raises) is retried on a respawned worker
+    up to ``retries`` times, after a capped backoff starting at
+    ``retry_backoff_s``, before a terminal ``crashed`` record is written;
+    tasks on other workers are not touched.  A task still running after
+    ``options.deadline_s`` plus the supervisor's grace is killed and
+    recorded ``timeout``.  Every task record carries ``attempts``.
 
     **Resume**: with ``resume=True`` and an existing ``manifest_path``,
     tasks that already have a terminal record in the manifest are skipped
@@ -235,7 +238,7 @@ def run_batch(
     manifest and the closing summary covers old and new together — a
     crash-interrupted campaign picks up where it left off.
 
-    ``task_fn`` overrides the per-task entry point (a picklable callable
+    ``task_fn`` overrides the per-task entry point (a top-level callable
     with :func:`run_task`'s signature) — a fault-injection hook for tests.
     """
     from .manifest import load_resume_records
@@ -243,7 +246,6 @@ def run_batch(
     options = options if options is not None else BatchOptions()
     paths = [str(p) for p in paths]
     task = task_fn if task_fn is not None else run_task
-    retries = max(0, retries)
     tracer = get_tracer()
     metrics = get_metrics()
 
@@ -276,6 +278,8 @@ def run_batch(
         if metrics.enabled:
             metrics.inc("batch.tasks")
             metrics.inc(f"batch.status.{record['status']}")
+            if record["attempts"] > 1:
+                metrics.inc("batch.retries", record["attempts"] - 1)
             worker_metrics = record.get("metrics") or {}
             metrics.merge(
                 {
@@ -285,47 +289,31 @@ def run_batch(
                 }
             )
 
-    def run_pooled(pending: List[str]) -> None:
-        """Pool rounds with crash retry: each round runs every still-pending
-        path; crashes are collected and resubmitted on a *fresh* pool (a
-        broken pool poisons every later submit) after a capped backoff."""
-        attempts: Dict[str, int] = {p: 0 for p in pending}
-        round_no = 0
-        while pending:
-            crashed: List[tuple] = []
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                future_to_path = {
-                    pool.submit(task, path, options): path for path in pending
-                }
-                for future in as_completed(future_to_path):
-                    path = future_to_path[future]
-                    try:
-                        record = future.result()
-                    except Exception as err:  # BrokenProcessPool and kin
-                        attempts[path] += 1
-                        crashed.append((path, err))
-                        continue
-                    record["attempts"] = attempts[path] + 1
-                    finish(record)
-            pending = []
-            for path, err in crashed:
-                if attempts[path] > retries:
-                    finish(_crash_record(path, err, attempts=attempts[path]))
-                else:
-                    if metrics.enabled:
-                        metrics.inc("batch.retries")
-                    pending.append(path)
-            if pending:
-                round_no += 1
-                time.sleep(min(2.0, retry_backoff_s * (2 ** (round_no - 1))))
-
     try:
         with tracer.span("batch", workers=workers, tasks=len(paths)):
             if workers <= 1:
                 for path in paths:
                     finish(task(path, options))
             else:
-                run_pooled(list(paths))
+                supervisor = Supervisor(
+                    workers,
+                    handler=partial(_run_job, task, options),
+                    retries=retries,
+                    backoff_base_s=retry_backoff_s,
+                ).start()
+                try:
+                    with ThreadPoolExecutor(workers, thread_name_prefix="batch") as dispatch:
+                        futures = {
+                            dispatch.submit(supervisor.execute, path, options.deadline_s): path
+                            for path in paths
+                        }
+                        for future in as_completed(futures):
+                            record = future.result()
+                            if record["status"] in WORKER_STATUS_CODES:
+                                record = _pool_record(futures[future], record)
+                            finish(record)
+                finally:
+                    supervisor.stop()
         wall = time.perf_counter() - t0
         all_records = prior_records + records
         if writer is not None:

@@ -28,8 +28,8 @@ chaos drills enforce::
 
 Statuses are the analysis statuses every surface shares
 (:data:`repro.driver.STATUS_CODES`; the one table of statuses and codes
-is in ``docs/robustness.md``) plus the transport-level outcomes only a
-*service* produces; ``code`` keeps the CLI exit-code meaning:
+is in ``docs/robustness.md``) plus the worker-pool and transport-level
+outcomes of a service; ``code`` keeps the CLI exit-code meaning:
 
 =============  ====  ======================================================
 status         code  meaning
@@ -54,14 +54,14 @@ from typing import Dict, Optional, Tuple
 from .. import driver
 from ..dataflow.bitset import BACKEND_NAMES
 from ..dataflow.solver import SOLVER_NAMES
+from .supervisor import WORKER_STATUS_CODES
 
 SCHEMA = "repro-serve/1"
 
 #: Serve status → CLI-contract-aligned code (see module docstring).
 STATUS_CODES: Dict[str, int] = {
     **driver.STATUS_CODES,
-    "timeout": 2,  # deadline exhaustion is an analysis failure operationally
-    "crashed": 2,
+    **WORKER_STATUS_CODES,
     "bad-request": 1,
     "shed": 5,
     "draining": 5,

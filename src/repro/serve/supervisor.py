@@ -1,9 +1,11 @@
 """Supervised worker pool: crash→respawn, deadline kills, capped-backoff
 retries.
 
-The daemon never analyzes in-process — every request executes in a child
-process owned by a :class:`Supervisor`.  The supervisor's contract is the
-serving half of the zero-lost-requests invariant:
+Every ``repro serve`` request and every pooled ``repro batch`` task
+executes in a child process owned by a :class:`Supervisor`, which runs
+the job ``handler`` it was given and never looks inside a job.  The
+supervisor's contract is the serving half of the zero-lost-requests
+invariant:
 
 * :meth:`Supervisor.execute` **always returns exactly one terminal
   record** for an accepted job (it raises only :class:`PoolStopped`, and
@@ -24,7 +26,8 @@ serving half of the zero-lost-requests invariant:
   a job.
 
 The pool is deliberately synchronous and thread-safe (the asyncio daemon
-calls :meth:`execute` from an executor thread per in-flight request);
+and the batch driver call :meth:`execute` from one thread per job in
+flight);
 ``worker_factory`` is injectable so the state machine is unit-testable
 with scripted fakes, no real processes involved.
 """
@@ -38,7 +41,7 @@ import threading
 import time
 from typing import Callable, Dict, List, Optional
 
-from .worker import worker_main
+from .worker import execute_request, worker_main
 
 
 class WorkerCrash(RuntimeError):
@@ -62,9 +65,11 @@ def _pool_context():
 
 
 class ProcessWorker:
-    """One supervised child process speaking the job/record pipe protocol."""
+    """One supervised child process answering each job sent down its pipe
+    with ``handler(params, level=, deadline_s=)``."""
 
-    def __init__(self, chaos_enabled: bool = False):
+    def __init__(self, handler: Callable[..., Dict[str, object]], chaos_enabled: bool = False):
+        self.handler = handler
         self.chaos_enabled = chaos_enabled
         self._proc = None
         self._conn = None
@@ -78,9 +83,9 @@ class ProcessWorker:
         # open, and they never see EOF and never exit.
         self._proc = ctx.Process(
             target=worker_main,
-            args=(child, self.chaos_enabled, parent),
+            args=(child, self.handler, self.chaos_enabled, parent),
             daemon=True,
-            name="repro-serve-worker",
+            name="repro-worker",
         )
         self._proc.start()
         child.close()  # the parent's copy; EOF now propagates on child death
@@ -95,9 +100,9 @@ class ProcessWorker:
     def pid(self) -> Optional[int]:
         return self._proc.pid if self._proc is not None else None
 
-    def call(self, job: Dict[str, object], timeout_s: float) -> Dict[str, object]:
-        """Send one job and wait for its record.  Raises
-        :class:`WorkerCrash` on death, :class:`WorkerTimeout` on deadline."""
+    def call(self, job: Dict[str, object], timeout_s: Optional[float]) -> Dict[str, object]:
+        """Send one job and wait for its record (``None``: no time limit).
+        Raises :class:`WorkerCrash` on death, :class:`WorkerTimeout` on deadline."""
         try:
             self._conn.send(job)
         except (BrokenPipeError, OSError) as err:
@@ -132,6 +137,11 @@ class ProcessWorker:
                 pass
 
 
+#: Statuses only the pool produces (deadline kill; death past the retries
+#: or a failed call), with CLI-contract codes; serve and batch add them.
+WORKER_STATUS_CODES: Dict[str, int] = {"timeout": 2, "crashed": 2}
+
+
 def _terminal(status: str, error: str, attempts: int) -> Dict[str, object]:
     """A terminal record for a job that produced no analysis result."""
     return {
@@ -149,13 +159,15 @@ class Supervisor:
 
     ``worker_factory`` must return objects with the :class:`ProcessWorker`
     interface (``start``/``call``/``kill``/``shutdown``/``alive``); the
-    default builds real process workers.  ``sleep`` and ``rng`` are
-    injectable so retry/backoff behavior is deterministic under test.
+    default builds real process workers running ``handler``.  ``sleep``
+    and ``rng`` are injectable so retry/backoff behavior is deterministic
+    under test.
     """
 
     def __init__(
         self,
         size: int,
+        handler: Callable[..., Dict[str, object]] = execute_request,
         worker_factory: Optional[Callable[[], object]] = None,
         retries: int = 1,
         backoff_base_s: float = 0.05,
@@ -175,7 +187,7 @@ class Supervisor:
         self.backoff_jitter = backoff_jitter
         self.deadline_grace_s = deadline_grace_s
         self._factory = worker_factory or (
-            lambda: ProcessWorker(chaos_enabled=chaos_enabled)
+            lambda: ProcessWorker(handler, chaos_enabled=chaos_enabled)
         )
         self._rng = rng if rng is not None else random.Random()
         self._sleep = sleep
@@ -267,17 +279,17 @@ class Supervisor:
 
     def execute(
         self,
-        params: Dict[str, object],
-        deadline_s: float,
+        params: object,
+        deadline_s: Optional[float],
         level: int = 0,
         chaos: Optional[Dict[str, object]] = None,
     ) -> Dict[str, object]:
-        """Run one request to a terminal record (never raises once started,
-        except :class:`PoolStopped` while draining).  The returned record
-        always carries ``attempts``."""
+        """Run one job to a terminal record (never raises once started,
+        except :class:`PoolStopped` while draining); ``deadline_s=None`` sets
+        no wall-clock limit.  The returned record always carries ``attempts``."""
+        timeout_s = None if deadline_s is None else deadline_s + self.deadline_grace_s
         attempts = 0
         while True:
-            worker = self._acquire()
             job = {
                 "params": params,
                 "deadline_s": deadline_s,
@@ -286,18 +298,17 @@ class Supervisor:
                 "chaos": chaos,
             }
             attempts += 1
-            timeout_s = deadline_s + self.deadline_grace_s
+            worker = self._acquire()
             try:
                 record = worker.call(job, timeout_s=timeout_s)
-            except WorkerTimeout:
+            except WorkerTimeout as err:
                 # The deadline is spent; killing + reporting beats retrying.
                 self._retire(worker, respawn=True)
                 with self._lock:
                     self.timeouts += 1
                 return _terminal(
                     "timeout",
-                    f"worker gave no reply within {timeout_s:.3f}s "
-                    f"(deadline {deadline_s}s + grace); killed and respawned",
+                    f"{err} (deadline {deadline_s}s + grace); killed and respawned",
                     attempts,
                 )
             except WorkerCrash as err:

@@ -2,8 +2,8 @@
 
 Each worker is a long-lived child process running :func:`worker_main` — a
 loop that receives job dicts over a :class:`multiprocessing.Pipe`, runs
-:func:`execute_request`, and sends the result record back.  Two properties
-carry the serving story:
+its job handler (the daemon's is :func:`execute_request`) on each, and
+sends the result record back.  Two properties carry the serving story:
 
 * **warm caches** — the worker's process-wide
   :data:`repro.dataflow.cache.GLOBAL_CACHE` persists across requests, so
@@ -157,9 +157,9 @@ def _record(outcome) -> Dict[str, object]:
     }
 
 
-def worker_main(conn, chaos_enabled: bool = False, peer=None) -> None:
-    """Worker process entry: serve jobs from ``conn`` until EOF or a
-    ``None`` shutdown sentinel.
+def worker_main(conn, handler, chaos_enabled: bool = False, peer=None) -> None:
+    """Worker process entry: answer jobs from ``conn`` with ``handler``
+    until EOF or a ``None`` shutdown sentinel.
 
     ``peer`` is the supervisor's end of the pipe, inherited across fork —
     closed immediately so that if the daemon dies uncleanly (SIGKILL, a
@@ -192,11 +192,7 @@ def worker_main(conn, chaos_enabled: bool = False, peer=None) -> None:
         delay_ms = float(chaos.get("delay_ms", 0) or 0)
         if delay_ms > 0:
             time.sleep(delay_ms / 1000.0)
-        record = execute_request(
-            job.get("params") or {},
-            level=int(job.get("level", 0)),
-            deadline_s=job.get("deadline_s"),
-        )
+        record = handler(job["params"], level=job["level"], deadline_s=job["deadline_s"])
         try:
             conn.send(record)
         except (BrokenPipeError, OSError):

@@ -23,12 +23,12 @@ Commands
                        layer and print the phase-time tree + counters.
 ``batch INPUTS...``  — analyze many programs (files, globs, or a
                        ``--manifest`` list) concurrently across
-                       ``--workers`` processes; stream a ``repro-batch/1``
-                       JSONL manifest (``--out``) and print a
-                       deterministic summary table.  Crashed workers are
-                       retried (``--retries``); ``--resume MANIFEST``
-                       continues an interrupted campaign, skipping tasks
-                       already recorded
+                       ``--workers`` supervised processes; stream a
+                       ``repro-batch/1`` JSONL manifest (``--out``) and
+                       print a deterministic summary table.  A crash
+                       re-runs only its own task (``--retries``);
+                       ``--resume MANIFEST`` continues an interrupted
+                       campaign, skipping tasks already recorded
                        (:mod:`repro.batch`, ``docs/batch.md``).
 ``serve``            — long-lived analysis daemon: JSON-RPC over HTTP
                        with supervised workers, per-request deadlines,
@@ -692,15 +692,16 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=1,
         metavar="N",
-        help="process-pool size; 1 = serial in-process (deterministic order)",
+        help="worker processes, supervised as in repro serve (with --deadline, "
+        "a hung task is killed as 'timeout'); 1 = serial in-process",
     )
     p.add_argument(
         "--retries",
         type=int,
         default=1,
         metavar="N",
-        help="resubmissions for a task whose worker process crashed "
-        "(capped backoff between rounds; 0 = record crashed immediately)",
+        help="retries for a crashed task alone, on a respawned worker after "
+        "a capped backoff (0 = record crashed immediately)",
     )
     p.add_argument(
         "--resume",

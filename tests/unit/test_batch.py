@@ -15,7 +15,8 @@ from repro.batch import (
     run_batch,
     run_task,
 )
-from repro.batch.driver import _crash_record
+from repro.batch.driver import _pool_record
+from repro.serve.supervisor import _terminal
 
 OK_SRC = """program ok
 (1) x = 1
@@ -145,9 +146,10 @@ def test_run_task_never_raises_on_invariant(tmp_path, monkeypatch):
 
 
 def test_crash_record_shape():
-    rec = _crash_record("x.pcf", RuntimeError("pool died"))
+    rec = _pool_record("x.pcf", _terminal("crashed", "pool died", 2))
     assert rec["status"] == "crashed" and rec["code"] == 2
     assert "pool died" in rec["error"]
+    assert rec["attempts"] == 2
     assert batch_exit_code([rec]) == 2
 
 

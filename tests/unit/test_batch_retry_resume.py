@@ -1,9 +1,12 @@
 """Batch crash-retry and ``--resume``: worker-process death is retried
-with backoff up to the allowance (records carry ``attempts``), and an
-interrupted campaign picks up from its manifest without redoing work."""
+with backoff up to the allowance (records carry ``attempts``) and costs
+only the task that died, a hung task is killed and recorded ``timeout``,
+and an interrupted campaign picks up from its manifest without redoing
+work."""
 
 import json
 import os
+import time
 
 import pytest
 
@@ -44,6 +47,30 @@ def crash_once_task(path, options):
 
 def always_crash_task(path, options):
     os._exit(1)
+
+
+def crash_beside_sleepers_task(path, options):
+    """``crash*`` files die once; the others sleep first, so they are
+    still in flight on their own workers when the crash happens."""
+    if os.path.basename(path).startswith("crash"):
+        return crash_once_task(path, options)
+    time.sleep(0.5)
+    return run_task(path, options)
+
+
+#: Longer than the 0.1 s deadline plus the supervisor's 2 s grace.
+HANG_S = 4.0
+
+
+def hang_task(path, options):
+    """``hang*`` files sleep past their deadline, then finish normally."""
+    if os.path.basename(path).startswith("hang"):
+        time.sleep(HANG_S)
+    return run_task(path, options)
+
+
+def _by_name(report):
+    return {os.path.basename(str(r["file"])): r for r in report.records}
 
 
 class TestCrashRetry:
@@ -104,6 +131,47 @@ class TestCrashRetry:
         for workers in (1, 2):
             report = run_batch([target], BatchOptions(), workers=workers)
             assert report.records[0]["attempts"] == 1
+
+
+class TestBlastRadius:
+    """A crash costs only the task that crashed, never its siblings."""
+
+    def _run(self, tmp_path, retries):
+        paths = [_write(tmp_path, name) for name in ("a.pcf", "b.pcf", "crash.pcf")]
+        report = run_batch(
+            paths,
+            BatchOptions(),
+            workers=3,
+            retries=retries,
+            retry_backoff_s=0.01,
+            task_fn=crash_beside_sleepers_task,
+        )
+        return _by_name(report)
+
+    def test_retry_reruns_only_the_crashed_task(self, tmp_path):
+        records = self._run(tmp_path, retries=1)
+        for name in ("a.pcf", "b.pcf"):
+            assert (records[name]["status"], records[name]["attempts"]) == ("ok", 1)
+        assert (records["crash.pcf"]["status"], records["crash.pcf"]["attempts"]) == ("ok", 2)
+
+    def test_without_retries_only_the_crashed_task_is_crashed(self, tmp_path):
+        records = self._run(tmp_path, retries=0)
+        for name in ("a.pcf", "b.pcf"):
+            assert (records[name]["status"], records[name]["attempts"]) == ("ok", 1)
+        crashed = records["crash.pcf"]
+        assert (crashed["status"], crashed["code"], crashed["attempts"]) == ("crashed", 2, 1)
+
+
+def test_hung_task_is_killed_and_recorded_timeout(tmp_path):
+    paths = [_write(tmp_path, "a.pcf"), _write(tmp_path, "hang.pcf")]
+    report = run_batch(paths, BatchOptions(deadline_s=0.1), workers=2, task_fn=hang_task)
+    records = _by_name(report)
+    hung = records["hang.pcf"]
+    assert (hung["status"], hung["code"], hung["attempts"]) == ("timeout", 2, 1)
+    assert records["a.pcf"]["status"] == "ok"
+    # A pool-ended task keeps the record shape of a finished one.
+    assert set(hung) == set(records["a.pcf"])
+    assert report.exit_code == 2
 
 
 class TestResume:

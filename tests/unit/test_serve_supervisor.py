@@ -156,6 +156,19 @@ def test_wall_clock_allowance_is_deadline_plus_grace():
     assert timeout_s == pytest.approx(5.0)
 
 
+def test_no_deadline_means_no_wall_clock_limit():
+    # ``deadline_s=None`` waits on the worker without a limit, and the
+    # worker goes back to the idle pool afterwards.
+    factory = ScriptedFactory([[{"status": "ok"}]])
+    sup = _supervisor(factory).start()
+    record = sup.execute({"source": "p"}, deadline_s=None)
+    assert record["status"] == "ok"
+    assert factory.spawned[0].calls[0][1] is None
+    assert sup.stats()["alive"] == sup.size
+    assert sup.execute({"source": "p"}, deadline_s=None)["status"] == "ok"
+    assert len(factory.spawned) == 1
+
+
 def test_dead_idle_worker_replaced_before_dispatch():
     factory = ScriptedFactory([[], [{"status": "ok"}]])
     sup = _supervisor(factory).start()
