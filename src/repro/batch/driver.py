@@ -1,7 +1,7 @@
 """Concurrent batch-analysis driver: the scale-out layer over ``run_request``.
 
-The per-program machinery (digest-keyed cache, resource budgets, the
-degradation ladder, observability) bounds and instruments **one** solve;
+The per-program machinery (resource budgets, the degradation ladder,
+observability) bounds and instruments **one** solve;
 throughput past that point has to come from sharding independent
 programs across workers — per-program solve cost is irreducible in the
 worst case ("On the computational complexity of Data Flow Analysis",
@@ -29,7 +29,7 @@ Guarantees, per task:
 * **metrics merged** — each worker runs under its own observability
   session and ships its full metrics snapshot back (counters *and*
   gauges/histograms with their sample reservoirs); the parent folds it
-  in (:meth:`repro.obs.Metrics.merge`) so fleet-wide ``cache.*`` /
+  in (:meth:`repro.obs.Metrics.merge`) so fleet-wide ``pfg.*`` /
   ``solve.*`` counters and latency percentiles read as if the work had
   run in-process, plus ``batch.tasks`` / ``batch.status.<status>``
   rollups.

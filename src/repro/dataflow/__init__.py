@@ -9,7 +9,7 @@ from .bitset import (
     make_backend,
 )
 from .budget import BudgetExceeded, NonConvergenceError, ResourceBudget, check_budget
-from .cache import GLOBAL_CACHE, AnalysisCache, cached_build_pfg, program_digest
+from .cache import cached_build_pfg, program_digest
 from .framework import EquationSystem, FixpointDiverged, SolveStats, VariableMap
 from .sched import Region, Schedule, build_schedule, get_schedule, solve_scc
 from .solver import (
@@ -28,8 +28,6 @@ __all__ = [
     "ResourceBudget",
     "check_budget",
     "solve_stabilized",
-    "AnalysisCache",
-    "GLOBAL_CACHE",
     "cached_build_pfg",
     "program_digest",
     "Region",

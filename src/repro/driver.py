@@ -41,7 +41,7 @@ from .analysis import (
     propagate_constants,
 )
 from .dataflow.budget import NonConvergenceError, ResourceBudget
-from .dataflow.cache import GLOBAL_CACHE, MISSING, cached_build_pfg, program_digest
+from .dataflow.cache import cached_build_pfg, program_digest
 from .dataflow.framework import FixpointDiverged, SolveStats
 from .interp.interp import StepBudgetExceeded
 from .lang import ast, parse_program
@@ -97,45 +97,17 @@ def analyze(
     before deciding to run the full analysis (the incremental engine's
     fallback path), so the build isn't paid twice when caching is off.
 
-    ``cache=True`` (default) memoizes by program digest in
-    :data:`repro.dataflow.cache.GLOBAL_CACHE`: a warm call on an
-    unchanged program returns the cached result with **zero** solver
-    passes (the hit lands in the ``cache.*`` counters of
-    :mod:`repro.obs`).  Budget-guarded runs bypass the full-result cache
-    — a budget asks for the work to actually run under a guard.
+    ``cache=True`` (default) builds the graph once per AST object
+    (:func:`repro.dataflow.cache.cached_build_pfg`), so repeated analyses
+    of one program share its graph and gen/kill tables; ``cache=False``
+    builds a fresh graph.  Every call solves.
     """
-    use_cache = cache and budget is None and GLOBAL_CACHE.enabled
-    key = None
-    if use_cache:
-        key = (
-            "analyze",
-            program_digest(program),
-            backend,
-            order,
-            solver,
-            preserved,
-            record_provenance,
-        )
-        # Results are only valid for the exact AST analyzed (PFG nodes
-        # hold statement objects; the interpreter matches by identity —
-        # see cached_build_pfg), so a hit from a different parse of the
-        # same text is rejected and recomputed.
-        hit = GLOBAL_CACHE.get(
-            key,
-            MISSING,
-            valid=lambda r: getattr(r.graph, "source_program", None) is program,
-        )
-        if hit is not MISSING:
-            return hit
     if graph is None:
         graph = cached_build_pfg(program) if cache else build_pfg(program)
-    result = solve_system(
+    return solve_system(
         graph, backend=backend, order=order, solver=solver, preserved=preserved,
         budget=budget, record_provenance=record_provenance,
     )
-    if key is not None:
-        GLOBAL_CACHE.put(key, result)
-    return result
 
 
 @dataclass
@@ -446,8 +418,7 @@ class Outcome:
     def digest(self) -> Optional[str]:
         if self.program is None:
             return None
-        graph = self.result.graph if self.result is not None else None
-        return getattr(graph, "program_digest", None) or program_digest(self.program)
+        return program_digest(self.program)
 
     @cached_property
     def anomalies(self) -> List[Anomaly]:

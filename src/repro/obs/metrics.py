@@ -201,8 +201,9 @@ class Metrics:
         This is the cross-process aggregation hook: batch workers export
         their per-task counter totals (plain dicts travel over the
         process-pool pickle boundary; live ``Metrics`` objects do not)
-        and the parent session folds them in, so fleet-wide ``cache.*`` /
-        ``solve.*`` counters read as if the work had run in-process.
+        and the parent session folds them in, so fleet-wide ``cache.*``
+        (graph, gen/kill and serve-record memo hits) / ``solve.*``
+        counters read as if the work had run in-process.
         """
         for name, value in counters.items():
             if value:

@@ -62,9 +62,8 @@ def compute_genkill(graph: ParallelFlowGraph) -> GenKillInfo:
 
     Memoized **on the graph object** (``graph._genkill_memo``): the
     tables are keyed by node identity, so they are only meaningful for
-    the exact graph they were computed from — a digest-keyed cache would
-    hand tables whose keys belong to a *different* build of the same
-    program.  The graph's ``_invalidate`` hook drops the memo on any
+    the exact graph they were computed from, never for a *different*
+    build of the same program.  The graph's ``_invalidate`` hook drops the memo on any
     structural mutation.  Hit/miss totals land in ``cache.genkill.*``
     when an observability session is installed; a miss runs under a
     ``genkill`` span and adds the class pairs it decided to

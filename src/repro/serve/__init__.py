@@ -2,7 +2,8 @@
 
 ``python -m repro serve --port N --workers K`` runs a long-lived asyncio
 JSON-RPC-over-HTTP daemon (stdlib only) that executes analyses in a
-supervised process pool with warm per-worker caches.  The robustness
+supervised process pool, each worker keeping a cache of completed
+records for repeated requests.  The robustness
 machinery is the point:
 
 * **supervised workers** — a crashed worker is killed and respawned; the
@@ -25,54 +26,34 @@ The invariant the chaos drills (``benchmarks/run_serve.py --chaos``)
 enforce: **every admitted request receives exactly one terminal
 ``repro-serve/1`` response** — no hangs, no duplicates, no losses.  See
 ``docs/serving.md``.
+
+Names are resolved on first access (PEP 562), so importing a submodule —
+batch runs on :mod:`repro.serve.supervisor` — does not load the HTTP
+daemon.
 """
 
-from .admission import ADMITTED, DRAINING, SHED, AdmissionController, DegradationPolicy
-from .app import ServeApp, ServeConfig, ServerThread, run_server
-from .client import ServeClient
-from .protocol import (
-    HTTP_STATUS,
-    SCHEMA,
-    STATUS_CODES,
-    ProtocolError,
-    classify,
-    http_status,
-    response,
-    validate_request,
-)
-from .supervisor import (
-    PoolStopped,
-    ProcessWorker,
-    Supervisor,
-    WorkerCrash,
-    WorkerTimeout,
-)
-from .worker import execute_request, worker_main
+import importlib
 
-__all__ = [
-    "ADMITTED",
-    "DRAINING",
-    "SHED",
-    "AdmissionController",
-    "DegradationPolicy",
-    "HTTP_STATUS",
-    "PoolStopped",
-    "ProcessWorker",
-    "ProtocolError",
-    "SCHEMA",
-    "STATUS_CODES",
-    "ServeApp",
-    "ServeClient",
-    "ServeConfig",
-    "ServerThread",
-    "Supervisor",
-    "WorkerCrash",
-    "WorkerTimeout",
-    "classify",
-    "execute_request",
-    "http_status",
-    "response",
-    "run_server",
-    "validate_request",
-    "worker_main",
-]
+#: Each submodule and the public names it defines.
+_SUBMODULES = {
+    "admission": ("ADMITTED", "DRAINING", "SHED", "AdmissionController", "DegradationPolicy"),
+    "app": ("ServeApp", "ServeConfig", "ServerThread", "run_server"),
+    "client": ("ServeClient",),
+    "protocol": (
+        "HTTP_STATUS", "SCHEMA", "STATUS_CODES", "ProtocolError", "classify",
+        "http_status", "response", "validate_request",
+    ),
+    "supervisor": ("PoolStopped", "ProcessWorker", "Supervisor", "WorkerCrash", "WorkerTimeout"),
+    "worker": ("execute_request", "worker_main"),
+}
+_EXPORTS = {name: module for module, names in _SUBMODULES.items() for name in names}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_EXPORTS[name]}", __name__), name)
+    globals()[name] = value
+    return value

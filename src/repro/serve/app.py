@@ -13,9 +13,9 @@ flow for ``POST /rpc``::
 
 ``GET /healthz`` returns the full operational snapshot (supervisor
 stats, admission stats, merged fleet counters — including the workers'
-``cache.*`` — queue depth, recent p99) and is always 200 while the
-process lives; ``GET /readyz`` is 200 only while admitting, 503 once
-draining — the load-balancer signal.
+``cache.serve.*`` record-cache hits — queue depth, recent p99) and is
+always 200 while the process lives; ``GET /readyz`` is 200 only while
+admitting, 503 once draining — the load-balancer signal.
 
 Graceful drain (SIGTERM/SIGINT in the CLI, :meth:`ServeApp.request_drain`
 programmatically): stop admitting, wait for in-flight requests, stop the

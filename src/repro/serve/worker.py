@@ -5,19 +5,15 @@ loop that receives job dicts over a :class:`multiprocessing.Pipe`, runs
 its job handler (the daemon's is :func:`execute_request`) on each, and
 sends the result record back.  Two properties carry the serving story:
 
-* **warm caches** — the worker's process-wide
-  :data:`repro.dataflow.cache.GLOBAL_CACHE` persists across requests, so
-  a repeat request for an unchanged program is solver-free (the
-  ``cache.*`` counters it ships back surface fleet-wide via ``/healthz``).
-  Two serve-specific layers make that true under a deadline:
-  :func:`_parse_cached` memoizes the parsed AST per source text, so the
-  digest-keyed PFG/analyze caches pass their AST-identity validation on
-  repeats, and completed records are memoized under the ``serve`` cache
-  namespace keyed by source digest **plus** every result-affecting option
-  and the served degradation level — the full-result ``analyze`` cache
-  deliberately bypasses itself when a budget is armed (a budget asks for
-  the work to run under a guard), but a *previously completed* record is
-  a valid answer at any deadline, so serving it from cache is sound;
+* **warm repeats** — completed records are kept in a bounded
+  module-level LRU (:data:`RECORD_CACHE_MAX` entries per worker) keyed
+  by the source text's SHA-256 plus every result-affecting option and
+  the served degradation level, and looked up *before* parsing, so a
+  repeat request for an unchanged program costs a hash and a dict
+  lookup.  A deadline is not part of the key: a previously completed
+  record is a valid answer at any deadline.  Hits and misses land in the
+  ``cache.serve.*`` counters the worker ships back, which surface
+  fleet-wide via ``/healthz``;
 * **never raises** — :func:`execute_request` is a thin adapter over
   :func:`repro.driver.run_request`, which turns every analysis failure
   into a typed outcome (the same taxonomy as batch and the CLI); the
@@ -44,31 +40,10 @@ from typing import Dict, Optional
 #: Exit code a chaos kill uses — distinguishable from real faults in logs.
 CHAOS_EXIT_CODE = 23
 
-#: Per-process AST memo: source-text digest → parsed Program.  Repeat
-#: requests must analyze the *same AST object* or the digest-keyed caches
-#: reject the entry (PFG nodes hold statement objects; results validate
-#: ``source_program is program`` — see :mod:`repro.dataflow.cache`).
-_AST_MEMO: "OrderedDict[str, object]" = OrderedDict()
-_AST_MEMO_MAX = 64
-
-
-def _parse_cached(source: str):
-    """Parse ``source``, memoized by content digest (bounded LRU).
-
-    Returns ``(program, source_digest)``.  Parse errors are not memoized —
-    they raise through to the caller's taxonomy."""
-    from ..lang import parse_program
-
-    key = hashlib.sha256(source.encode("utf-8")).hexdigest()
-    program = _AST_MEMO.get(key)
-    if program is None:
-        program = parse_program(source)
-        _AST_MEMO[key] = program
-        if len(_AST_MEMO) > _AST_MEMO_MAX:
-            _AST_MEMO.popitem(last=False)
-    else:
-        _AST_MEMO.move_to_end(key)
-    return program, key
+#: Completed records of this worker, least recently used first: key →
+#: the record's ``status``/``result``/``degradation``.
+_RECORDS: "OrderedDict[tuple, Dict[str, object]]" = OrderedDict()
+RECORD_CACHE_MAX = 128
 
 
 def execute_request(
@@ -112,17 +87,13 @@ def execute_request(
 
 
 def _execute(source: str, options) -> Dict[str, object]:
-    from ..dataflow.cache import GLOBAL_CACHE, MISSING
-    from ..driver import Outcome, run_request
+    from ..driver import run_request
+    from ..obs import get_metrics
 
-    try:
-        program, source_digest = _parse_cached(source)
-    except Exception as err:
-        return _record(Outcome.failure(err))
+    source_digest = hashlib.sha256(source.encode("utf-8")).hexdigest()
     # Every result-affecting option plus the served level: a deadline is
     # not one (see the module docstring).
     serve_key = (
-        "serve",
         source_digest,
         options.backend,
         options.preserved,
@@ -130,16 +101,21 @@ def _execute(source: str, options) -> Dict[str, object]:
         options.max_passes,
         options.level,
     )
-    cached = GLOBAL_CACHE.get(serve_key, MISSING)
-    if cached is not MISSING:
+    metrics = get_metrics()
+    cached = _RECORDS.get(serve_key)
+    if cached is not None:
+        _RECORDS.move_to_end(serve_key)
+        metrics.inc("cache.serve.hits")
         return {"error": None, **cached}
-    record = _record(run_request(program, options))
-    # Completed records are deterministic given (source, options, level)
-    # — memoize so warm repeats skip the solver entirely.  Failures are
-    # NOT cached: a deadline-driven failure is not a property of the
+    metrics.inc("cache.serve.misses")
+    record = _record(run_request(source, options))
+    # Completed records are deterministic given the key.  Failures are
+    # not kept: a deadline-driven failure is not a property of the
     # program, and retries should get to re-run.
     if record["result"] is not None:
-        GLOBAL_CACHE.put(serve_key, {k: record[k] for k in ("status", "result", "degradation")})
+        _RECORDS[serve_key] = {k: record[k] for k in ("status", "result", "degradation")}
+        if len(_RECORDS) > RECORD_CACHE_MAX:
+            _RECORDS.popitem(last=False)
     return record
 
 

@@ -746,7 +746,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=2,
         metavar="K",
-        help="supervised worker processes (each holds a warm analysis cache)",
+        help="supervised worker processes (each caches its completed records)",
     )
     p.add_argument(
         "--max-queue",

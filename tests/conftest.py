@@ -4,18 +4,18 @@ from __future__ import annotations
 
 import pytest
 
-from repro.dataflow.cache import GLOBAL_CACHE
 from repro.paper import programs
 from repro.reachdefs import solve_parallel, solve_sequential, solve_synch
+from repro.serve import worker as serve_worker
 
 
 @pytest.fixture(autouse=True)
-def _fresh_analysis_cache():
-    """Keep tests hermetic: no test sees another's cached graphs/results
-    (counters are process-lifetime and unaffected by clear())."""
-    GLOBAL_CACHE.clear()
+def _fresh_record_cache():
+    """Keep tests hermetic: no test sees the serve records another
+    test's in-process requests left behind."""
+    serve_worker._RECORDS.clear()
     yield
-    GLOBAL_CACHE.clear()
+    serve_worker._RECORDS.clear()
 
 
 @pytest.fixture(scope="session")

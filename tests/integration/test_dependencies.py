@@ -1,7 +1,8 @@
 """The package has no third-party runtime dependency: importing every
 public surface in a fresh interpreter loads no numpy.  The request
 pipeline has one path per request: serving one never loads the
-incremental engine."""
+incremental engine.  Batch runs on the serve worker pool without loading
+the HTTP daemon."""
 
 import os
 import subprocess
@@ -12,7 +13,7 @@ SRC = Path(__file__).resolve().parents[2] / "src"
 
 PROBE = """
 import sys
-import repro, repro.driver, repro.tools.cli, repro.serve, repro.fuzz
+import repro, repro.driver, repro.tools.cli, repro.serve.app, repro.fuzz
 assert "numpy" not in sys.modules, sorted(m for m in sys.modules if m.startswith("numpy"))
 """
 
@@ -38,6 +39,13 @@ loaded = [m for m in ("repro.incremental", "difflib") if m in sys.modules]
 assert not loaded, loaded
 """
 
+BATCH_PROBE = """
+import sys
+import repro.batch
+assert "repro.serve.supervisor" in sys.modules
+assert "repro.serve.app" not in sys.modules
+"""
+
 
 def _run(probe):
     env = dict(os.environ, PYTHONPATH=str(SRC))
@@ -53,3 +61,7 @@ def test_public_surfaces_import_without_numpy():
 
 def test_requests_never_load_the_incremental_engine():
     _run(REQUEST_PROBE)
+
+
+def test_batch_import_does_not_load_the_serve_daemon():
+    _run(BATCH_PROBE)

@@ -107,10 +107,10 @@ FAULTS = {
 
 
 @pytest.fixture(autouse=True)
-def _fresh_ast_memo():
-    serve_worker._AST_MEMO.clear()
+def _fresh_record_cache():
+    serve_worker._RECORDS.clear()
     yield
-    serve_worker._AST_MEMO.clear()
+    serve_worker._RECORDS.clear()
 
 
 @pytest.mark.parametrize("fault", sorted(FAULTS))

@@ -1,83 +1,63 @@
-"""Unit tests for digest-keyed analysis caching (repro.dataflow.cache)."""
+"""Unit tests for the program digest and the per-AST memos
+(repro.dataflow.cache, the gen/kill memo on the graph)."""
 
-from repro import analyze, obs, parse_program
-from repro.dataflow.cache import (
-    GLOBAL_CACHE,
-    MISSING,
-    AnalysisCache,
-    cached_build_pfg,
-    program_digest,
-)
+import gc
+import hashlib
+import weakref
+
+import pytest
+
+from repro import analyze, obs, optimize, parse_program
+from repro.dataflow.cache import cached_build_pfg, program_digest
+from repro.driver import run_request
 from repro.paper import programs
 from repro.reachdefs.genkill import compute_genkill
 
 SOURCE = programs.SOURCES["fig6"]
 
 
-# -- AnalysisCache mechanics ----------------------------------------------
+# -- the serve record LRU and the memo counters ----------------------------
 
 
-def test_lru_bound_and_eviction_order():
-    cache = AnalysisCache(maxsize=3)
+def _tiny(i):
+    return f"program p{i}\n  (1) a = {i}\nend program\n"
+
+
+def test_lru_bound_and_eviction_order(monkeypatch):
+    from repro.serve import worker
+
+    monkeypatch.setattr(worker, "RECORD_CACHE_MAX", 3)
     for i in range(3):
-        cache.put(("ns", i), i)
-    cache.get(("ns", 0))  # refresh 0; 1 becomes least recent
-    cache.put(("ns", 3), 3)
-    assert ("ns", 1) not in cache
-    assert ("ns", 0) in cache and ("ns", 2) in cache and ("ns", 3) in cache
-    assert cache.evictions == 1
+        worker.execute_request({"source": _tiny(i)})
+    worker.execute_request({"source": _tiny(0)})  # refresh 0; 1 becomes least recent
+    worker.execute_request({"source": _tiny(3)})
+    assert [key[0] for key in worker._RECORDS] == [
+        hashlib.sha256(_tiny(i).encode("utf-8")).hexdigest() for i in (2, 0, 3)
+    ]
 
 
 def test_hit_miss_counters_and_metrics():
-    cache = AnalysisCache()
+    from repro.serve import worker
+
+    prog = parse_program(SOURCE)
     with obs.session() as sess:
-        assert cache.get(("pfg", "x")) is None
-        cache.put(("pfg", "x"), "v")
-        assert cache.get(("pfg", "x")) == "v"
-    assert cache.stats()["hits"] == 1 and cache.stats()["misses"] == 1
+        cached_build_pfg(prog)
+        cached_build_pfg(prog)
     counters = sess.metrics.as_dict()["counters"]
-    assert counters["cache.hits"] == 1
-    assert counters["cache.misses"] == 1
-    assert counters["cache.pfg.hits"] == 1
     assert counters["cache.pfg.misses"] == 1
+    assert counters["cache.pfg.hits"] == 1
+    first = worker.execute_request({"source": SOURCE})["counters"]
+    repeat = worker.execute_request({"source": SOURCE})["counters"]
+    assert (first.get("cache.serve.misses"), first.get("cache.serve.hits", 0)) == (1, 0)
+    assert (repeat.get("cache.serve.misses", 0), repeat.get("cache.serve.hits")) == (0, 1)
 
 
 def test_disabled_cache_always_misses_and_stores_nothing():
-    cache = AnalysisCache(enabled=False)
-    cache.put(("k",), 1)
-    assert cache.get(("k",)) is None
-    assert len(cache) == 0
-
-
-def test_get_valid_predicate_rejects_and_drops():
-    cache = AnalysisCache()
-    cache.put(("k",), "stale")
-    assert cache.get(("k",), valid=lambda v: v != "stale") is None
-    assert ("k",) not in cache  # rejected entries are evicted
-    assert cache.misses == 1 and cache.hits == 0
-
-
-def test_cached_none_is_a_hit_not_a_perpetual_miss():
-    """Regression: ``get`` returning ``None`` for a miss meant a
-    legitimately cached ``None`` was recomputed forever and every lookup
-    double-counted as a miss.  The MISSING sentinel disambiguates."""
-    cache = AnalysisCache()
-    cache.put(("analyze", "d1"), None)
-    value = cache.get(("analyze", "d1"), MISSING)
-    assert value is None and value is not MISSING  # cached None, not a miss
-    assert cache.hits == 1 and cache.misses == 0
-    # and a genuine miss is the sentinel, counted exactly once
-    assert cache.get(("analyze", "d2"), MISSING) is MISSING
-    assert cache.misses == 1
-
-
-def test_get_default_returned_on_miss():
-    cache = AnalysisCache()
-    assert cache.get(("k",), "fallback") == "fallback"
-    assert cache.get(("k",)) is None  # bare form keeps the old contract
-    disabled = AnalysisCache(enabled=False)
-    disabled.put(("k",), 1)
-    assert disabled.get(("k",), "fallback") == "fallback"
+    prog = parse_program(SOURCE)
+    a = analyze(prog, cache=False)
+    b = analyze(prog, cache=False)
+    assert a.graph is not b.graph
+    assert getattr(prog, "_pfg", None) is None
 
 
 # -- program digest --------------------------------------------------------
@@ -103,11 +83,11 @@ def test_digest_discriminates_programs():
 
 def test_cached_build_pfg_hits_for_same_ast():
     prog = parse_program(SOURCE)
-    g1 = cached_build_pfg(prog)
-    g2 = cached_build_pfg(prog)
+    with obs.session() as sess:
+        g1 = cached_build_pfg(prog)
+        g2 = cached_build_pfg(prog)
     assert g2 is g1
-    assert g1.program_digest == program_digest(prog)
-    assert g1.source_program is prog
+    assert sess.metrics.as_dict()["counters"]["pfg.builds"] == 1
 
 
 def test_cached_build_pfg_rejects_different_parse_of_same_text():
@@ -118,7 +98,7 @@ def test_cached_build_pfg_rejects_different_parse_of_same_text():
     g1 = cached_build_pfg(p1)
     g2 = cached_build_pfg(p2)
     assert g2 is not g1
-    assert g2.source_program is p2
+    assert cached_build_pfg(p2) is g2
 
 
 # -- genkill memo ----------------------------------------------------------
@@ -144,78 +124,94 @@ def test_genkill_memo_dropped_on_graph_mutation():
     assert compute_genkill(graph) is not info
 
 
-# -- analyze-level caching -------------------------------------------------
+# -- analyze ---------------------------------------------------------------
 
 
-def test_warm_analyze_zero_solver_passes():
+def test_warm_analyze_reuses_graph():
     prog = parse_program(SOURCE)
     cold = analyze(prog)
     with obs.session() as sess:
         warm = analyze(prog)
-    assert warm is cold
+    assert warm.graph is cold.graph
+    assert warm.in_sets == cold.in_sets
     counters = sess.metrics.as_dict()["counters"]
-    assert counters.get("solve.runs", 0) == 0  # no solver ran at all
-    assert counters["cache.analyze.hits"] == 1
+    assert counters["solve.runs"] == 1  # results are not memoized
+    assert counters.get("pfg.builds", 0) == 0
+    assert counters["cache.genkill.hits"] == 1
 
 
 def test_analyze_cache_discriminates_options():
+    # One graph per AST, whatever the options; every result is solved
+    # with its own options.
     prog = parse_program(SOURCE)
     a = analyze(prog)
     b = analyze(prog, solver="scc")
     c = analyze(prog, order="rpo")
-    assert b is not a and c is not a
-    # ...but each variant is itself cached.
-    assert analyze(prog, solver="scc") is b
-
-
-def test_analyze_cache_bypasses():
-    prog = parse_program(SOURCE)
-    a = analyze(prog)
-    assert analyze(prog, cache=False) is not a
-    GLOBAL_CACHE.enabled = False
-    try:
-        assert analyze(prog) is not a
-    finally:
-        GLOBAL_CACHE.enabled = True
+    assert a.graph is b.graph is c.graph
+    assert len({a.stats.order, b.stats.order, c.stats.order}) == 3
 
 
 def test_analyze_with_budget_skips_result_cache():
     from repro.dataflow.budget import ResourceBudget
 
     prog = parse_program(SOURCE)
+    analyze(prog)
+    budget = ResourceBudget(max_passes=1000)
+    analyze(prog, budget=budget)
+    assert budget.passes > 0  # the warm AST still ran under its guard
+
+
+def test_analyze_cache_bypasses():
+    prog = parse_program(SOURCE)
     a = analyze(prog)
-    b = analyze(prog, budget=ResourceBudget(max_passes=1000))
-    assert b is not a  # budgeted runs really run under their guard
+    b = analyze(prog, cache=False)
+    assert b.graph is not a.graph
+    assert analyze(prog).graph is a.graph  # cache=False left the memo alone
 
 
-# -- thread-safety (the serve-daemon scenario) ----------------------------
+@pytest.fixture
+def digest_calls(monkeypatch):
+    """Counts every :func:`program_digest` call, under both names."""
+    import repro.dataflow.cache as cache_mod
+    import repro.driver as driver_mod
+
+    calls = []
+
+    def counting(program):
+        calls.append(program)
+        return program_digest(program)
+
+    monkeypatch.setattr(cache_mod, "program_digest", counting)
+    monkeypatch.setattr(driver_mod, "program_digest", counting)
+    return calls
 
 
-def test_concurrent_get_put_holds_bound_and_counters():
-    import threading
+def test_analysis_never_computes_a_digest(digest_calls):
+    prog = parse_program(SOURCE)
+    analyze(prog)
+    analyze(prog)
+    optimize(parse_program(SOURCE))
+    outcome = run_request(SOURCE)
+    assert outcome.status == "ok"
+    assert digest_calls == []
 
-    cache = AnalysisCache(maxsize=16)
-    errors = []
 
-    def hammer(worker_id):
-        try:
-            for i in range(500):
-                key = ("ns", (worker_id * 7 + i) % 48)
-                if cache.get(key, MISSING) is MISSING:
-                    cache.put(key, i)
-                if i % 100 == 0:
-                    cache.stats()
-                if i % 250 == 0:
-                    cache.clear()
-        except Exception as err:  # pragma: no cover - only on regression
-            errors.append(err)
+def test_request_summary_computes_the_digest_once(digest_calls):
+    outcome = run_request(SOURCE)
+    assert digest_calls == []
+    summary = outcome.summary()
+    assert len(digest_calls) == 1
+    assert summary["digest"] == program_digest(parse_program(SOURCE))
 
-    threads = [threading.Thread(target=hammer, args=(w,)) for w in range(8)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    assert errors == []
-    stats = cache.stats()
-    assert len(cache) <= 16
-    assert stats["hits"] + stats["misses"] == 8 * 500
+
+def test_dropped_program_frees_graph_and_result_without_the_cycle_collector():
+    gc.disable()
+    try:
+        prog = parse_program(SOURCE)
+        result = analyze(prog)
+        graph_ref, result_ref = weakref.ref(result.graph), weakref.ref(result)
+        del prog, result
+        assert graph_ref() is None
+        assert result_ref() is None
+    finally:
+        gc.enable()

@@ -383,21 +383,22 @@ def test_profile_on_success_has_no_failure_stamp(program_file, tmp_path):
 # -- graph/cssa go through the PFG cache -----------------------------------
 
 
-def test_graph_command_populates_pfg_cache(program_file):
-    from repro.dataflow.cache import GLOBAL_CACHE
+def test_graph_command_populates_pfg_cache(program_file, monkeypatch):
+    from repro.tools import cli
 
-    assert len(GLOBAL_CACHE) == 0
+    loaded = []
+    real = cli._load
+    monkeypatch.setattr(cli, "_load", lambda path: loaded.append(real(path)) or loaded[-1])
     assert main(["graph", program_file]) == 0
-    assert len(GLOBAL_CACHE) == 1  # ("pfg", digest) entry landed
+    (program,) = loaded
+    assert program._pfg is not None  # the graph memo landed on the AST
 
 
 def test_cssa_command_counts_cache_metrics(program_file):
     from repro import obs
-    from repro.dataflow.cache import GLOBAL_CACHE
 
     with obs.session() as sess:
         assert main(["cssa", program_file]) == 0
-    assert len(GLOBAL_CACHE) == 1
     counters = sess.metrics.as_dict()["counters"]
     assert counters["cache.pfg.misses"] == 1  # counted, not bypassed
 

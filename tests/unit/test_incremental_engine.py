@@ -109,7 +109,7 @@ def test_serve_key_audit_no_wallclock_knobs():
     key_block = src.split("serve_key = (")[1].split(")")[0]
     components = [c.strip() for c in key_block.split(",") if c.strip()]
     assert components == [
-        '"serve"', "source_digest", "options.backend", "options.preserved",
+        "source_digest", "options.backend", "options.preserved",
         "options.solver", "options.max_passes", "options.level",
     ]
 

@@ -151,9 +151,10 @@ def test_cache_key_separates_provenance_runs():
     with_prov = analyze(prog, record_provenance=True)
     assert plain.provenance is None
     assert with_prov.provenance is not None
-    # Warm hits return the matching variant.
-    assert analyze(prog) is plain
-    assert analyze(prog, record_provenance=True) is with_prov
+    # The graph is shared per AST; provenance is per result.
+    assert with_prov.graph is plain.graph
+    assert analyze(prog).provenance is None
+    assert analyze(prog, record_provenance=True).provenance is not None
 
 
 @pytest.mark.parametrize("solver", ["round-robin", "worklist", "scc"])

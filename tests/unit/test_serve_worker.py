@@ -1,6 +1,6 @@
 """In-process tests of :func:`repro.serve.worker.execute_request`: the
-error taxonomy, the degradation levels, and the warm-cache contract
-(repeat requests are solver-free even with a deadline armed)."""
+error taxonomy, the degradation levels, and the record cache (repeat
+requests are answered before parsing, even with a deadline armed)."""
 
 import pytest
 
@@ -23,10 +23,10 @@ end program
 
 
 @pytest.fixture(autouse=True)
-def _fresh_ast_memo():
-    serve_worker._AST_MEMO.clear()
+def _fresh_record_cache():
+    serve_worker._RECORDS.clear()
     yield
-    serve_worker._AST_MEMO.clear()
+    serve_worker._RECORDS.clear()
 
 
 def test_ok_record_shape():
@@ -103,7 +103,20 @@ def test_failures_are_not_cached():
     assert second["counters"].get("cache.serve.hits", 0) == 0
 
 
-def test_ast_memo_is_bounded():
-    for i in range(serve_worker._AST_MEMO_MAX + 10):
+def test_repeat_request_is_answered_without_parsing(monkeypatch):
+    from repro import driver
+
+    parses = []
+    real = driver.parse_program
+    monkeypatch.setattr(driver, "parse_program", lambda src: parses.append(1) or real(src))
+    first = execute_request({"source": PAR})
+    assert len(parses) == 1
+    repeat = execute_request({"source": PAR})
+    assert len(parses) == 1  # looked up before parsing
+    assert repeat["result"] == first["result"]
+
+
+def test_record_cache_is_bounded():
+    for i in range(serve_worker.RECORD_CACHE_MAX + 10):
         execute_request({"source": f"program p{i}\n  (1) a = {i}\nend program\n"})
-    assert len(serve_worker._AST_MEMO) == serve_worker._AST_MEMO_MAX
+    assert len(serve_worker._RECORDS) == serve_worker.RECORD_CACHE_MAX
