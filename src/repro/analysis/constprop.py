@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Union
+from typing import Dict, FrozenSet, List, Optional, Tuple, Union
 
 from ..ir.defs import Definition, Use
 from ..lang import ast
@@ -157,9 +157,40 @@ class ConstantPropagation:
     def _eval_expr(
         self, expr: ast.Expr, reads: Dict[str, FrozenSet[Definition]]
     ) -> Lattice:
-        if isinstance(expr, ast.IntLit):
-            return expr.value
-        if isinstance(expr, ast.BoolLit):
+        """Abstract value of ``expr``, evaluated in postorder from an
+        explicit stack (a long sum is as deep as it is long)."""
+        done: List[Lattice] = []
+        stack: List[Tuple[ast.Expr, bool]] = [(expr, False)]
+        while stack:
+            node, operands_done = stack.pop()
+            if isinstance(node, ast.BinOp):
+                if not operands_done:
+                    stack.extend(((node, True), (node.right, False), (node.left, False)))
+                    continue
+                right = done.pop()
+                left = done.pop()
+                if left is UNDEF or right is UNDEF:
+                    done.append(UNDEF)
+                elif left is VARYING or right is VARYING:
+                    done.append(VARYING)
+                else:
+                    done.append(_apply_binop(node.op, left, right))  # type: ignore[arg-type]
+            elif isinstance(node, ast.UnaryOp):
+                if not operands_done:
+                    stack.extend(((node, True), (node.operand, False)))
+                    continue
+                inner = done.pop()
+                if inner is not UNDEF and inner is not VARYING:
+                    inner = (not inner) if node.op == "not" else -inner  # type: ignore[operator]
+                done.append(inner)
+            else:
+                done.append(self._eval_atom(node, reads))
+        return done[0]
+
+    def _eval_atom(
+        self, expr: ast.Expr, reads: Dict[str, FrozenSet[Definition]]
+    ) -> Lattice:
+        if isinstance(expr, (ast.IntLit, ast.BoolLit)):
             return expr.value
         if isinstance(expr, ast.Var):
             reaching = reads[expr.name]
@@ -171,19 +202,6 @@ class ConstantPropagation:
                 if acc is VARYING:
                     break
             return acc
-        if isinstance(expr, ast.UnaryOp):
-            inner = self._eval_expr(expr.operand, reads)
-            if inner is UNDEF or inner is VARYING:
-                return inner
-            return (not inner) if expr.op == "not" else -inner  # type: ignore[operator]
-        if isinstance(expr, ast.BinOp):
-            left = self._eval_expr(expr.left, reads)
-            right = self._eval_expr(expr.right, reads)
-            if left is UNDEF or right is UNDEF:
-                return UNDEF
-            if left is VARYING or right is VARYING:
-                return VARYING
-            return _apply_binop(expr.op, left, right)  # type: ignore[arg-type]
         raise TypeError(f"cannot evaluate {type(expr).__name__}")  # pragma: no cover
 
     # -- queries -----------------------------------------------------------------

@@ -46,28 +46,35 @@ class CommonSubexpression:
 
 
 def _value_key(chains: UDChains, expr: ast.Expr, site: str, ordinal: int) -> ValueKey:
-    if isinstance(expr, ast.IntLit):
-        return ("int", expr.value)
-    if isinstance(expr, ast.BoolLit):
-        return ("bool", expr.value)
-    if isinstance(expr, ast.Var):
-        reaching = chains.defs_for(Use(var=expr.name, site=site, ordinal=ordinal))
-        if not reaching:
+    """``expr`` in preorder, one ``(tag, payload)`` item per node.  Every
+    tag has a fixed arity, so the flat tuple is as exact as the tree, and
+    a long sum hashes and compares without recursion."""
+    key = []
+    stack = [expr]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ast.BinOp):
+            key.append(("bin", node.op))
+            stack.append(node.right)
+            stack.append(node.left)
+        elif isinstance(node, ast.UnaryOp):
+            key.append(("unary", node.op))
+            stack.append(node.operand)
+        elif isinstance(node, ast.IntLit):
+            key.append(("int", node.value))
+        elif isinstance(node, ast.BoolLit):
+            key.append(("bool", node.value))
+        elif isinstance(node, ast.Var):
+            reaching = chains.defs_for(Use(var=node.name, site=site, ordinal=ordinal))
             # Free variables: value is an unknowable input; two reads of the
             # same free variable are assumed to agree (the interpreter
             # resolves each free variable once per run).
-            return ("free", expr.name)
-        return ("defs", frozenset(d.index for d in reaching))
-    if isinstance(expr, ast.UnaryOp):
-        return ("unary", expr.op, _value_key(chains, expr.operand, site, ordinal))
-    if isinstance(expr, ast.BinOp):
-        return (
-            "bin",
-            expr.op,
-            _value_key(chains, expr.left, site, ordinal),
-            _value_key(chains, expr.right, site, ordinal),
-        )
-    raise TypeError(f"cannot key {type(expr).__name__}")  # pragma: no cover
+            key.append(
+                ("defs", frozenset(d.index for d in reaching)) if reaching else ("free", node.name)
+            )
+        else:
+            raise TypeError(f"cannot key {type(node).__name__}")  # pragma: no cover
+    return tuple(key)
 
 
 def find_common_subexpressions(

@@ -40,7 +40,14 @@ class EquationSystem(Generic[N]):
 
     def dependents(self, node: N) -> Iterable[N]:
         """Nodes whose equations read ``node``'s variables — drives the
-        worklist solver.  Must over-approximate the true dependencies."""
+        worklist, SCC and stabilized solvers.  Must over-approximate the
+        true dependencies.  For a system with a kill layer it must cover
+        the readers of *every* slot in both phases and across them (a
+        flow row read by a kill equation, a kill row read by a flow
+        equation): the stabilized solver re-solves only the forward
+        closure of changed rows under this relation, so a missing reader
+        keeps a stale row.  The §5/§6 systems return control successors,
+        synchronization successors (§6) and fork → join."""
         raise NotImplementedError
 
     def snapshot(self) -> object:

@@ -1,8 +1,10 @@
 """Sparse SCC-scheduled fixpoint evaluation.
 
-The sweep solvers in :mod:`repro.dataflow.solver` re-evaluate **every**
-node on every pass, so cost grows as O(passes × nodes) regardless of
-graph shape.  This module implements the classic sparse strategy
+The round-robin sweep solver in :mod:`repro.dataflow.solver`
+re-evaluates **every** node on every pass, so its cost grows as
+O(passes × nodes) regardless of graph shape; the stabilized solver
+sweeps only dirty nodes of each phase's cone, but still in whole-graph
+sweep order.  This module implements the classic sparse strategy
 instead:
 
 1. Build the **equation-dependence graph** once per system

@@ -7,8 +7,10 @@ list every surface accepts) to an engine:
 
 ``stabilized`` → :func:`solve_stabilized`
     The deterministic phase-alternating driver for the non-monotone
-    parallel/synchronized systems.  A system without a kill layer (§2)
-    is monotone with a unique fixpoint, so there it runs round-robin.
+    parallel/synchronized systems; each phase after the first two
+    re-solves only the cone the previous phase changed, sweeping dirty
+    nodes only.  A system without a kill layer (§2) is monotone with a
+    unique fixpoint, so there it runs round-robin.
 
 ``round-robin`` → :func:`solve_round_robin`
     Sweep all nodes in a fixed order until a full sweep changes nothing.
@@ -52,6 +54,7 @@ from __future__ import annotations
 
 import random
 from collections import deque
+from heapq import heappop, heappush
 from typing import List, Optional, Sequence, Tuple, TypeVar
 
 from ..obs import get_metrics, get_tracer
@@ -289,12 +292,12 @@ def solve_stabilized(
     ``tests/regression/test_fixpoint_multiplicity.py``).
 
     This driver restores determinism by alternating two phases that are
-    each monotone with the other half frozen, always restarting from ⊥:
+    each monotone with the other half frozen:
 
-    1. **flow phase** — reset ``In``/``Out`` to ∅ and run ``update_flow``
-       sweeps to the least fixpoint given the current kill layer;
-    2. **kill phase** — reset the kill layer to ∅ and run ``update_kill``
-       sweeps to its least fixpoint given the current flow.
+    1. **flow phase** — solve ``In``/``Out`` (``update_flow``) to the
+       least fixpoint given the current kill layer;
+    2. **kill phase** — solve the kill layer (``update_kill``) to its
+       least fixpoint given the current flow.
 
     Rounds repeat until a full round leaves the state unchanged.  Each
     phase result is a least fixpoint of a monotone system, hence
@@ -302,6 +305,23 @@ def solve_stabilized(
     and visit-order independent; it is also never less precise than any
     fixpoint chaotic iteration can reach on the paper's examples
     (property-tested).
+
+    **Sparse phases.**  The first flow phase and the first kill phase
+    solve every node from ⊥.  Every later phase resets to ⊥ (with
+    ``reset_flow_nodes``/``reset_kill_nodes``) only the *cone* of the
+    previous phase: the forward closure over ``system.dependents`` of the
+    nodes whose rows that phase changed.  A row outside the cone reads no
+    changed input, directly or upstream, so it already holds the new
+    phase's least fixpoint; the start state is a post-fixpoint below that
+    fixpoint, and Kleene iteration from it reaches exactly it.  Each sweep
+    then evaluates only *dirty* nodes, in sweep order: the cone, plus the
+    readers of a node whose update reported a change (later in the order:
+    this sweep; earlier: the next).  A node that reported a change stays
+    dirty for one more sweep, so a phase ends with a sweep that changes
+    nothing (and a dropped update — :class:`~repro.robust.chaos.ChaosSystem`
+    — is retried).  The rows per phase, and hence the round states, are
+    those of a from-⊥ phase; ``stats.node_updates`` counts the
+    evaluations actually run, which is also what ``budget`` is charged.
 
     **Cycle resolution.**  The outer round functional is itself not
     monotone, so the round sequence can enter a cycle (period-2 cases
@@ -311,8 +331,9 @@ def solve_stabilized(
     kill layer is forced to the pointwise **intersection** over the
     cycle's states — keeping only kill facts justified in *every* state,
     i.e. erring toward fewer kills / more reaching definitions — and one
-    final flow phase is run.  ``stats.order`` gains a ``+cycle`` suffix
-    when this path triggers.
+    final flow phase is run over the cone of the kill rows the
+    intersection changed.  ``stats.order`` gains a ``+cycle`` suffix when
+    this path triggers.
 
     **Convergence check.**  Round states are compared by
     ``system.state_key()`` — a hashable tuple of the *encoded* rows of
@@ -321,11 +342,13 @@ def solve_stabilized(
     comparison, without a ``to_frozenset`` per row per round.  Each check
     runs under a ``converge`` span (child of ``round``, annotated with the
     number of rows compared).  ``snapshot()`` is called only on the error
-    paths, once.
+    paths, once.  Each ``phase`` span is annotated with ``cone`` (rows
+    reset) and ``evaluated`` (node updates run).
 
     The required ``EquationSystem`` surface is ``update_flow``/
-    ``update_kill``/``reset_flow``/``reset_kill``/``state_key``/
-    ``snapshot``/``kill_state``/``set_kill_state``/``meet_values``.
+    ``update_kill``/``reset_flow_nodes``/``reset_kill_nodes``/
+    ``dependents``/``state_key``/``snapshot``/``kill_state``/
+    ``set_kill_state``/``meet_values``.
     """
     nodes = list(order) if order is not None else list(system.nodes())
     tracer = get_tracer()
@@ -333,14 +356,44 @@ def solve_stabilized(
         budget.start()
     system.initialize()
     stats = SolveStats(order=f"stabilized/{order_name}")
+    position = {node: i for i, node in enumerate(nodes)}
+    # readers[i]: sweep positions of the nodes whose equations read node i.
+    readers = [
+        tuple({position[d] for d in system.dependents(node) if d in position})
+        for node in nodes
+    ]
 
-    def sweep_to_fixpoint(update, kind: str) -> None:
+    def changed_rows(before: tuple, after: tuple, cone: List[int]) -> List[int]:
+        """Positions in ``cone`` whose rows differ between two
+        ``state_key(cone)`` tuples (slot-major, so row k is node k % len)."""
+        if before == after:
+            return []
+        width = len(cone)
+        return [cone[k % width] for k, (a, b) in enumerate(zip(before, after)) if a != b]
+
+    def cone_of(changed: List[int]) -> List[int]:
+        """The forward closure of ``changed`` over ``readers``, ascending."""
+        seen = set(changed)
+        stack = list(seen)
+        while stack:
+            for j in readers[stack.pop()]:
+                if j not in seen:
+                    seen.add(j)
+                    stack.append(j)
+        return sorted(seen)
+
+    def solve_phase(update, reset_nodes, kind: str, cone: List[int]) -> List[int]:
+        """Reset the ``cone`` positions to ⊥ and sweep its dirty nodes to
+        fixpoint; return the positions whose rows the phase changed."""
         with tracer.span("phase", kind=kind) as phase_span:
-            phase_passes = 0
-            while True:
+            cone_nodes = [nodes[i] for i in cone]
+            before = system.state_key(cone_nodes)
+            reset_nodes(cone_nodes)
+            dirty = list(cone)
+            phase_passes = evaluated = 0
+            while dirty:
                 if budget is not None:
                     budget.charge_pass()
-                    budget.charge_updates(len(nodes))
                     check_budget(budget, stats, system)
                 stats.passes += 1
                 phase_passes += 1
@@ -350,33 +403,49 @@ def solve_stabilized(
                         reason=f"terminal pass cap max_passes={max_passes} hit (equation bug?)",
                         snapshot=system.snapshot(),
                     )
-                changed = False
-                before = stats.changed_updates
+                heap = dirty  # ascending, hence already a heap
+                queued = set(heap)
+                again = set()
+                before_changed = stats.changed_updates
                 with tracer.span("pass", index=stats.passes, kind=kind) as pass_span:
-                    for node in nodes:
-                        stats.node_updates += 1
-                        if update(node):
+                    while heap:
+                        i = heappop(heap)
+                        if update(nodes[i]):
                             stats.changed_updates += 1
-                            changed = True
-                    pass_span.annotate(changed_updates=stats.changed_updates - before)
-                if changed:
+                            again.add(i)
+                            for j in readers[i]:
+                                if j <= i:
+                                    again.add(j)
+                                elif j not in queued:
+                                    queued.add(j)
+                                    heappush(heap, j)
+                    pass_span.annotate(changed_updates=stats.changed_updates - before_changed)
+                stats.node_updates += len(queued)
+                evaluated += len(queued)
+                if budget is not None:
+                    budget.charge_updates(len(queued))
+                    check_budget(budget, stats, system)
+                if again:
                     stats.changing_passes += 1
-                else:
-                    phase_span.annotate(passes=phase_passes)
-                    return
+                dirty = sorted(again)
+            phase_span.annotate(passes=phase_passes, cone=len(cone), evaluated=evaluated)
+            return changed_rows(before, system.state_key(cone_nodes), cone)
 
+    flow, kill = system.update_flow, system.update_kill
+    reset_flow, reset_kill = system.reset_flow_nodes, system.reset_kill_nodes
     with tracer.span("solve", solver="stabilized", order=order_name) as span:
         if tracer.enabled:
             stats.span = span
-        sweep_to_fixpoint(system.update_flow, "flow")
+        everything = list(range(len(nodes)))
+        flow_changed = solve_phase(flow, reset_flow, "flow", everything)
         history: List[tuple] = [system.state_key()]
         kill_history: List[object] = [system.kill_state()]
         for round_index in range(max_rounds):
             with tracer.span("round", index=round_index):
-                system.reset_kill()
-                sweep_to_fixpoint(system.update_kill, "kill")
-                system.reset_flow()
-                sweep_to_fixpoint(system.update_flow, "flow")
+                # The first kill phase has no earlier kill fixpoint to keep.
+                kill_cone = everything if round_index == 0 else cone_of(flow_changed)
+                kill_changed = solve_phase(kill, reset_kill, "kill", kill_cone)
+                flow_changed = solve_phase(flow, reset_flow, "flow", cone_of(kill_changed))
                 with tracer.span("converge") as converge_span:
                     current = system.state_key()
                     settled = current == history[-1]
@@ -393,9 +462,10 @@ def solve_stabilized(
                 # final flow phase under the (now conservative) frozen kills.
                 start = history.index(current)
                 cycle_kills = kill_history[start:] + [system.kill_state()]
+                kills_before = system.state_key(nodes)
                 system.set_kill_state(_meet_kill_states(system, cycle_kills))
-                system.reset_flow()
-                sweep_to_fixpoint(system.update_flow, "flow")
+                met = changed_rows(kills_before, system.state_key(nodes), everything)
+                solve_phase(flow, reset_flow, "flow", cone_of(met))
                 stats.order += "+cycle"
                 stats.converged = True
                 _finalize_provenance(system, stats)

@@ -32,28 +32,32 @@ class Expr:
     """Base class for expressions (immutable, hashable)."""
 
     def variables(self) -> Tuple[str, ...]:
-        """All variable names read by this expression, in source order."""
+        """All variable names read by this expression, in source order,
+        without duplicates.  Walks an explicit stack: a left-associative
+        sum of a thousand terms is as deep as it is long."""
+        kind = type(self)
+        if kind is Var:
+            return (self.name,)
+        if kind is not BinOp and kind is not UnaryOp:
+            return ()
         out: List[str] = []
-        self._collect_vars(out)
-        # preserve order, drop duplicates
-        seen = set()
-        uniq = []
-        for v in out:
-            if v not in seen:
-                seen.add(v)
-                uniq.append(v)
-        return tuple(uniq)
-
-    def _collect_vars(self, out: List[str]) -> None:
-        raise NotImplementedError
+        stack: List[Expr] = [self]
+        while stack:
+            expr = stack.pop()
+            kind = type(expr)
+            if kind is Var:
+                out.append(expr.name)
+            elif kind is BinOp:
+                stack.append(expr.right)
+                stack.append(expr.left)
+            elif kind is UnaryOp:
+                stack.append(expr.operand)
+        return tuple(dict.fromkeys(out))
 
 
 @dataclass(frozen=True)
 class IntLit(Expr):
     value: int
-
-    def _collect_vars(self, out: List[str]) -> None:
-        pass
 
     def __str__(self) -> str:
         return str(self.value)
@@ -63,9 +67,6 @@ class IntLit(Expr):
 class BoolLit(Expr):
     value: bool
 
-    def _collect_vars(self, out: List[str]) -> None:
-        pass
-
     def __str__(self) -> str:
         return "true" if self.value else "false"
 
@@ -73,9 +74,6 @@ class BoolLit(Expr):
 @dataclass(frozen=True)
 class Var(Expr):
     name: str
-
-    def _collect_vars(self, out: List[str]) -> None:
-        out.append(self.name)
 
     def __str__(self) -> str:
         return self.name
@@ -96,12 +94,8 @@ class BinOp(Expr):
         if self.op not in BINARY_OPS:
             raise ValueError(f"unknown binary operator {self.op!r}")
 
-    def _collect_vars(self, out: List[str]) -> None:
-        self.left._collect_vars(out)
-        self.right._collect_vars(out)
-
     def __str__(self) -> str:
-        return f"({self.left} {self.op} {self.right})"
+        return _render(self)
 
 
 @dataclass(frozen=True)
@@ -113,11 +107,31 @@ class UnaryOp(Expr):
         if self.op not in UNARY_OPS:
             raise ValueError(f"unknown unary operator {self.op!r}")
 
-    def _collect_vars(self, out: List[str]) -> None:
-        self.operand._collect_vars(out)
-
     def __str__(self) -> str:
-        return f"({self.op} {self.operand})" if self.op == "not" else f"(-{self.operand})"
+        return _render(self)
+
+
+def _render(expr: Expr) -> str:
+    """``str`` of a compound expression — ``(l op r)``, ``(not e)``,
+    ``(-e)`` — from an explicit stack of pieces still to emit."""
+    parts: List[str] = []
+    stack: List[object] = [expr]
+    while stack:
+        item = stack.pop()
+        kind = type(item)
+        if kind is str:
+            parts.append(item)
+        elif kind is Var:
+            parts.append(item.name)
+        elif kind is BinOp:
+            parts.append("(")
+            stack.extend((")", item.right, f" {item.op} ", item.left))
+        elif kind is UnaryOp:
+            parts.append("(not " if item.op == "not" else "(-")
+            stack.extend((")", item.operand))
+        else:
+            parts.append(str(item))
+    return "".join(parts)
 
 
 # ---------------------------------------------------------------------------

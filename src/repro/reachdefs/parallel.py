@@ -151,29 +151,17 @@ class ParallelRDSystem(EquationSystem[PFGNode]):
 
         return changed
 
-    def reset_flow(self) -> None:
-        empty = self.ops.empty()
-        for n in self.graph.nodes:
-            self.In[n] = empty
-            self.Out[n] = empty
-
-    def reset_kill(self) -> None:
-        empty = self.ops.empty()
-        for n in self.graph.nodes:
-            self.ACCKillin[n] = empty
-            self.ACCKillout[n] = empty
-            self.ForkKill[n] = empty
-
     def reset_flow_nodes(self, nodes: Iterable[PFGNode]) -> None:
-        """Region-scoped :meth:`reset_flow` for the SCC scheduler — resets
-        only the given nodes, leaving upstream (final) regions intact."""
+        """Reset ``In``/``Out`` of ``nodes`` to ∅, leaving every other row
+        intact — a phase's cone (stabilized solver) or a cyclic region
+        (SCC scheduler)."""
         empty = self.ops.empty()
         for n in nodes:
             self.In[n] = empty
             self.Out[n] = empty
 
     def reset_kill_nodes(self, nodes: Iterable[PFGNode]) -> None:
-        """Region-scoped :meth:`reset_kill` (see :mod:`repro.dataflow.sched`)."""
+        """Reset the kill layer of ``nodes`` to ∅ (see :meth:`reset_flow_nodes`)."""
         empty = self.ops.empty()
         for n in nodes:
             self.ACCKillin[n] = empty

@@ -139,12 +139,6 @@ class SynchRDSystem(ParallelRDSystem):
         self.SynchPass[n] = new_sp
         return super().update_kill(n) | changed
 
-    def reset_kill(self) -> None:
-        super().reset_kill()
-        empty = self.ops.empty()
-        for n in self.graph.nodes:
-            self.SynchPass[n] = empty
-
     def reset_kill_nodes(self, nodes: Iterable[PFGNode]) -> None:
         nodes = list(nodes)
         super().reset_kill_nodes(nodes)

@@ -1,11 +1,14 @@
 """Reference stabilized solver: round states compared as decoded snapshots.
 
 ``repro.dataflow.solver.solve_stabilized`` detects convergence and round
-cycles on ``system.state_key()`` — the encoded rows.  This is the
-algorithm it replaced, which compared ``system.snapshot()`` (every row
-decoded to a frozenset) after every round.  It is kept, without tracing
-and budgets, so the oracle tests can assert both give identical rows and
-identical :class:`~repro.dataflow.framework.SolveStats`.
+cycles on ``system.state_key()`` — the encoded rows — and re-solves only
+the cone each phase changed.  This is the algorithm it replaced, which
+restarted every phase from ⊥ over the whole sweep order, swept every node
+and compared ``system.snapshot()`` (every row decoded to a frozenset)
+after every round.  It is kept, without tracing and budgets, so the
+oracle tests can assert both give identical rows, order strings and
+convergence, and that the sparse solver's pass and update counts never
+exceed these.
 """
 
 from __future__ import annotations
@@ -46,9 +49,9 @@ def reference_stabilized(
     history: List[object] = [system.snapshot()]
     kill_history: List[object] = [system.kill_state()]
     for _ in range(max_rounds):
-        system.reset_kill()
+        system.reset_kill_nodes(nodes)
         sweep_to_fixpoint(system.update_kill)
-        system.reset_flow()
+        system.reset_flow_nodes(nodes)
         sweep_to_fixpoint(system.update_flow)
         current = system.snapshot()
         if current == history[-1]:
@@ -58,7 +61,7 @@ def reference_stabilized(
             start = history.index(current)
             cycle_kills = kill_history[start:] + [system.kill_state()]
             system.set_kill_state(_meet_kill_states(system, cycle_kills))
-            system.reset_flow()
+            system.reset_flow_nodes(nodes)
             sweep_to_fixpoint(system.update_flow)
             stats.order += "+cycle"
             stats.converged = True

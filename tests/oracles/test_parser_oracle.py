@@ -9,6 +9,7 @@ accepts but ``int`` rejects (``²``) crashes the reference with
 """
 
 import dataclasses
+import sys
 from pathlib import Path
 
 import pytest
@@ -74,7 +75,14 @@ def test_examples(path):
 
 @pytest.mark.parametrize("fault", sorted(f for f, row in FAULTS.items() if row[0] != DEEP_SRC))
 def test_fault_matrix_sources(fault):
-    assert_same(FAULTS[fault][0])
+    # The long-sum and deep-unary rows parse to trees deeper than the
+    # default stack; the recursive reference and ``dump`` need room.
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(limit, 20_000))
+    try:
+        assert_same(FAULTS[fault][0])
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 @pytest.mark.parametrize(

@@ -1,8 +1,10 @@
-"""``solve_stabilized`` against the reference that compares decoded snapshots.
+"""``solve_stabilized`` against the from-⊥ reference that compares decoded snapshots.
 
-Comparing encoded rows (``state_key``) must change nothing observable:
-the In/Out/kill/SynchPass rows and every ``SolveStats`` count and order
-string (``+cycle`` included) equal the reference's, on both backends.
+Comparing encoded rows (``state_key``) and re-solving only the cone of
+each phase must change no row: the In/Out/kill/SynchPass rows, the
+order string (``+cycle`` included) and ``converged`` equal the
+reference's, on both backends.  The sparse schedule differs by design,
+so its pass and update counts are only bounded by the reference's.
 """
 
 import pytest
@@ -67,7 +69,10 @@ def solve_both(program, backend, order="document", filter_synch_pass=True):
 def assert_identical(got, expected):
     for name in ROW_FIELDS:
         assert getattr(got, name) == getattr(expected, name), name
-    assert got.stats.as_dict() == expected.stats.as_dict()
+    assert got.stats.order == expected.stats.order
+    assert got.stats.converged == expected.stats.converged
+    for count in ("passes", "changing_passes", "node_updates", "changed_updates"):
+        assert getattr(got.stats, count) <= getattr(expected.stats, count), count
 
 
 def concurrent_programs():

@@ -95,3 +95,37 @@ def test_expressions_are_structurally_equal_values():
     assert ast.BinOp("+", ast.Var("x"), ast.IntLit(1)) == ast.BinOp(
         "+", ast.Var("x"), ast.IntLit(1)
     )
+
+
+def _recursive_str(e):
+    """The recursive rendering the iterative ``__str__`` replaced."""
+    if isinstance(e, ast.BinOp):
+        return f"({_recursive_str(e.left)} {e.op} {_recursive_str(e.right)})"
+    if isinstance(e, ast.UnaryOp):
+        inner = _recursive_str(e.operand)
+        return f"(not {inner})" if e.op == "not" else f"(-{inner})"
+    return str(e)
+
+
+def test_str_matches_recursive_rendering():
+    e = ast.BinOp(
+        "and",
+        ast.UnaryOp("not", ast.BinOp("<", ast.Var("a"), ast.IntLit(3))),
+        ast.BinOp("==", ast.UnaryOp("-", ast.Var("b")), ast.BoolLit(False)),
+    )
+    assert str(e) == _recursive_str(e) == "((not (a < 3)) and ((-b) == false))"
+
+
+def test_deep_expressions_print_and_collect_without_recursion():
+    # Deeper than the interpreter's stack: a left-associative sum and a
+    # run of unary minus signs, as the parser builds them.
+    total = ast.Var("x0")
+    for i in range(1, 3000):
+        total = ast.BinOp("+", total, ast.Var(f"x{i % 7}"))
+    assert total.variables() == tuple(f"x{i}" for i in range(7))
+    assert str(total) == "(" * 2999 + "x0" + "".join(f" + x{i % 7})" for i in range(1, 3000))
+    neg = ast.Var("y")
+    for _ in range(3000):
+        neg = ast.UnaryOp("-", neg)
+    assert neg.variables() == ("y",)
+    assert str(neg) == "(-" * 3000 + "y" + ")" * 3000

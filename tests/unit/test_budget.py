@@ -10,8 +10,10 @@ from repro.dataflow import (
     check_budget,
 )
 from repro.dataflow.framework import FixpointDiverged, SolveStats
+from repro.dataflow.solver import make_order, solve_stabilized
 from repro.pfg import build_pfg
 from repro.reachdefs import (
+    SynchRDSystem,
     compute_preserved,
     solve_parallel,
     solve_sequential,
@@ -196,6 +198,27 @@ def test_worklist_update_budget():
     with pytest.raises(NonConvergenceError) as exc:
         solve_sequential(graph, solver="worklist", budget=ResourceBudget(max_updates=2))
     assert "update budget 2 exceeded" in exc.value.reason
+
+
+def test_stabilized_update_budget_counts_evaluated_nodes():
+    # The stabilized phases sweep only dirty nodes and charge what they
+    # evaluated, not a full sweep per pass.
+    graph = build_pfg(parse_program(SYNC))
+    preserved = compute_preserved(graph)
+
+    def solve(budget):
+        system = SynchRDSystem(graph, preserved=preserved)
+        return solve_stabilized(system, make_order(graph, "document"), budget=budget)
+
+    stats = solve(None)
+    evaluated = stats.node_updates
+    assert evaluated < stats.passes * len(graph.nodes)
+    budget = ResourceBudget(max_updates=evaluated)
+    assert solve(budget).converged
+    assert budget.updates == evaluated
+    with pytest.raises(BudgetExceeded) as exc:
+        solve(ResourceBudget(max_updates=evaluated - 1))
+    assert f"update budget {evaluated - 1} exceeded ({evaluated} updates)" in exc.value.reason
 
 
 def test_analyze_threads_budget_through():

@@ -4,12 +4,19 @@ import pytest
 
 from repro import analyze, parse_program
 from repro.dataflow.sched import solve_scc
-from repro.dataflow.solver import make_order, solve_round_robin
+from repro.dataflow.solver import make_order, solve_round_robin, solve_stabilized
 from repro.interp import RandomScheduler, run_program
 from repro.interp.trace import check_soundness
 from repro.paper import programs
 from repro.pfg import build_pfg
-from repro.reachdefs import solve_parallel, solve_synch
+from repro.reachdefs import (
+    ParallelRDSystem,
+    SynchRDSystem,
+    equation_family,
+    resolve_preserved,
+    solve_parallel,
+    solve_synch,
+)
 from repro.reachdefs.sequential import SequentialRDSystem
 from repro.robust import (
     ChaosPlan,
@@ -19,6 +26,7 @@ from repro.robust import (
     shuffled_orders,
     verify_result,
 )
+from repro.synthetic import random_mix
 
 SEEDS = range(7)  # acceptance asks for ≥5; run a couple extra
 
@@ -97,6 +105,33 @@ def test_dropped_and_duplicated_updates_reach_same_fixpoint(seed):
     assert _in_sets_by_name(chaotic.to_result(stats)) == _in_sets_by_name(
         clean.to_result(stats)
     )
+
+
+ROW_FIELDS = ("in_sets", "out_sets", "acc_killin", "acc_killout", "fork_kill", "synch_pass")
+
+
+@pytest.mark.parametrize("key", ["fig3", "fig6", "mix0"])
+@pytest.mark.parametrize("seed", SEEDS)
+def test_stabilized_retries_dropped_updates(key, seed):
+    # The sparse phases evaluate only dirty nodes; a node whose update
+    # claimed a change stays dirty one more sweep, so a dropped update is
+    # retried and the clean rows are still reached.
+    graph = build_pfg(random_mix(0, 40)) if key == "mix0" else programs.graph(key)
+
+    def system():
+        if equation_family(graph) == "synch":
+            return SynchRDSystem(graph, preserved=resolve_preserved(graph))
+        return ParallelRDSystem(graph)
+
+    clean = system()
+    clean_result = clean.to_result(solve_stabilized(clean, make_order(graph, "document")))
+    chaotic = ChaosSystem(system(), ChaosPlan(seed=seed, drop_rate=0.4, duplicate_rate=0.4))
+    stats = solve_stabilized(chaotic, make_order(graph, "document"))
+    assert stats.converged
+    assert chaotic.dropped > 0
+    result = chaotic.to_result(stats)
+    for name in ROW_FIELDS:
+        assert getattr(result, name) == getattr(clean_result, name), name
 
 
 def test_drop_bound_is_honoured():

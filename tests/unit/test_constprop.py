@@ -94,6 +94,15 @@ def test_unary_operators():
     assert cp.value_of(cp.result.graph.defs.by_name("y2")) is True
 
 
+def test_expressions_deeper_than_the_stack():
+    _, cp = run(
+        "program p\n(1) x = 1\n(2) y = x" + " + 1" * 1200 + "\n(3) z = " + "-" * 601 + "y\nend"
+    )
+    defs = cp.result.graph.defs
+    assert cp.value_of(defs.by_name("y2")) == 1201
+    assert cp.value_of(defs.by_name("z3")) == -1201
+
+
 def test_loop_increment_becomes_varying():
     _, cp = run("program p\n(1) x = 0\nloop\n(2) x = x + 1\nendloop\n(3) y = x\nend")
     assert cp.value_at("3", "x") is VARYING

@@ -74,3 +74,11 @@ def test_different_expressions_not_matched():
 def test_format():
     found = cses("program p\n(1) a=1\n(2) x = a + 1\n(3) y = a + 1\nend")
     assert "reuse x2" in found[0].format()
+
+
+def test_expressions_deeper_than_the_stack():
+    # Value keys are flat, so equal long sums hash and compare without
+    # recursion; a sum differing in one term is not matched.
+    total = "a" + " + 1" * 1200
+    found = cses(f"program p\n(1) a=1\n(2) x = {total}\n(3) y = {total}\n(4) z = {total} + a\nend")
+    assert [(c.earlier.name, c.later.name) for c in found] == [("x2", "y3")]

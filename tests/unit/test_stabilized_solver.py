@@ -3,9 +3,10 @@
 from repro import obs
 from repro.lang import parse_program
 from repro.pfg import build_pfg
-from repro.reachdefs import solve_synch
+from repro.reachdefs import solve_parallel, solve_synch
 from repro.reachdefs.preserved import compute_preserved
 from repro.reachdefs.synch import SynchRDSystem
+from repro.synthetic import par_diamond_loop
 
 #: The period-2 oscillator distilled in tests/regression: loop around a
 #: construct where the waiter redefines a variable that a concurrent
@@ -79,9 +80,9 @@ def test_flow_and_kill_phase_partition_state():
     for n in nodes:
         system.update_kill(n)
     assert all(system.ops.equals(system.In[n], flow_snapshot[n]) for n in nodes)
-    # ...and reset_flow clears exactly the flow half
+    # ...and reset_flow_nodes clears exactly the flow half
     killin_before = {n: system.ACCKillin[n] for n in nodes}
-    system.reset_flow()
+    system.reset_flow_nodes(nodes)
     assert all(system.ops.equals(system.In[n], system.ops.empty()) for n in nodes)
     assert all(system.ops.equals(system.ACCKillin[n], killin_before[n]) for n in nodes)
 
@@ -97,3 +98,19 @@ def test_every_round_ends_in_a_converge_span():
         converge = r.children[-1]
         assert converge.name == "converge"
         assert converge.attrs["rows"] == 6 * len(graph.nodes)
+
+
+def test_phases_report_cone_and_evaluated_updates():
+    # Only the first flow and kill phases solve every node; later phases
+    # reset the cone of the rows the previous phase changed, and the
+    # settling round re-solves nothing in its flow phase.
+    graph = build_pfg(par_diamond_loop(3, 3))
+    with obs.session() as sess:
+        result = solve_parallel(graph, solver="stabilized")
+    solve = sess.tracer.find("solve")
+    phases = [s for s, _ in solve.walk() if s.name == "phase"]
+    assert [p.attrs["cone"] for p in phases[:2]] == [len(graph.nodes)] * 2
+    assert sum(p.attrs["evaluated"] for p in phases) == result.stats.node_updates
+    rounds = [s for s in solve.children if s.name == "round"]
+    settling_flow = [p for p in rounds[-1].children if p.name == "phase"][-1]
+    assert settling_flow.attrs == {"kind": "flow", "passes": 0, "cone": 0, "evaluated": 0}
