@@ -40,7 +40,7 @@ from ..pfg.graph import ParallelFlowGraph
 from ..pfg.node import PFGNode
 from ..pfg.regions import compute_regions
 
-#: Expressions are compared structurally (frozen dataclasses).
+#: Expressions compare and hash structurally, without recursion (see ``ast.Expr``).
 Expr = ast.Expr
 
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Tuple, Union
+from typing import Dict, FrozenSet, List, Optional, Union
 
 from ..ir.defs import Definition, Use
 from ..lang import ast
@@ -66,36 +66,28 @@ def meet(a: Lattice, b: Lattice) -> Lattice:
 
 
 def _apply_binop(op: str, left: Value, right: Value) -> Lattice:
+    """``ast.apply_binop``, except that division or modulo by zero, which
+    the interpreter totalizes to 0, is no constant."""
+    if op in ("/", "%") and right == 0:
+        return VARYING
     try:
-        if op == "+":
-            return left + right
-        if op == "-":
-            return left - right
-        if op == "*":
-            return left * right
-        if op == "/":
-            return VARYING if right == 0 else int(left) // int(right)
-        if op == "%":
-            return VARYING if right == 0 else int(left) % int(right)
-        if op == "==":
-            return left == right
-        if op == "/=":
-            return left != right
-        if op == "<":
-            return left < right
-        if op == "<=":
-            return left <= right
-        if op == ">":
-            return left > right
-        if op == ">=":
-            return left >= right
-        if op == "and":
-            return bool(left) and bool(right)
-        if op == "or":
-            return bool(left) or bool(right)
+        return ast.apply_binop(op, left, right)  # type: ignore[return-value]
     except TypeError:  # pragma: no cover - mixed bool/int corner
         return VARYING
-    raise ValueError(f"unknown operator {op!r}")  # pragma: no cover
+
+
+def _eval_unary(node: ast.UnaryOp, inner: Lattice) -> Lattice:
+    if inner is UNDEF or inner is VARYING:
+        return inner
+    return (not inner) if node.op == "not" else -inner  # type: ignore[operator]
+
+
+def _eval_binary(node: ast.BinOp, left: Lattice, right: Lattice) -> Lattice:
+    if left is UNDEF or right is UNDEF:
+        return UNDEF
+    if left is VARYING or right is VARYING:
+        return VARYING
+    return _apply_binop(node.op, left, right)  # type: ignore[arg-type]
 
 
 @dataclass
@@ -154,38 +146,9 @@ class ConstantPropagation:
             metrics.inc("client.constprop.defs", len(values))
         return self
 
-    def _eval_expr(
-        self, expr: ast.Expr, reads: Dict[str, FrozenSet[Definition]]
-    ) -> Lattice:
-        """Abstract value of ``expr``, evaluated in postorder from an
-        explicit stack (a long sum is as deep as it is long)."""
-        done: List[Lattice] = []
-        stack: List[Tuple[ast.Expr, bool]] = [(expr, False)]
-        while stack:
-            node, operands_done = stack.pop()
-            if isinstance(node, ast.BinOp):
-                if not operands_done:
-                    stack.extend(((node, True), (node.right, False), (node.left, False)))
-                    continue
-                right = done.pop()
-                left = done.pop()
-                if left is UNDEF or right is UNDEF:
-                    done.append(UNDEF)
-                elif left is VARYING or right is VARYING:
-                    done.append(VARYING)
-                else:
-                    done.append(_apply_binop(node.op, left, right))  # type: ignore[arg-type]
-            elif isinstance(node, ast.UnaryOp):
-                if not operands_done:
-                    stack.extend(((node, True), (node.operand, False)))
-                    continue
-                inner = done.pop()
-                if inner is not UNDEF and inner is not VARYING:
-                    inner = (not inner) if node.op == "not" else -inner  # type: ignore[operator]
-                done.append(inner)
-            else:
-                done.append(self._eval_atom(node, reads))
-        return done[0]
+    def _eval_expr(self, expr: ast.Expr, reads: Dict[str, FrozenSet[Definition]]) -> Lattice:
+        """Abstract value of ``expr``, folded bottom-up."""
+        return expr.fold(lambda atom: self._eval_atom(atom, reads), _eval_unary, _eval_binary)
 
     def _eval_atom(
         self, expr: ast.Expr, reads: Dict[str, FrozenSet[Definition]]

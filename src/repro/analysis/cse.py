@@ -46,25 +46,17 @@ class CommonSubexpression:
 
 
 def _value_key(chains: UDChains, expr: ast.Expr, site: str, ordinal: int) -> ValueKey:
-    """``expr`` in preorder, one ``(tag, payload)`` item per node.  Every
-    tag has a fixed arity, so the flat tuple is as exact as the tree, and
-    a long sum hashes and compares without recursion."""
+    """``expr`` in postorder, one ``(tag, payload)`` item per node: class
+    and operator or literal, or the definitions reaching a variable.  Every
+    tag has a fixed arity, so the flat tuple is as exact as the tree, and a
+    long sum hashes and compares without recursion."""
     key = []
-    stack = [expr]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, ast.BinOp):
-            key.append(("bin", node.op))
-            stack.append(node.right)
-            stack.append(node.left)
-        elif isinstance(node, ast.UnaryOp):
-            key.append(("unary", node.op))
-            stack.append(node.operand)
-        elif isinstance(node, ast.IntLit):
-            key.append(("int", node.value))
-        elif isinstance(node, ast.BoolLit):
-            key.append(("bool", node.value))
-        elif isinstance(node, ast.Var):
+    for node in expr.postorder():
+        if isinstance(node, (ast.BinOp, ast.UnaryOp)):
+            key.append((type(node), node.op))
+        elif not isinstance(node, ast.Var):
+            key.append((type(node), node.value))
+        else:
             reaching = chains.defs_for(Use(var=node.name, site=site, ordinal=ordinal))
             # Free variables: value is an unknowable input; two reads of the
             # same free variable are assumed to agree (the interpreter
@@ -72,8 +64,6 @@ def _value_key(chains: UDChains, expr: ast.Expr, site: str, ordinal: int) -> Val
             key.append(
                 ("defs", frozenset(d.index for d in reaching)) if reaching else ("free", node.name)
             )
-        else:
-            raise TypeError(f"cannot key {type(node).__name__}")  # pragma: no cover
     return tuple(key)
 
 

@@ -11,19 +11,15 @@ from .form import CSSAForm, SSAName
 
 
 def _render_expr(expr: ast.Expr, lookup) -> str:
-    if isinstance(expr, ast.IntLit):
-        return str(expr.value)
-    if isinstance(expr, ast.BoolLit):
-        return "true" if expr.value else "false"
-    if isinstance(expr, ast.Var):
-        version = lookup(expr.name)
-        return str(version) if version is not None else f"{expr.name}_⊥"
-    if isinstance(expr, ast.UnaryOp):
-        inner = _render_expr(expr.operand, lookup)
-        return f"(not {inner})" if expr.op == "not" else f"(-{inner})"
-    if isinstance(expr, ast.BinOp):
-        return f"({_render_expr(expr.left, lookup)} {expr.op} {_render_expr(expr.right, lookup)})"
-    raise TypeError(type(expr).__name__)  # pragma: no cover
+    def leaf(node: ast.Expr) -> str:
+        version = lookup(node.name) if isinstance(node, ast.Var) else node
+        return f"{node.name}_⊥" if version is None else str(version)
+
+    return expr.fold(
+        leaf,
+        lambda node, inner: f"(not {inner})" if node.op == "not" else f"(-{inner})",
+        lambda node, left, right: f"({left} {node.op} {right})",
+    )
 
 
 def render_cssa(graph: ParallelFlowGraph, form: CSSAForm) -> str:

@@ -173,13 +173,11 @@ def _program_variables(program: ast.Program) -> List[str]:
 
 
 def _rename_expr(expr: ast.Expr, vmap: Dict[str, str]) -> ast.Expr:
-    if isinstance(expr, ast.Var):
-        return ast.Var(vmap.get(expr.name, expr.name))
-    if isinstance(expr, ast.BinOp):
-        return ast.BinOp(expr.op, _rename_expr(expr.left, vmap), _rename_expr(expr.right, vmap))
-    if isinstance(expr, ast.UnaryOp):
-        return ast.UnaryOp(expr.op, _rename_expr(expr.operand, vmap))
-    return expr  # literals
+    return expr.fold(
+        lambda leaf: ast.Var(vmap.get(leaf.name, leaf.name)) if isinstance(leaf, ast.Var) else leaf,
+        lambda node, inner: ast.UnaryOp(node.op, inner),
+        lambda node, left, right: ast.BinOp(node.op, left, right),
+    )
 
 
 def _blocks(program: ast.Program, *, skip_pardo: bool = False) -> List[List[ast.Stmt]]:

@@ -388,65 +388,29 @@ class Interpreter:
     # -- expression evaluation ----------------------------------------------------------
 
     def _eval(self, expr: ast.Expr, t: _Thread, loc: Optional[Tuple[str, int]]) -> Value:
-        if isinstance(expr, ast.IntLit):
-            return expr.value
-        if isinstance(expr, ast.BoolLit):
-            return expr.value
-        if isinstance(expr, ast.Var):
-            cell = t.env.get(expr.name)
-            if cell is None:
-                if expr.name not in self.inputs:
-                    self.inputs[expr.name] = self.scheduler.free_value(expr.name)
-                value: Value = self.inputs[expr.name]
-                definition = None
-            else:
-                value = cell.value
-                definition = cell.definition
-            if loc is not None:
-                use = Use(var=expr.name, site=loc[0], ordinal=loc[1])
-                self.result.uses.append(UseObservation(use=use, definition=definition))
-            return value
-        if isinstance(expr, ast.UnaryOp):
-            inner = self._eval(expr.operand, t, loc)
-            return (not inner) if expr.op == "not" else -inner
-        if isinstance(expr, ast.BinOp):
-            left = self._eval(expr.left, t, loc)
-            right = self._eval(expr.right, t, loc)
-            return _apply(expr.op, left, right)
-        raise TypeError(f"cannot evaluate {type(expr).__name__}")  # pragma: no cover
+        """Value of ``expr`` in ``t``; variables are read in source order."""
+        return expr.fold(
+            lambda leaf: self._read(leaf, t, loc),
+            lambda node, inner: (not inner) if node.op == "not" else -inner,
+            lambda node, left, right: ast.apply_binop(node.op, left, right),
+        )
 
-
-def _apply(op: str, left: Value, right: Value) -> Value:
-    """Total operator semantics: integer ops are Python floor semantics;
-    division/modulo by zero yield 0 (documented totalization so random
-    programs never crash — the static analyses make no value claims)."""
-    if op == "+":
-        return left + right
-    if op == "-":
-        return left - right
-    if op == "*":
-        return left * right
-    if op == "/":
-        return 0 if right == 0 else int(left) // int(right)
-    if op == "%":
-        return 0 if right == 0 else int(left) % int(right)
-    if op == "==":
-        return left == right
-    if op == "/=":
-        return left != right
-    if op == "<":
-        return left < right
-    if op == "<=":
-        return left <= right
-    if op == ">":
-        return left > right
-    if op == ">=":
-        return left >= right
-    if op == "and":
-        return bool(left) and bool(right)
-    if op == "or":
-        return bool(left) or bool(right)
-    raise ValueError(f"unknown operator {op!r}")  # pragma: no cover
+    def _read(self, leaf: ast.Expr, t: _Thread, loc: Optional[Tuple[str, int]]) -> Value:
+        if not isinstance(leaf, ast.Var):
+            return leaf.value  # a literal
+        cell = t.env.get(leaf.name)
+        if cell is None:
+            if leaf.name not in self.inputs:
+                self.inputs[leaf.name] = self.scheduler.free_value(leaf.name)
+            value: Value = self.inputs[leaf.name]
+            definition = None
+        else:
+            value = cell.value
+            definition = cell.definition
+        if loc is not None:
+            use = Use(var=leaf.name, site=loc[0], ordinal=loc[1])
+            self.result.uses.append(UseObservation(use=use, definition=definition))
+        return value
 
 
 def run_program(

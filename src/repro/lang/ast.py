@@ -18,44 +18,97 @@ numbering as the paper's figures.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, List, Optional, Tuple
+from typing import Callable, Iterator, List, Optional, Tuple, TypeVar
 
 from .errors import NO_SPAN, SourceSpan
+
+_V = TypeVar("_V")
 
 # ---------------------------------------------------------------------------
 # Expressions
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Expr:
-    """Base class for expressions (immutable, hashable)."""
+    """Base class for expressions (immutable, hashable).
+
+    :meth:`postorder` is the one walk over an expression's children, on an
+    explicit stack, and :meth:`fold` evaluates on top of it.  Equality and
+    hashing compare post-order tokens (class, then ``op``/``name``/``value``),
+    which every class's fixed arity makes as precise as the tree."""
+
+    def postorder(self) -> List["Expr"]:
+        """Every node, children before their parent and left before right
+        (so the leaves come in source order)."""
+        if type(self) is BinOp and type(self.left) in _LEAVES and type(self.right) in _LEAVES:
+            return [self.left, self.right, self]  # the commonest shape, ``x + 1``
+        # Built backwards (parent, right, left) down each right spine.
+        order: List[Expr] = []
+        stack: List[Expr] = [self]
+        while stack:
+            node = stack.pop()
+            while True:
+                order.append(node)
+                kind = type(node)
+                if kind is BinOp:
+                    stack.append(node.left)
+                    node = node.right
+                elif kind is UnaryOp:
+                    node = node.operand
+                else:
+                    break
+        order.reverse()
+        return order
+
+    def fold(
+        self, leaf: Callable[["Expr"], _V], unary: Callable[..., _V], binary: Callable[..., _V]
+    ) -> _V:
+        """Evaluate bottom-up: ``leaf(node)`` on literals and variables, in
+        source order, then ``unary(node, value)`` and ``binary(node, left,
+        right)`` on the operators."""
+        if type(self) in _LEAVES:
+            return leaf(self)
+        values: List[_V] = []
+        for node in self.postorder():
+            kind = type(node)
+            if kind is BinOp:
+                right = values.pop()
+                values[-1] = binary(node, values[-1], right)
+            elif kind is UnaryOp:
+                values[-1] = unary(node, values[-1])
+            else:
+                values.append(leaf(node))
+        return values[0]
+
+    def _tokens(self) -> Tuple[object, ...]:
+        tokens: List[object] = []
+        for node in self.postorder():
+            kind = type(node)
+            tokens.append(kind)
+            tokens.append(node.name if kind is Var else node.value if kind in _LEAVES else node.op)
+        return tuple(tokens)
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self is other or self._tokens() == other._tokens()
+
+    def __hash__(self) -> int:
+        return hash(self._tokens())
 
     def variables(self) -> Tuple[str, ...]:
         """All variable names read by this expression, in source order,
-        without duplicates.  Walks an explicit stack: a left-associative
-        sum of a thousand terms is as deep as it is long."""
+        without duplicates."""
         kind = type(self)
         if kind is Var:
             return (self.name,)
         if kind is not BinOp and kind is not UnaryOp:
             return ()
-        out: List[str] = []
-        stack: List[Expr] = [self]
-        while stack:
-            expr = stack.pop()
-            kind = type(expr)
-            if kind is Var:
-                out.append(expr.name)
-            elif kind is BinOp:
-                stack.append(expr.right)
-                stack.append(expr.left)
-            elif kind is UnaryOp:
-                stack.append(expr.operand)
-        return tuple(dict.fromkeys(out))
+        return tuple(dict.fromkeys([n.name for n in self.postorder() if type(n) is Var]))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IntLit(Expr):
     value: int
 
@@ -63,7 +116,7 @@ class IntLit(Expr):
         return str(self.value)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BoolLit(Expr):
     value: bool
 
@@ -71,7 +124,7 @@ class BoolLit(Expr):
         return "true" if self.value else "false"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Var(Expr):
     name: str
 
@@ -79,12 +132,48 @@ class Var(Expr):
         return self.name
 
 
+_LEAVES = (IntLit, BoolLit, Var)
+
 #: Binary operators, by surface syntax.
 BINARY_OPS = ("+", "-", "*", "/", "%", "==", "/=", "<", "<=", ">", ">=", "and", "or")
 UNARY_OPS = ("-", "not")
 
 
-@dataclass(frozen=True)
+def apply_binop(op: str, left: object, right: object) -> object:
+    """``left op right``, for the interpreter and constant propagation.
+    Total: integer ops are Python floor semantics, and division/modulo by
+    zero yield 0 (so random programs never crash; constant propagation
+    makes no value claim there)."""
+    if op == "+":
+        return left + right
+    if op == "-":
+        return left - right
+    if op == "*":
+        return left * right
+    if op == "/":
+        return 0 if right == 0 else int(left) // int(right)
+    if op == "%":
+        return 0 if right == 0 else int(left) % int(right)
+    if op == "==":
+        return left == right
+    if op == "/=":
+        return left != right
+    if op == "<":
+        return left < right
+    if op == "<=":
+        return left <= right
+    if op == ">":
+        return left > right
+    if op == ">=":
+        return left >= right
+    if op == "and":
+        return bool(left) and bool(right)
+    if op == "or":
+        return bool(left) or bool(right)
+    raise ValueError(f"unknown operator {op!r}")  # pragma: no cover
+
+
+@dataclass(frozen=True, eq=False)
 class BinOp(Expr):
     op: str
     left: Expr
@@ -98,7 +187,7 @@ class BinOp(Expr):
         return _render(self)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class UnaryOp(Expr):
     op: str
     operand: Expr
@@ -112,26 +201,30 @@ class UnaryOp(Expr):
 
 
 def _render(expr: Expr) -> str:
-    """``str`` of a compound expression — ``(l op r)``, ``(not e)``,
-    ``(-e)`` — from an explicit stack of pieces still to emit."""
-    parts: List[str] = []
-    stack: List[object] = [expr]
-    while stack:
-        item = stack.pop()
-        kind = type(item)
-        if kind is str:
-            parts.append(item)
-        elif kind is Var:
-            parts.append(item.name)
-        elif kind is BinOp:
-            parts.append("(")
-            stack.extend((")", item.right, f" {item.op} ", item.left))
+    """``str`` of a compound expression, written back to front over the
+    reversed post-order, which meets each operator before its operands:
+    its ``)`` goes out at once, and the `` op `` and ``(`` it owes wait on
+    a stack until its right and then its left operand are done."""
+    out: List[str] = []
+    owed: List[str] = []
+    for node in reversed(expr.postorder()):
+        kind = type(node)
+        if kind is BinOp:
+            out.append(")")
+            owed += ("(", f" {node.op} ")
         elif kind is UnaryOp:
-            parts.append("(not " if item.op == "not" else "(-")
-            stack.extend((")", item.operand))
+            out.append(")")
+            owed.append("(not " if node.op == "not" else "(-")
         else:
-            parts.append(str(item))
-    return "".join(parts)
+            out.append(node.name if kind is Var else str(node))
+            # A leaf finishes every operand it is the first leaf of, up to
+            # a right operand (an owed " op "): its left sibling is next.
+            while owed:
+                out.append(owed.pop())
+                if out[-1][0] == " ":
+                    break
+    out.reverse()
+    return "".join(out)
 
 
 # ---------------------------------------------------------------------------
@@ -303,7 +396,7 @@ def structurally_equal(a: object, b: object) -> bool:
     parser/pretty-printer round-trips, generator determinism — use this.
     """
     if isinstance(a, Expr) or isinstance(b, Expr):
-        return a == b  # expressions are frozen dataclasses: structural
+        return a == b  # expression equality is structural
     if isinstance(a, (Stmt, Program)) != isinstance(b, (Stmt, Program)):
         return False
     if isinstance(a, (Stmt, Program)):

@@ -23,12 +23,6 @@ def _end_prefix(label) -> str:
     return f"({label}) " if label is not None else ""
 
 
-def format_expr(expr: ast.Expr) -> str:
-    """Render an expression with minimal parentheses (fully parenthesized
-    for nested binary operations; atoms bare)."""
-    return str(expr)
-
-
 class PrettyPrinter:
     def __init__(self) -> None:
         self.lines: List[str] = []
@@ -54,7 +48,7 @@ class PrettyPrinter:
     def stmt(self, stmt: ast.Stmt) -> None:
         prefix = _label_prefix(stmt)
         if isinstance(stmt, ast.Assign):
-            self._emit(f"{prefix}{stmt.target} = {format_expr(stmt.expr)}")
+            self._emit(f"{prefix}{stmt.target} = {stmt.expr}")
         elif isinstance(stmt, ast.Skip):
             self._emit(f"{prefix}skip")
         elif isinstance(stmt, ast.Post):
@@ -64,7 +58,7 @@ class PrettyPrinter:
         elif isinstance(stmt, ast.Clear):
             self._emit(f"{prefix}clear({stmt.event})")
         elif isinstance(stmt, ast.If):
-            self._emit(f"{prefix}if {format_expr(stmt.cond)} then")
+            self._emit(f"{prefix}if {stmt.cond} then")
             self.depth += 1
             self.block(stmt.then_body)
             self.depth -= 1
@@ -81,7 +75,7 @@ class PrettyPrinter:
             self.depth -= 1
             self._emit(f"{_end_prefix(stmt.end_label)}endloop")
         elif isinstance(stmt, ast.While):
-            self._emit(f"{prefix}while {format_expr(stmt.cond)} do")
+            self._emit(f"{prefix}while {stmt.cond} do")
             self.depth += 1
             self.block(stmt.body)
             self.depth -= 1

@@ -84,6 +84,7 @@ FAULTS = {
     "deep-nesting": (DEEP_SRC, [], BatchOptions(), {}, None, ("error", 1)),
     "long-sum": (LONG_SUM_SRC, [], BatchOptions(), {}, None, ("ok", 0)),
     "deep-unary": (DEEP_UNARY_SRC, [], BatchOptions(), {}, None, ("ok", 0)),
+    "long-sum-run": (LONG_SUM_SRC, [], BatchOptions(run=True), {}, None, ("ok", 0)),
     "budget-trip": (
         SYNC_SRC,
         ["--max-passes", "1", "--no-degrade"],
@@ -143,6 +144,28 @@ def test_same_outcome_on_every_surface(fault, tmp_path, monkeypatch, capsys):
     status = str(record["status"])
     assert (status, protocol.STATUS_CODES[status]) == expected
     assert (record["result"] is None) == (expected[1] != 0)
+
+
+#: The commands that read every expression past the request pipeline: the
+#: interpreter (``run``, ``check``, ``stats`` and ``batch --run``) and the
+#: CSSA renderer.  The 600 unary signs of ``deep-unary`` fit the stack of a
+#: recursive walker, so only ``long-sum`` tells the two apart here.
+DEEP_COMMANDS = {
+    "run": [],
+    "cssa": [],
+    "check": [],
+    "stats": [],
+    "batch": ["--run", "--out", "{tmp}/manifest.jsonl"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(DEEP_COMMANDS))
+def test_long_sum_passes_every_command(command, tmp_path, capsys):
+    path = tmp_path / "long-sum.pcf"
+    path.write_text(LONG_SUM_SRC, encoding="utf-8")
+    flags = [flag.format(tmp=tmp_path) for flag in DEEP_COMMANDS[command]]
+    assert main([command, str(path), *flags]) == 0
+    assert "error" not in capsys.readouterr().err
 
 
 def exit_task(path, options):

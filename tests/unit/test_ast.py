@@ -116,6 +116,18 @@ def test_str_matches_recursive_rendering():
     assert str(e) == _recursive_str(e) == "((not (a < 3)) and ((-b) == false))"
 
 
+def test_postorder_and_fold():
+    a_plus_1 = ast.BinOp("+", ast.Var("a"), ast.IntLit(1))
+    e = ast.BinOp("*", ast.UnaryOp("-", a_plus_1), ast.Var("b"))
+    assert [str(n) for n in e.postorder()] == [
+        "a", "1", "(a + 1)", "(-(a + 1))", "b", "((-(a + 1)) * b)"
+    ]
+    assert a_plus_1.postorder() == [a_plus_1.left, a_plus_1.right, a_plus_1]
+    size = e.fold(lambda leaf: 1, lambda node, n: n + 1, lambda node, l, r: l + r + 1)
+    assert size == len(e.postorder()) == 6
+    assert ast.Var("x").fold(str, None, None) == "x"
+
+
 def test_deep_expressions_print_and_collect_without_recursion():
     # Deeper than the interpreter's stack: a left-associative sum and a
     # run of unary minus signs, as the parser builds them.
@@ -129,3 +141,37 @@ def test_deep_expressions_print_and_collect_without_recursion():
         neg = ast.UnaryOp("-", neg)
     assert neg.variables() == ("y",)
     assert str(neg) == "(-" * 3000 + "y" + ")" * 3000
+
+
+def _long_sum(last=ast.IntLit(1)):
+    """``x + 1 + … + last``: 1,200 terms, as deep as it is long."""
+    total = ast.Var("x")
+    for _ in range(1198):
+        total = ast.BinOp("+", total, ast.IntLit(1))
+    return ast.BinOp("+", total, last)
+
+
+def _deep_unary(op="-"):
+    """600 unary operators over ``x``."""
+    neg = ast.Var("x")
+    for _ in range(600):
+        neg = ast.UnaryOp(op, neg)
+    return neg
+
+
+@pytest.mark.parametrize(
+    "build, other",
+    [
+        (_long_sum, lambda: _long_sum(ast.IntLit(2))),
+        (_long_sum, lambda: _long_sum(ast.BoolLit(True))),
+        (_deep_unary, lambda: _deep_unary("not")),
+    ],
+    ids=["long-sum", "long-sum-bool", "deep-unary"],
+)
+def test_deep_expressions_compare_and_hash_without_recursion(build, other):
+    # Two separately built trees, so equality cannot stop at identity.
+    a, b, c = build(), build(), other()
+    assert a is not b and a == b and not (a != b)
+    assert hash(a) == hash(b) and len({a, b, c}) == 2
+    assert a != c and not (a == c)
+    assert ast.structurally_equal(a, b) and not ast.structurally_equal(a, c)

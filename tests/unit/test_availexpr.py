@@ -1,11 +1,13 @@
 """Available-expressions tests (forward must-analysis, parallel rules)."""
 
+import pytest
+
 from repro.analysis.availexpr import (
     find_redundant_computations,
     interesting_expressions,
     solve_available_expressions,
 )
-from repro.lang import ast, parse_program
+from repro.lang import ast, parse_expression, parse_program
 from repro.pfg import build_pfg
 
 
@@ -130,3 +132,19 @@ def test_redundancy_requires_untouched_operands():
 def test_converges(fig3_graph):
     r = solve_available_expressions(fig3_graph)
     assert r.stats.converged
+
+
+#: A 1,200-term left-associative sum and 600 unary minus signs: too deep,
+#: once parsed, for recursive equality and hashing at the default limit.
+LONG_SUM = "x" + " + 1" * 1199
+DEEP_UNARY = "-" * 600 + "x"
+
+
+@pytest.mark.parametrize("rhs", [LONG_SUM, DEEP_UNARY], ids=["long-sum", "deep-unary"])
+def test_deep_expressions_without_recursion(rhs):
+    g, r = solve(f"program deep\n(1) x = 1\n(2) y = {rhs}\n(3) z = {rhs}\nend")
+    expr = parse_expression(rhs)
+    assert interesting_expressions(g) == [expr]
+    assert r.is_available("3", expr) and not r.is_available("2", expr)
+    (redundant,) = find_redundant_computations(g)
+    assert (redundant.node.name, redundant.target, redundant.expr) == ("3", "z", expr)

@@ -6,8 +6,8 @@ and variable maps) must be usable for chain comparison.
 
 import pytest
 
-from repro.fuzz.mutate import MUTATORS, apply_mutators, clone_program
-from repro.lang import ast, parse_program, pretty
+from repro.fuzz.mutate import MUTATORS, apply_mutators, clone_program, rename_variables
+from repro.lang import ast, parse_expression, parse_program, pretty
 from repro.lang.ast import structurally_equal
 from repro.pfg import build_pfg, validate_pfg
 from repro.synthetic import GeneratorConfig, generate_program
@@ -101,3 +101,18 @@ def test_apply_mutators_is_deterministic():
     assert [m.name for m in a] == [m.name for m in b]
     for ma, mb in zip(a, b):
         assert pretty(ma.program) == pretty(mb.program)
+
+
+@pytest.mark.parametrize(
+    "rhs", ["x" + " + 1" * 1199, "-" * 600 + "x"], ids=["long-sum", "deep-unary"]
+)
+def test_rename_variables_on_deep_expressions(rhs):
+    # 1,200 terms and 600 unary minus signs: too deep for a recursive walk
+    # at the default recursion limit under the test runner.
+    program = parse_program(f"program deep\nx = 1\ny = {rhs}\nend")
+    mutation = rename_variables(program, seed=3)
+    x = mutation.mapped_var("x")
+    assert x != "x"
+    renamed = mutation.program.body[1].expr
+    assert structurally_equal(renamed, parse_expression(rhs.replace("x", x)))
+    assert str(renamed) == str(program.body[1].expr).replace("x", x)
