@@ -29,7 +29,7 @@ _V = TypeVar("_V")
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Expr:
     """Base class for expressions (immutable, hashable).
 
@@ -97,6 +97,20 @@ class Expr:
     def __hash__(self) -> int:
         return hash(self._tokens())
 
+    def __repr__(self) -> str:
+        """The text the dataclass ``repr`` gave (class, then each field),
+        built by :meth:`fold`, so a tree of any depth prints."""
+
+        def leaf(n: Expr) -> str:
+            attr = "name" if type(n) is Var else "value"
+            return f"{type(n).__qualname__}({attr}={getattr(n, attr)!r})"
+
+        return self.fold(
+            leaf,
+            lambda n, operand: f"UnaryOp(op={n.op!r}, operand={operand})",
+            lambda n, left, right: f"BinOp(op={n.op!r}, left={left}, right={right})",
+        )
+
     def variables(self) -> Tuple[str, ...]:
         """All variable names read by this expression, in source order,
         without duplicates."""
@@ -108,7 +122,7 @@ class Expr:
         return tuple(dict.fromkeys([n.name for n in self.postorder() if type(n) is Var]))
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class IntLit(Expr):
     value: int
 
@@ -116,7 +130,7 @@ class IntLit(Expr):
         return str(self.value)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class BoolLit(Expr):
     value: bool
 
@@ -124,7 +138,7 @@ class BoolLit(Expr):
         return "true" if self.value else "false"
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Var(Expr):
     name: str
 
@@ -173,7 +187,7 @@ def apply_binop(op: str, left: object, right: object) -> object:
     raise ValueError(f"unknown operator {op!r}")  # pragma: no cover
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class BinOp(Expr):
     op: str
     left: Expr
@@ -187,7 +201,7 @@ class BinOp(Expr):
         return _render(self)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class UnaryOp(Expr):
     op: str
     operand: Expr
@@ -251,9 +265,19 @@ class Stmt:
 
     def walk(self) -> Iterator["Stmt"]:
         """This statement and all statements below it, pre-order."""
-        yield self
-        for child in self.children():
-            yield from child.walk()
+        return _walk([self])
+
+
+def _walk(stmts: List[Stmt]) -> Iterator[Stmt]:
+    """``stmts`` and every statement below them, pre-order, on one
+    explicit stack (children pushed last-first, so they pop in order)."""
+    stack = stmts[::-1]
+    while stack:
+        stmt = stack.pop()
+        yield stmt
+        children = tuple(stmt.children())
+        if children:
+            stack.extend(reversed(children))
 
 
 @dataclass(eq=False)
@@ -427,8 +451,8 @@ class Program:
     span: SourceSpan = NO_SPAN
 
     def walk(self) -> Iterator[Stmt]:
-        for stmt in self.body:
-            yield from stmt.walk()
+        """Every statement, pre-order."""
+        return _walk(self.body)
 
     def assigned_variables(self) -> Tuple[str, ...]:
         """All variables assigned anywhere in the program, in order."""

@@ -17,11 +17,6 @@ overhead.  To observe a region, install a session::
 On the command line the same session backs ``python -m repro report FILE
 --trace`` / ``--profile out.jsonl`` and ``python -m repro stats FILE``.
 
-``session(count_bitset_ops=True)`` additionally makes
-:func:`repro.dataflow.bitset.make_backend` wrap backends in a counting
-proxy that records set-operation and word-operation totals — accurate but
-not free, hence opt-in separately from spans.
-
 See ``docs/observability.md`` for the span taxonomy and the JSONL schema.
 """
 
@@ -78,7 +73,6 @@ __all__ = [
     "Span",
     "Tracer",
     "aggregate",
-    "bitset_counting_enabled",
     "compare_to_baseline",
     "get_metrics",
     "get_tracer",
@@ -95,16 +89,6 @@ __all__ = [
     "span_records",
     "write_jsonl",
 ]
-
-#: When True, ``make_backend`` wraps backends in a counting proxy.  Module
-#: state rather than a Metrics feature so the check in the (hot) backend
-#: constructor is a plain global read.
-_count_bitset_ops: bool = False
-
-
-def bitset_counting_enabled() -> bool:
-    return _count_bitset_ops
-
 
 class ObsSession:
     """The pair of live collectors installed by :func:`session`."""
@@ -127,23 +111,18 @@ class ObsSession:
 def session(
     tracer: Optional[Tracer] = None,
     metrics: Optional[Metrics] = None,
-    count_bitset_ops: bool = False,
 ) -> Iterator[ObsSession]:
     """Install live collectors process-wide for the duration of the block.
 
     Nested sessions stack: the inner session's collectors win while it is
     active, and the outer ones are restored on exit.
     """
-    global _count_bitset_ops
     tracer = tracer if tracer is not None else Tracer()
     metrics = metrics if metrics is not None else Metrics()
     prev_tracer = set_tracer(tracer)
     prev_metrics = set_metrics(metrics)
-    prev_count = _count_bitset_ops
-    _count_bitset_ops = count_bitset_ops or prev_count
     try:
         yield ObsSession(tracer, metrics)
     finally:
-        _count_bitset_ops = prev_count
         set_tracer(prev_tracer)
         set_metrics(prev_metrics)

@@ -51,9 +51,12 @@ class ConservativeRDSystem(EquationSystem[PFGNode]):
     ):
         self.graph = graph
         self.info = info if info is not None else compute_genkill(graph)
-        self.ops = make_backend(backend, list(graph.defs))
-        self._gen = {n: self.ops.from_defs(self.info.gen[n]) for n in graph.nodes}
-        self._preds = {n: graph.all_preds(n) for n in graph.nodes}
+        self.ops = ops = make_backend(backend, list(graph.defs))
+        self._empty = ops.empty()
+        #: Per node, compiled once: ``(pred, Gen)``.
+        self._plan = {
+            n: (tuple(graph.all_preds(n)), ops.from_defs(self.info.gen[n])) for n in graph.nodes
+        }
         self._in: Dict[PFGNode, object] = {}
         self._out: Dict[PFGNode, object] = {}
 
@@ -61,18 +64,21 @@ class ConservativeRDSystem(EquationSystem[PFGNode]):
         return self.graph.document_order()
 
     def initialize(self) -> None:
-        empty = self.ops.empty()
+        empty = self._empty
         for n in self.graph.nodes:
             self._in[n] = empty
             self._out[n] = empty
 
     def update(self, n: PFGNode) -> bool:
-        ops = self.ops
-        new_in = ops.union_all(self._out[p] for p in self._preds[n])
-        new_out = ops.union(new_in, self._gen[n])
-        changed = not ops.equals(new_in, self._in[n]) or not ops.equals(new_out, self._out[n])
+        preds, gen = self._plan[n]
+        out = self._out
+        new_in = self._empty
+        for p in preds:
+            new_in |= out[p]
+        new_out = new_in | gen
+        changed = new_in != self._in[n] or new_out != out[n]
         self._in[n] = new_in
-        self._out[n] = new_out
+        out[n] = new_out
         return changed
 
     def dependents(self, n: PFGNode) -> Iterable[PFGNode]:

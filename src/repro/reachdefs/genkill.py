@@ -162,6 +162,38 @@ def _local_sets(graph: ParallelFlowGraph) -> Tuple[GenKillInfo, int]:
     return info, len(decided)
 
 
+def encode_other_defs(graph: ParallelFlowGraph, ops) -> Dict[PFGNode, object]:
+    """``OtherDefs(n)`` of every node, encoded by the set backend ``ops``.
+
+    Encoding each set definition by definition costs O(Σ|OtherDefs(n)|),
+    quadratic on a chain of redefinitions.  By definition OtherDefs(n) is
+    ``⋃_{v defined in n} defs(v)`` minus n's own definitions, which that
+    union contains, so each ``defs(v)`` is encoded once and a node's set
+    is ``union ^ own``: the sets :func:`compute_genkill` lists, one
+    backend operation per variable instead of one per definition.
+    """
+    by_var: Dict[str, List[Definition]] = {}
+    for node in graph.nodes:
+        for d in node.defs:
+            by_var.setdefault(d.var, []).append(d)
+    var_defs = {var: ops.from_defs(defs) for var, defs in by_var.items()}
+    empty = ops.empty()
+    out: Dict[PFGNode, object] = {}
+    for node in graph.nodes:
+        defs = node.defs
+        if not defs:
+            out[node] = empty
+            continue
+        if len(defs) == 1:
+            union = var_defs[defs[0].var]
+        else:
+            union = empty
+            for var in {d.var for d in defs}:
+                union |= var_defs[var]
+        out[node] = union ^ ops.from_defs(defs)
+    return out
+
+
 def sequential_kill(info: GenKillInfo, node: PFGNode) -> DefSet:
     """The classical (concurrency-blind) kill set — everything in
     ``OtherDefs``.  Used by the sequential equations, including when they

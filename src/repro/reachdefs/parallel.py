@@ -32,16 +32,21 @@ reported as killed.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, Optional
 
 from ..dataflow.bitset import make_backend
 from ..dataflow.framework import EquationSystem, SolveStats
 from ..dataflow.solver import run_solver
 from ..obs import get_tracer
+from ..pfg.edges import EdgeKind
 from ..pfg.graph import ParallelFlowGraph
-from ..pfg.node import PFGNode
-from .genkill import GenKillInfo, compute_genkill
+from ..pfg.node import NodeKind, PFGNode
+from .genkill import GenKillInfo, compute_genkill, encode_other_defs
 from .result import ReachingDefsResult, materialize
+
+
+#: The node kinds the kill half tells apart (one global read per update).
+_FORK, _JOIN = NodeKind.FORK, NodeKind.JOIN
 
 
 class ParallelRDSystem(EquationSystem[PFGNode]):
@@ -54,9 +59,11 @@ class ParallelRDSystem(EquationSystem[PFGNode]):
 
     system_name = "parallel"
 
-    #: Whether the In equation reads synchronization edges — the flow-edge
-    #: family provenance recording follows (§6 subclass overrides).
-    provenance_sync_edges = False
+    #: Whether the In equation reads synchronization edges (§6 subclass
+    #: overrides): ``pred(n)`` then includes sync predecessors, and In
+    #: subtracts ⋂_{sync_pred} ACCKillout.  Provenance flow edges follow
+    #: the same family.
+    sync_edges = False
 
     def __init__(
         self,
@@ -68,27 +75,47 @@ class ParallelRDSystem(EquationSystem[PFGNode]):
         self.graph = graph
         self.wants_provenance = record_provenance
         self._provenance = None
-        self.info = info if info is not None else compute_genkill(graph)
-        self.ops = make_backend(backend, list(graph.defs))
-        ops = self.ops
-        self._gen = {n: ops.from_defs(self.info.gen[n]) for n in graph.nodes}
-        self._kill = {n: ops.from_defs(self.info.kill[n]) for n in graph.nodes}
-        self._parkill = {n: ops.from_defs(self.info.parallel_kill[n]) for n in graph.nodes}
-        self._otherdefs = {n: ops.from_defs(self.info.other_defs[n]) for n in graph.nodes}
-        # Adjacency, precomputed as lists (hot loop).
-        self._all_preds = {n: self._pred_family(n) for n in graph.nodes}
-        self._par_preds = {n: graph.par_preds(n) for n in graph.nodes}
-        self._seq_preds = {n: graph.seq_preds(n) for n in graph.nodes}
+        self.info = info = info if info is not None else compute_genkill(graph)
+        self.ops = ops = make_backend(backend, list(graph.defs))
+        self._empty = ops.empty()
+        #: U, the encoded universe.  Every local set x is a subset of U,
+        #: so the complement mask U − x is ``U ^ x``.
+        self._universe = universe = ops.from_defs(graph.defs)
+        #: Per node, compiled once: the flow half's inputs
+        #: ``(pred, par_pred, sync_pred, U − (Kill ∪ ParallelKill), Gen)``
+        #: (``sync_pred`` empty unless :attr:`sync_edges`) and the
+        #: kill half's ``(kind, joined, met, Kill, U − Gen, fork)``.
+        #: Kill ⊎ ParallelKill is OtherDefs (genkill's construction).  The
+        #: kill families follow :meth:`update_kill`: at a join, ``joined``
+        #: is par_pred (unioned) and ``met`` seq_pred (intersected);
+        #: elsewhere ``joined`` is empty and ``met`` is par_pred + seq_pred.
+        self._flow_plan: Dict[PFGNode, tuple] = {}
+        self._kill_plan: Dict[PFGNode, tuple] = {}
+        empty, from_defs, sync_edges = self._empty, ops.from_defs, self.sync_edges
+        for n, killed in encode_other_defs(graph, ops).items():
+            preds, par, seq, sync = [], [], [], []
+            for p, edge in graph.in_edges(n):
+                if edge is EdgeKind.SEQ:
+                    seq.append(p)
+                elif edge is EdgeKind.PAR:
+                    par.append(p)
+                elif sync_edges:
+                    sync.append(p)
+                else:
+                    continue
+                preds.append(p)
+            par, seq = tuple(par), tuple(seq)
+            gen, parkill = info.gen[n], info.parallel_kill[n]
+            gen = from_defs(gen) if gen else empty
+            kill = killed ^ from_defs(parkill) if parkill else killed
+            joined, met = (par, seq) if n.kind is _JOIN else ((), par + seq)
+            self._flow_plan[n] = (tuple(preds), par, tuple(sync), universe ^ killed, gen)
+            self._kill_plan[n] = (n.kind, joined, met, kill, universe ^ gen, n.fork)
         self.In: Dict[PFGNode, object] = {}
         self.Out: Dict[PFGNode, object] = {}
         self.ACCKillin: Dict[PFGNode, object] = {}
         self.ACCKillout: Dict[PFGNode, object] = {}
         self.ForkKill: Dict[PFGNode, object] = {}
-
-    def _pred_family(self, n: PFGNode) -> List[PFGNode]:
-        """``pred(n)`` for the In equation: control predecessors only (the
-        synchronized subclass widens this to include sync predecessors)."""
-        return self.graph.control_preds(n)
 
     # -- framework interface ----------------------------------------------
 
@@ -96,7 +123,7 @@ class ParallelRDSystem(EquationSystem[PFGNode]):
         return self.graph.document_order()
 
     def initialize(self) -> None:
-        empty = self.ops.empty()
+        empty = self._empty
         for n in self.graph.nodes:
             self.In[n] = empty
             self.Out[n] = empty
@@ -111,58 +138,91 @@ class ParallelRDSystem(EquationSystem[PFGNode]):
         """Recompute the ascending half (``In``/``Out``) only.  Monotone
         when the kill layer is held fixed — the stabilized solver's flow
         phase (see :func:`repro.dataflow.solver.solve_stabilized`)."""
-        ops = self.ops
-        changed = False
-        new_in = self._compute_in(n)
-        changed |= not ops.equals(new_in, self.In[n])
+        preds, par, sync, keep, gen = self._flow_plan[n]
+        out, killout = self.Out, self.ACCKillout
+        new_in = self._empty
+        for p in preds:
+            new_in |= out[p]
+        if par or sync:
+            kills = self._empty
+            for p in par:
+                kills |= killout[p]
+            if sync:
+                meet = killout[sync[0]]  # ⋂ over sync_pred (x ∩ x = x)
+                for p in sync:
+                    meet &= killout[p]
+                kills |= meet
+            new_in = (new_in | kills) ^ kills
+        new_out = (new_in & keep) | gen
+        changed = new_in != self.In[n] or new_out != out[n]
         self.In[n] = new_in
-        new_out = self._compute_out(n)
-        changed |= not ops.equals(new_out, self.Out[n])
-        self.Out[n] = new_out
+        out[n] = new_out
         return changed
 
-    def update_kill(self, n: PFGNode) -> bool:
+    def update_kill(self, n: PFGNode, occurred=None) -> bool:
         """Recompute the kill layer (``ACCKillin``/``ForkKill``/
         ``ACCKillout``) only.  Monotone when ``In``/``Out`` are held
-        fixed — the stabilized solver's kill phase."""
-        ops = self.ops
-        changed = False
+        fixed — the stabilized solver's kill phase.  ``occurred`` is a set
+        ``ACCKillin`` gains (§6's ``OtherDefs ∩ SynchPass``).
 
-        new_killin = self._compute_acc_killin(n)
-        changed |= not ops.equals(new_killin, self.ACCKillin[n])
-        self.ACCKillin[n] = new_killin
+        ACCKillin(n) = ⋃_par ACCKillout ∪ ⋂_seq ACCKillout — but the
+        union-over-parallel-predecessors reading is only justified at
+        **join** nodes, where every parallel predecessor has executed.
+        Elsewhere the predecessors are alternative arrival paths, and a
+        kill is unconditional only if it happened on *all* of them.
 
-        base_kill = ops.union_difference(new_killin, self._kill[n], self._gen[n])
-
-        new_forkkill = base_kill if n.is_fork else ops.empty()
-        changed |= not ops.equals(new_forkkill, self.ForkKill[n])
-        self.ForkKill[n] = new_forkkill
-
-        if n.is_fork:
-            new_killout = ops.empty()
-        elif n.is_join:
-            assert n.fork is not None
-            carried = ops.difference(self.ForkKill[n.fork], self.Out[n])
-            new_killout = ops.union(base_kill, carried)
+        The distinction matters for a loop header that is the first block
+        of a section: its entry edge is parallel (from the fork) and its
+        latch edge sequential; the paper's formula as written would take
+        the latch's accumulated kills unguarded — claiming loop-body kills
+        even on the zero-iteration path (found by the dynamic oracle; see
+        EXPERIMENTS.md Findings).  On every paper example the two readings
+        coincide (non-join nodes there have at most one parallel
+        predecessor and no mixed families).
+        """
+        kind, joined, met, kill, ungen, fork = self._kill_plan[n]
+        killout = self.ACCKillout
+        empty = self._empty
+        killin = empty  # ⋂ of the empty family is ∅ (DESIGN.md §2)
+        if met:
+            killin = killout[met[0]]  # the first row meets itself: x ∩ x = x
+            for p in met:
+                killin &= killout[p]
+        for p in joined:
+            killin |= killout[p]
+        if occurred is not None:
+            killin |= occurred
+        base = (killin | kill) & ungen
+        if kind is _FORK:
+            new_forkkill, new_killout = base, empty
+        elif kind is _JOIN:
+            out = self.Out[n]
+            new_forkkill = empty
+            new_killout = base | ((self.ForkKill[fork] | out) ^ out)
         else:
-            new_killout = base_kill
-        changed |= not ops.equals(new_killout, self.ACCKillout[n])
-        self.ACCKillout[n] = new_killout
-
+            new_forkkill, new_killout = empty, base
+        changed = (
+            killin != self.ACCKillin[n]
+            or new_forkkill != self.ForkKill[n]
+            or new_killout != killout[n]
+        )
+        self.ACCKillin[n] = killin
+        self.ForkKill[n] = new_forkkill
+        killout[n] = new_killout
         return changed
 
     def reset_flow_nodes(self, nodes: Iterable[PFGNode]) -> None:
         """Reset ``In``/``Out`` of ``nodes`` to ∅, leaving every other row
         intact — a phase's cone (stabilized solver) or a cyclic region
         (SCC scheduler)."""
-        empty = self.ops.empty()
+        empty = self._empty
         for n in nodes:
             self.In[n] = empty
             self.Out[n] = empty
 
     def reset_kill_nodes(self, nodes: Iterable[PFGNode]) -> None:
         """Reset the kill layer of ``nodes`` to ∅ (see :meth:`reset_flow_nodes`)."""
-        empty = self.ops.empty()
+        empty = self._empty
         for n in nodes:
             self.ACCKillin[n] = empty
             self.ACCKillout[n] = empty
@@ -183,44 +243,7 @@ class ParallelRDSystem(EquationSystem[PFGNode]):
         self.ForkKill.update(state["ForkKill"])
 
     def meet_values(self, a, b):
-        return self.ops.intersection(a, b)
-
-    # -- individual equations (overridden by the synchronized system) -------
-
-    def _compute_in(self, n: PFGNode):
-        ops = self.ops
-        flow = ops.union_all(self.Out[p] for p in self._all_preds[n])
-        par_kills = ops.union_all(self.ACCKillout[p] for p in self._par_preds[n])
-        return ops.difference(flow, par_kills)
-
-    def _compute_out(self, n: PFGNode):
-        ops = self.ops
-        live = ops.difference(ops.difference(self.In[n], self._kill[n]), self._parkill[n])
-        return ops.union(live, self._gen[n])
-
-    def _compute_acc_killin(self, n: PFGNode):
-        """ACCKillin(n) = ⋃_par ACCKillout ∪ ⋂_seq ACCKillout — but the
-        union-over-parallel-predecessors reading is only justified at
-        **join** nodes, where every parallel predecessor has executed.
-        Elsewhere the predecessors are alternative arrival paths, and a
-        kill is unconditional only if it happened on *all* of them.
-
-        The distinction matters for a loop header that is the first block
-        of a section: its entry edge is parallel (from the fork) and its
-        latch edge sequential; the paper's formula as written would take
-        the latch's accumulated kills unguarded — claiming loop-body kills
-        even on the zero-iteration path (found by the dynamic oracle; see
-        EXPERIMENTS.md Findings).  On every paper example the two readings
-        coincide (non-join nodes there have at most one parallel
-        predecessor and no mixed families).
-        """
-        ops = self.ops
-        if n.is_join:
-            par = ops.union_all(self.ACCKillout[p] for p in self._par_preds[n])
-            seq = ops.intersection_all(self.ACCKillout[p] for p in self._seq_preds[n])
-            return ops.union(par, seq)
-        preds = self._par_preds[n] + self._seq_preds[n]
-        return ops.intersection_all(self.ACCKillout[p] for p in preds)
+        return a & b
 
     def dependents(self, n: PFGNode) -> Iterable[PFGNode]:
         out = list(self.graph.control_succs(n))
@@ -241,7 +264,7 @@ class ParallelRDSystem(EquationSystem[PFGNode]):
             self.In,
             self.Out,
             self.info.gen,
-            include_sync=self.provenance_sync_edges,
+            include_sync=self.sync_edges,
             system=self.system_name,
         )
         return self._provenance

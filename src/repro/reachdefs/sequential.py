@@ -21,9 +21,10 @@ from ..dataflow.bitset import make_backend
 from ..dataflow.framework import EquationSystem, SolveStats
 from ..dataflow.solver import run_solver
 from ..obs import get_tracer
+from ..pfg.edges import EdgeKind
 from ..pfg.graph import ParallelFlowGraph
 from ..pfg.node import PFGNode
-from .genkill import GenKillInfo, compute_genkill
+from .genkill import GenKillInfo, compute_genkill, encode_other_defs
 from .result import ReachingDefsResult, materialize
 
 
@@ -41,11 +42,21 @@ class SequentialRDSystem(EquationSystem[PFGNode]):
         self.wants_provenance = record_provenance
         self._provenance = None
         self.info = info if info is not None else compute_genkill(graph)
-        self.ops = make_backend(backend, list(graph.defs))
-        ops = self.ops
-        self._gen = {n: ops.from_defs(self.info.gen[n]) for n in graph.nodes}
-        # Classical kill: every other definition of a variable defined here.
-        self._kill = {n: ops.from_defs(self.info.other_defs[n]) for n in graph.nodes}
+        self.ops = ops = make_backend(backend, list(graph.defs))
+        self._empty = ops.empty()
+        universe = ops.from_defs(graph.defs)
+        #: Per node, compiled once: ``(pred, U − Kill, Gen)``, with the
+        #: classical kill — every other definition of a variable defined here.
+        #: (Every local set x is a subset of U, so U − x is ``U ^ x``.)
+        preds: Dict[PFGNode, list] = {n: [] for n in graph.nodes}
+        for src, dst, edge in graph.edges():
+            if edge is not EdgeKind.SYNC:
+                preds[dst].append(src)
+        self._plan: Dict[PFGNode, tuple] = {}
+        empty, from_defs, gen_of = self._empty, ops.from_defs, self.info.gen
+        for n, killed in encode_other_defs(graph, ops).items():
+            gen = gen_of[n]
+            self._plan[n] = (tuple(preds[n]), universe ^ killed, from_defs(gen) if gen else empty)
         self._in: Dict[PFGNode, object] = {}
         self._out: Dict[PFGNode, object] = {}
 
@@ -53,18 +64,21 @@ class SequentialRDSystem(EquationSystem[PFGNode]):
         return self.graph.document_order()
 
     def initialize(self) -> None:
-        empty = self.ops.empty()
+        empty = self._empty
         for n in self.graph.nodes:
             self._in[n] = empty
             self._out[n] = empty
 
     def update(self, n: PFGNode) -> bool:
-        ops = self.ops
-        new_in = ops.union_all(self._out[p] for p in self.graph.control_preds(n))
-        new_out = ops.difference_union(new_in, self._kill[n], self._gen[n])
-        changed = not ops.equals(new_in, self._in[n]) or not ops.equals(new_out, self._out[n])
+        preds, keep, gen = self._plan[n]
+        out = self._out
+        new_in = self._empty
+        for p in preds:
+            new_in |= out[p]
+        new_out = (new_in & keep) | gen
+        changed = new_in != self._in[n] or new_out != out[n]
         self._in[n] = new_in
-        self._out[n] = new_out
+        out[n] = new_out
         return changed
 
     def dependents(self, n: PFGNode) -> Iterable[PFGNode]:

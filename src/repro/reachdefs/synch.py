@@ -17,6 +17,13 @@ Extends the §5 system with synchronization edges and the ``SynchPass`` set::
 
     ACCKillout / ForkKill — unchanged from §5.
 
+Out's last term is not evaluated: Kill(n) ∪ ParallelKill(n) is
+OtherDefs(n), so ``In − Kill − ParallelKill`` holds none of it already,
+and Gen(n) is disjoint from it.  The §6 flow half is therefore §5's over
+the wider ``pred`` family plus the sync-kill meet
+(:attr:`~repro.reachdefs.parallel.ParallelRDSystem.sync_edges`);
+``tests/oracles/reference_equations.py`` evaluates the term literally.
+
 Reading of the equations (paper §6):
 
 * A synchronization edge ``post → wait`` carries values: the wait's ``In``
@@ -66,7 +73,7 @@ selects the literal equations for study.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, Optional
 
 from ..dataflow.framework import SolveStats
 from ..dataflow.solver import run_solver
@@ -84,9 +91,8 @@ class SynchRDSystem(ParallelRDSystem):
 
     system_name = "synch"
 
-    #: §6's In equation reads sync predecessors, so provenance flow edges
-    #: include synchronization edges.
-    provenance_sync_edges = True
+    #: §6's In equation reads sync predecessors.
+    sync_edges = True
 
     def __init__(
         self,
@@ -102,47 +108,67 @@ class SynchRDSystem(ParallelRDSystem):
         )
         self.preserved = preserved
         self.filter_synch_pass = filter_synch_pass
-        self._sync_preds = {n: graph.sync_preds(n) for n in graph.nodes}
-        #: sync predecessors that the Preserved approximation orders before
-        #: the wait — the only ones SynchPass reads.
-        self._preserved_sync_preds: Dict[PFGNode, List[PFGNode]] = {
-            n: [p for p in self._sync_preds[n] if p in preserved[n]] for n in graph.nodes
-        }
-        #: per wait node: definitions whose defining node is ordered before
-        #: it (the SynchPass ordering filter; see module docstring).
-        self._ordered_defs: Dict[PFGNode, object] = {}
-        for n in graph.nodes:
+        ops, universe = self.ops, self._universe
+        #: Per node, compiled once: ``(preserved_sync_pred, ordered_defs,
+        #: OtherDefs, is_wait)``.  ``preserved_sync_pred`` are the sync
+        #: predecessors the Preserved approximation orders before the
+        #: wait — the only ones SynchPass reads.
+        #: ``ordered_defs`` (waits only) are the definitions whose defining
+        #: node is ordered before the wait (the SynchPass ordering filter;
+        #: see module docstring), or U with the filter off.
+        self._sync_plan: Dict[PFGNode, tuple] = {}
+        for n, (_, _, _, keep, _) in self._flow_plan.items():
+            ordered, sync_passed = None, ()
             if n.is_wait:
-                allowed = [
-                    d for d in graph.defs if self.info.def_node[d] in preserved[n]
-                ]
-                self._ordered_defs[n] = self.ops.from_defs(allowed)
+                before = preserved[n]
+                ordered = universe
+                if filter_synch_pass:
+                    def_node = self.info.def_node
+                    ordered = ops.from_defs(d for d in graph.defs if def_node[d] in before)
+                sync_passed = tuple(p for p in graph.sync_preds(n) if p in before)
+            other = universe ^ keep  # U − (U − OtherDefs)
+            self._sync_plan[n] = (sync_passed, ordered, other, n.is_wait)
         self.SynchPass: Dict[PFGNode, object] = {}
-
-    def _pred_family(self, n: PFGNode) -> List[PFGNode]:
-        # §6 In: pred(n) includes synchronization predecessors.
-        return self.graph.all_preds(n)
 
     def initialize(self) -> None:
         super().initialize()
-        empty = self.ops.empty()
+        empty = self._empty
         for n in self.graph.nodes:
             self.SynchPass[n] = empty
 
     def update_kill(self, n: PFGNode) -> bool:
-        # SynchPass belongs to the kill layer: it feeds ACCKillin (and the
-        # provably-redundant Out subtraction) and is monotone given frozen
-        # Out sets.
-        ops = self.ops
-        new_sp = self._compute_synch_pass(n)
-        changed = not ops.equals(new_sp, self.SynchPass[n])
+        # SynchPass belongs to the kill layer: it feeds ACCKillin and is
+        # monotone given frozen Out sets.
+        sync_passed, ordered, other, is_wait = self._sync_plan[n]
+        if is_wait:
+            out = self.Out
+            new_sp = self._empty
+            for p in sync_passed:
+                new_sp |= out[p]
+            new_sp &= ordered
+        else:
+            # Union over parallel predecessors only at joins (all of them
+            # ran); elsewhere the predecessors are alternative paths — a
+            # definition has "definitely occurred" only if every arrival
+            # path says so.  Same mixed-predecessor refinement as
+            # ACCKillin (see parallel.py).
+            _, joined, met, _, _, _ = self._kill_plan[n]
+            sp = self.SynchPass
+            new_sp = self._empty
+            if met:
+                new_sp = sp[met[0]]
+                for p in met:
+                    new_sp &= sp[p]
+            for p in joined:
+                new_sp |= sp[p]
+        changed = new_sp != self.SynchPass[n]
         self.SynchPass[n] = new_sp
-        return super().update_kill(n) | changed
+        return super().update_kill(n, other & new_sp) | changed
 
     def reset_kill_nodes(self, nodes: Iterable[PFGNode]) -> None:
         nodes = list(nodes)
         super().reset_kill_nodes(nodes)
-        empty = self.ops.empty()
+        empty = self._empty
         for n in nodes:
             self.SynchPass[n] = empty
 
@@ -154,45 +180,6 @@ class SynchRDSystem(ParallelRDSystem):
     def set_kill_state(self, state) -> None:
         super().set_kill_state(state)
         self.SynchPass.update(state["SynchPass"])
-
-    # -- equation overrides -------------------------------------------------
-
-    def _compute_synch_pass(self, n: PFGNode):
-        ops = self.ops
-        if n.is_wait:
-            passed = ops.union_all(self.Out[p] for p in self._preserved_sync_preds[n])
-            if self.filter_synch_pass:
-                passed = ops.intersection(passed, self._ordered_defs[n])
-            return passed
-        # Union over parallel predecessors only at joins (all of them ran);
-        # elsewhere the predecessors are alternative paths — a definition
-        # has "definitely occurred" only if every arrival path says so.
-        # Same mixed-predecessor refinement as ACCKillin (see parallel.py).
-        if n.is_join:
-            par = ops.union_all(self.SynchPass[p] for p in self._par_preds[n])
-            seq = ops.intersection_all(self.SynchPass[p] for p in self._seq_preds[n])
-            return ops.union(par, seq)
-        preds = self._par_preds[n] + self._seq_preds[n]
-        return ops.intersection_all(self.SynchPass[p] for p in preds)
-
-    def _compute_in(self, n: PFGNode):
-        ops = self.ops
-        flow = ops.union_all(self.Out[p] for p in self._all_preds[n])
-        par_kills = ops.union_all(self.ACCKillout[p] for p in self._par_preds[n])
-        sync_kills = ops.intersection_all(self.ACCKillout[p] for p in self._sync_preds[n])
-        return ops.difference(ops.difference(flow, par_kills), sync_kills)
-
-    def _compute_out(self, n: PFGNode):
-        base = super()._compute_out(n)
-        ops = self.ops
-        occurred = ops.intersection(self._otherdefs[n], self.SynchPass[n])
-        return ops.difference(base, occurred)
-
-    def _compute_acc_killin(self, n: PFGNode):
-        base = super()._compute_acc_killin(n)
-        ops = self.ops
-        occurred = ops.intersection(self._otherdefs[n], self.SynchPass[n])
-        return ops.union(base, occurred)
 
     def dependents(self, n: PFGNode) -> Iterable[PFGNode]:
         out = list(super().dependents(n))

@@ -192,9 +192,8 @@ def _maybe_observe(args: argparse.Namespace):
     if not trace and not profile:
         yield
         return
-    count_ops = getattr(args, "count_ops", False)
     failure: Optional[str] = None
-    with obs.session(count_bitset_ops=count_ops) as sess:
+    with obs.session() as sess:
         try:
             yield
         except BaseException as err:
@@ -222,12 +221,6 @@ def _add_obs_flags(p: argparse.ArgumentParser) -> None:
         "--profile",
         metavar="OUT.jsonl",
         help="export spans and metrics as JSONL (schema repro-obs/1)",
-    )
-    p.add_argument(
-        "--count-ops",
-        dest="count_ops",
-        action="store_true",
-        help="also count bitset set/word operations (slower, more detail)",
     )
 
 
@@ -971,7 +964,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--profile", metavar="OUT.jsonl", help="also export JSONL")
     _add_solver_flag(p)
-    p.set_defaults(func=cmd_stats, trace=True, count_ops=True)
+    p.set_defaults(func=cmd_stats, trace=True)
 
     return parser
 

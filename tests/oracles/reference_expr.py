@@ -1,5 +1,7 @@
-"""Reference expression walkers: the recursive traversals that
-``Expr.postorder`` and ``Expr.fold`` replaced.
+"""Reference AST walkers: the recursive traversals that
+``Expr.postorder`` and ``Expr.fold`` replaced, the dataclass-generated
+expression ``repr`` that ``Expr.__repr__`` replaced, and the recursive
+``Stmt.walk`` that the explicit-stack walk replaced.
 
 Each is kept as it was (or, for equality and hashing, as the frozen
 dataclass generated it: the class, then the fields in order), so the
@@ -11,6 +13,8 @@ expressions shallower than the interpreter's stack.
 """
 
 from __future__ import annotations
+
+from dataclasses import fields
 
 from repro.analysis.constprop import UNDEF, VARYING
 from repro.interp.trace import UseObservation
@@ -172,3 +176,19 @@ def reference_rename(expr, vmap):
     if isinstance(expr, ast.UnaryOp):
         return ast.UnaryOp(expr.op, reference_rename(expr.operand, vmap))
     return expr
+
+
+def reference_repr(e):
+    """What the dataclass-generated ``__repr__`` printed: the class's
+    qualified name, then every field as ``name=repr(value)``."""
+    if not isinstance(e, ast.Expr):
+        return repr(e)
+    args = ", ".join(f"{f.name}={reference_repr(getattr(e, f.name))}" for f in fields(e) if f.repr)
+    return f"{type(e).__qualname__}({args})"
+
+
+def reference_walk(stmt):
+    """``stmt`` and every statement below it, pre-order, by recursion."""
+    yield stmt
+    for child in stmt.children():
+        yield from reference_walk(child)

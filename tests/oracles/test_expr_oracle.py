@@ -40,9 +40,11 @@ from .reference_expr import (
     reference_interp_eval,
     reference_rename,
     reference_render_cssa_expr,
+    reference_repr,
     reference_str,
     reference_value_key,
     reference_variables,
+    reference_walk,
 )
 
 VARS = ("a", "b", "c", "d")
@@ -139,6 +141,19 @@ def test_str_and_variables_match_reference():
     for e in EXPRS + TRICKY:
         assert str(e) == reference_str(e)
         assert e.variables() == reference_variables(e)
+
+
+def test_repr_matches_dataclass_repr():
+    for e in EXPRS + TRICKY:
+        assert repr(e) == reference_repr(e)
+
+
+@pytest.mark.parametrize("program", PROGRAMS, ids=lambda p: p.name)
+def test_walk_matches_recursive_reference(program):
+    expected = [s for stmt in program.body for s in reference_walk(stmt)]
+    assert [id(s) for s in program.walk()] == [id(s) for s in expected]
+    for stmt in expected:
+        assert [id(s) for s in stmt.walk()] == [id(s) for s in reference_walk(stmt)]
 
 
 def test_equality_and_hashing_match_reference():

@@ -175,3 +175,11 @@ def test_deep_expressions_compare_and_hash_without_recursion(build, other):
     assert hash(a) == hash(b) and len({a, b, c}) == 2
     assert a != c and not (a == c)
     assert ast.structurally_equal(a, b) and not ast.structurally_equal(a, c)
+
+
+def test_deep_expressions_repr_without_recursion():
+    # The dataclass repr recursed once per level and overflowed the stack.
+    assert repr(_long_sum()) == (
+        "BinOp(op='+', left=" * 1199 + "Var(name='x')" + ", right=IntLit(value=1))" * 1199
+    )
+    assert repr(_deep_unary()) == "UnaryOp(op='-', operand=" * 600 + "Var(name='x')" + ")" * 600

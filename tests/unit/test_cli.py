@@ -171,7 +171,7 @@ def test_stats_command(program_file, capsys):
     assert "phase-time tree" in out
     for phase in ("parse", "pfg-build", "solve", "interp.run"):
         assert phase in out, phase
-    assert "bitset.ops" in out  # stats enables op counting
+    assert "node_updates" in out  # the solver's work count
 
 
 def test_stats_no_run_skips_interpreter(program_file, capsys):

@@ -1,8 +1,13 @@
 """Gen/Kill/ParallelKill/OtherDefs tests."""
 
+import pytest
+
+from repro.dataflow.bitset import BACKEND_NAMES, make_backend
 from repro.lang import parse_program
+from repro.paper import SOURCES
 from repro.pfg import build_pfg
-from repro.reachdefs.genkill import compute_genkill, sequential_kill
+from repro.reachdefs.genkill import compute_genkill, encode_other_defs, sequential_kill
+from repro.synthetic import diamond_chain, random_mix
 
 
 def names(defs):
@@ -76,3 +81,20 @@ def test_node_without_defs_has_empty_sets(fig3_graph):
     assert info.gen[fork] == frozenset()
     assert info.kill[fork] == frozenset()
     assert info.other_defs[fork] == frozenset()
+
+
+@pytest.mark.parametrize("backend", BACKEND_NAMES)
+def test_encoded_other_defs_match_the_listed_sets(backend):
+    # encode_other_defs builds each node's mask from per-variable masks;
+    # it must encode exactly the sets compute_genkill lists.
+    programs = [parse_program(src) for src in SOURCES.values()]
+    programs += [diamond_chain(6), parse_program("program p\n(1) x = 1\n(1) x = 2\n(1) y = 3\n(2) y = x\nend")]
+    programs += [random_mix(seed, 40) for seed in range(4)]
+    for program in programs:
+        graph = build_pfg(program)
+        info = compute_genkill(graph)
+        ops = make_backend(backend, list(graph.defs))
+        encoded = encode_other_defs(graph, ops)
+        assert list(encoded) == list(graph.nodes)
+        for node, mask in encoded.items():
+            assert ops.to_frozenset(mask) == info.other_defs[node], (program.name, node.name)

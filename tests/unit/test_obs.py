@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro import analyze, obs, optimize, parse_program
-from repro.dataflow.bitset import CountingBackend, IntBitsetBackend, make_backend
+from repro.dataflow.bitset import IntBitsetBackend, make_backend
 from repro.ir.defs import Definition
 from repro.obs import (
     NULL_METRICS,
@@ -229,7 +229,6 @@ def test_session_restores_on_error():
         with obs.session():
             raise RuntimeError("boom")
     assert get_tracer() is NULL_TRACER
-    assert not obs.bitset_counting_enabled()
 
 
 def test_stats_span_set_inside_session():
@@ -242,7 +241,7 @@ def test_stats_span_set_inside_session():
     assert sess.tracer.find("solve") is result.stats.span
 
 
-# -- bitset op counting ---------------------------------------------------
+# -- set backends -------------------------------------------------------
 
 
 def _universe(n=8):
@@ -252,43 +251,9 @@ def _universe(n=8):
 def test_make_backend_not_wrapped_by_default():
     backend = make_backend("bitset", _universe())
     assert isinstance(backend, IntBitsetBackend)
-    with obs.session():  # session without count_bitset_ops
+    with obs.session():  # a session does not change the backend
         backend = make_backend("bitset", _universe())
         assert isinstance(backend, IntBitsetBackend)
-
-
-def test_counting_backend_counts_ops_and_words():
-    with obs.session(count_bitset_ops=True) as sess:
-        backend = make_backend("bitset", _universe(100))
-        assert isinstance(backend, CountingBackend)
-        a = backend.from_defs(_universe(100)[:3])
-        b = backend.from_defs(_universe(100)[2:5])
-        backend.union(a, b)
-        backend.intersection(a, b)
-        backend.difference(a, b)
-        backend.equals(a, b)
-    counters = sess.metrics.as_dict()["counters"]
-    assert counters["bitset.ops"] == 4
-    assert counters["bitset.word_ops"] == 4 * 2  # 100 defs -> 2 words
-
-
-def test_counting_backend_transparent_results():
-    plain = make_backend("bitset", _universe())
-    with obs.session(count_bitset_ops=True):
-        counted = make_backend("bitset", _universe())
-    a, b = plain.from_defs(_universe()[:4]), plain.from_defs(_universe()[2:6])
-    assert counted.union(a, b) == plain.union(a, b)
-    assert counted.name == plain.name
-
-
-def test_analyze_under_op_counting_matches_plain():
-    prog = parse_program(SOURCE)
-    plain = analyze(prog)
-    with obs.session(count_bitset_ops=True) as sess:
-        counted = analyze(prog, cache=False)
-    assert sess.metrics.as_dict()["counters"]["bitset.ops"] > 0
-    for node in plain.graph.nodes:
-        assert plain.in_names(node.name) == counted.in_names(node.name)
 
 
 # -- rendering ------------------------------------------------------------

@@ -64,7 +64,7 @@ def test_kill_state_roundtrip():
     system.set_kill_state(met)
     for slot, values in state.items():
         for n, v in values.items():
-            assert system.ops.equals(getattr(system, slot)[n], v)
+            assert getattr(system, slot)[n] == v
 
 
 def test_flow_and_kill_phase_partition_state():
@@ -79,12 +79,12 @@ def test_flow_and_kill_phase_partition_state():
     # a kill sweep must not modify In/Out...
     for n in nodes:
         system.update_kill(n)
-    assert all(system.ops.equals(system.In[n], flow_snapshot[n]) for n in nodes)
+    assert all(system.In[n] == flow_snapshot[n] for n in nodes)
     # ...and reset_flow_nodes clears exactly the flow half
     killin_before = {n: system.ACCKillin[n] for n in nodes}
     system.reset_flow_nodes(nodes)
-    assert all(system.ops.equals(system.In[n], system.ops.empty()) for n in nodes)
-    assert all(system.ops.equals(system.ACCKillin[n], killin_before[n]) for n in nodes)
+    assert all(system.In[n] == system.ops.empty() for n in nodes)
+    assert all(system.ACCKillin[n] == killin_before[n] for n in nodes)
 
 
 def test_every_round_ends_in_a_converge_span():
