@@ -111,16 +111,15 @@ class ConstantPropagation:
         # def -> defs whose rhs may read it (dependents for the worklist).
         reads: Dict[Definition, Dict[str, FrozenSet[Definition]]] = {}
         dependents: Dict[Definition, List[Definition]] = {d: [] for d in values}
-        for e in values:
-            assert e.stmt is not None
-            ordinal = chains.ordinals[e]
-            reads[e] = {
-                var: chains.defs_for(Use(var=var, site=e.site, ordinal=ordinal))
-                for var in e.stmt.expr.variables()
-            }
-            for defs in reads[e].values():
-                for d in defs:
-                    dependents[d].append(e)
+        for node in result.graph.nodes:  # in definition order, as ``values``
+            for (ordinal, _), e in zip(node.assignments(), node.defs):
+                reads[e] = {
+                    var: chains.defs_for(Use(var=var, site=node.name, ordinal=ordinal))
+                    for var in node.reads[ordinal]
+                }
+                for defs in reads[e].values():
+                    for d in defs:
+                        dependents[d].append(e)
         # FIFO in document order: on an acyclic program every definition
         # is evaluated after all definitions reaching it, so exactly once.
         work = deque(values)

@@ -62,14 +62,13 @@ def find_dead_code(
     graph = result.graph
     roots: Set[Definition] = set()
     if observable_at_exit and graph.exit is not None:
-        roots |= set(result.In(graph.exit)) | set(result.Out(graph.exit))
+        roots |= result.in_out(graph.exit)
 
     # Branch conditions are always observable (they steer control flow).
     for node in graph.nodes:
-        if node.cond is not None:
-            for var in node.cond.variables():
-                use = Use(var=var, site=node.name, ordinal=len(node.stmts))
-                roots |= chains.defs_for(use)
+        for var in node.reads[-1]:
+            use = Use(var=var, site=node.name, ordinal=len(node.stmts))
+            roots |= chains.defs_for(use)
 
     live: Set[Definition] = set()
     work: List[Definition] = list(roots)
@@ -81,7 +80,7 @@ def find_dead_code(
         if d.stmt is None:
             continue
         ordinal = chains.ordinals[d]
-        for var in d.stmt.expr.variables():
+        for var in result.info.def_node[d].reads[ordinal]:
             use = Use(var=var, site=d.site, ordinal=ordinal)
             for feeder in chains.defs_for(use):
                 if feeder not in live:

@@ -24,13 +24,17 @@ class UDChains:
 
     result: ReachingDefsResult
     ud: Dict[Use, FrozenSet[Definition]]
-    du: Dict[Definition, Tuple[Use, ...]]
 
     @classmethod
     def from_result(cls, result: ReachingDefsResult) -> "UDChains":
         ud = result.ud_chains()
         get_metrics().inc("client.udchains.uses", len(ud))
-        return cls(result=result, ud=ud, du=result.du_chains(ud))
+        return cls(result=result, ud=ud)
+
+    @cached_property
+    def du(self) -> Dict[Definition, Tuple[Use, ...]]:
+        """du-chains, the inverse of :attr:`ud`, built on first use."""
+        return self.result.du_chains(self.ud)
 
     # -- queries -----------------------------------------------------------
 

@@ -64,6 +64,27 @@ def node_fingerprint(node: PFGNode) -> Fingerprint:
     )
 
 
+def _shape(node: PFGNode) -> Tuple[int, bool]:
+    """What :func:`node_fingerprint` implies without rendering text (its
+    statement count, and whether it has a condition): nodes whose
+    shapes differ never have equal fingerprints."""
+    return len(node.stmts), node.cond is None
+
+
+def _fingerprints(
+    nodes: List[PFGNode], shapes: List[Tuple[int, bool]], other_shapes: Set[Tuple[int, bool]]
+) -> List[object]:
+    """Fingerprints of ``nodes`` for the alignment.  A node whose shape
+    the other graph lacks can match nothing there, so it stands for
+    itself (a node equals only itself) and its statements are never
+    rendered; the alignment is the same as with every fingerprint
+    rendered, at the cost of one shape per node when the graphs share
+    little (a structurally disjoint base, which falls back)."""
+    return [
+        node_fingerprint(n) if shape in other_shapes else n for n, shape in zip(nodes, shapes)
+    ]
+
+
 @dataclass
 class GraphMatch:
     """The recovered correspondence between a base and a new PFG."""
@@ -98,8 +119,10 @@ def _aligned_pairs(
     """
     base_nodes = base.document_order()
     new_nodes = new.document_order()
-    base_fps = [node_fingerprint(n) for n in base_nodes]
-    new_fps = [node_fingerprint(n) for n in new_nodes]
+    base_shapes = [_shape(n) for n in base_nodes]
+    new_shapes = [_shape(n) for n in new_nodes]
+    base_fps = _fingerprints(base_nodes, base_shapes, set(new_shapes))
+    new_fps = _fingerprints(new_nodes, new_shapes, set(base_shapes))
     matcher = SequenceMatcher(None, base_fps, new_fps, autojunk=False)
     pairs: List[Tuple[PFGNode, PFGNode]] = []
     gaps: List[Tuple[List[PFGNode], List[PFGNode]]] = []
@@ -187,35 +210,35 @@ def _genkill_agrees(
 def match_graphs(base: ParallelFlowGraph, new: ParallelFlowGraph) -> GraphMatch:
     """Compute the trusted correspondence between ``base`` and ``new``.
 
-    Runs in three passes: (1) LCS alignment over fingerprints, (2) the
-    definition map from aligned defining nodes (fingerprint equality
-    forces equal per-node def counts in statement order), (3) the
-    environment checks — edge correspondence and gen/kill agreement —
-    which demote aligned-but-perturbed nodes to dirty.  Every new node
-    that is not in a *trusted* pair lands in ``dirty_nodes``.
+    Runs in three passes: (1) LCS alignment over fingerprints, (2) edge
+    correspondence, which keeps the aligned pairs whose in-edges (and
+    join→fork link) survive, (3) for those, gen/kill agreement under
+    the definition map built from aligned defining nodes (fingerprint
+    equality forces equal per-node def counts in statement order).  When
+    no pair survives (2), as off a structurally disjoint base, neither
+    the map nor the local sets are built.  Every new node that is not in
+    a *trusted* pair lands in ``dirty_nodes``.
     """
     match = GraphMatch(base=base, new=new)
     pairs, gaps = _aligned_pairs(base, new)
     pair_map: Dict[PFGNode, PFGNode] = {b: n for b, n in pairs}
-    # Pass 2: the def map covers all *aligned* nodes (not just trusted
-    # ones) plus surviving defs inside replace gaps — a dirty node's
-    # defs still keep their identity, and the gen/kill comparison needs
-    # the full picture to decide trust.
-    for b, n in pairs:
-        for bd, nd in zip(b.defs, n.defs):
+    candidates = [(b, n) for b, n in pairs if _edges_correspond(pair_map, b, n, match)]
+    if candidates:
+        # The def map covers all *aligned* nodes (not just candidates)
+        # plus surviving defs inside replace gaps — a dirty node's defs
+        # still keep their identity, and the gen/kill comparison needs
+        # the full picture to decide trust.
+        for b, n in pairs:
+            for bd, nd in zip(b.defs, n.defs):
+                match.def_map[bd] = nd
+        for bd, nd in _gap_def_pairs(gaps):
             match.def_map[bd] = nd
-    for bd, nd in _gap_def_pairs(gaps):
-        match.def_map[bd] = nd
-    base_gk = compute_genkill(base)
-    new_gk = compute_genkill(new)
-    trusted: List[Tuple[PFGNode, PFGNode]] = []
-    for b, n in pairs:
-        if _edges_correspond(pair_map, b, n, match) and _genkill_agrees(
-            b, n, match, base_gk, new_gk
-        ):
-            trusted.append((b, n))
-    match.base_to_new = {b: n for b, n in trusted}
-    match.new_to_base = {n: b for b, n in trusted}
+        base_gk = compute_genkill(base)
+        new_gk = compute_genkill(new)
+        for b, n in candidates:
+            if _genkill_agrees(b, n, match, base_gk, new_gk):
+                match.base_to_new[b] = n
+                match.new_to_base[n] = b
     match.dirty_nodes = {n for n in new.nodes if n not in match.new_to_base}
     return match
 

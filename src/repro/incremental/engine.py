@@ -172,8 +172,8 @@ def incremental_analyze(
                     cached = memo.get(row)
                     if cached is None:
                         mapped = [match.def_map[d] for d in row]
-                        # The frozenset view rides along so to_result()
-                        # skips re-materializing final clean rows.
+                        # The frozenset view rides along so a final clean
+                        # row is read back as it is, not decoded again.
                         cached = (system.ops.from_defs(mapped), frozenset(mapped))
                         memo[row] = cached
                     seeded[slot][node], known[slot][node] = cached

@@ -73,6 +73,8 @@ class PFGNode:
     #: For FORK/JOIN nodes: id of the parallel construct they delimit.
     construct_id: Optional[int] = None
 
+    _reads = None  # unannotated, so not a dataclass field: see ``reads``
+
     # -- classification ----------------------------------------------------
 
     @property
@@ -103,6 +105,25 @@ class PFGNode:
             if isinstance(stmt, ast.Assign):
                 yield ordinal, stmt
 
+    @property
+    def reads(self) -> Tuple[Tuple[str, ...], ...]:
+        """The variables each statement reads, by ordinal (``()`` for a
+        statement that is not an assignment), then those of the trailing
+        branch condition at ordinal ``len(stmts)``.
+
+        Built on first use, after the builder has filled the block, so
+        each expression is walked once however many clients read it.
+        """
+        reads = self._reads
+        if reads is None:
+            listed = [
+                stmt.expr.variables() if isinstance(stmt, ast.Assign) else ()
+                for stmt in self.stmts
+            ]
+            listed.append(self.cond.variables() if self.cond is not None else ())
+            reads = self._reads = tuple(listed)
+        return reads
+
     def uses(self) -> List[Use]:
         """All variable reads in this node, in execution order.
 
@@ -110,15 +131,11 @@ class PFGNode:
         branch condition (given ordinal ``len(stmts)``, i.e. after every
         body statement).
         """
-        out: List[Use] = []
-        for ordinal, stmt in enumerate(self.stmts):
-            if isinstance(stmt, ast.Assign):
-                for var in stmt.expr.variables():
-                    out.append(Use(var=var, site=self.name, ordinal=ordinal))
-        if self.cond is not None:
-            for var in self.cond.variables():
-                out.append(Use(var=var, site=self.name, ordinal=len(self.stmts)))
-        return out
+        return [
+            Use(var=var, site=self.name, ordinal=ordinal)
+            for ordinal, names in enumerate(self.reads)
+            for var in names
+        ]
 
     def defs_of(self, var: str) -> List[Definition]:
         """This node's definitions of ``var``, in order."""

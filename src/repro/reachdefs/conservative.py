@@ -92,7 +92,7 @@ class ConservativeRDSystem(EquationSystem[PFGNode]):
         }
 
     def to_result(self, stats: SolveStats) -> ReachingDefsResult:
-        rows = materialize(self.ops, self.graph.nodes, {"In": self._in, "Out": self._out})
+        rows = materialize(self.ops, {"In": self._in, "Out": self._out})
         return ReachingDefsResult(
             graph=self.graph,
             info=self.info,

@@ -301,7 +301,7 @@ class ParallelRDSystem(EquationSystem[PFGNode]):
         return tuple(slot[n] for slot in self._result_slots().values() for n in nodes)
 
     def _result_slots(self) -> Dict[str, Dict[PFGNode, object]]:
-        """Encoded rows by slot name, as :meth:`to_result` decodes them."""
+        """Encoded rows by slot name, as :meth:`to_result` hands them on."""
         return {
             "In": self.In,
             "Out": self.Out,
@@ -311,10 +311,11 @@ class ParallelRDSystem(EquationSystem[PFGNode]):
         }
 
     def to_result(self, stats: SolveStats, known=None) -> ReachingDefsResult:
-        """``known`` maps slot name → {node: frozenset} for rows whose
-        final values are already materialized (the incremental engine's
-        seeded clean regions); see :func:`~repro.reachdefs.result.materialize`."""
-        rows = materialize(self.ops, self.graph.nodes, self._result_slots(), known)
+        """The result keeps this system's rows encoded, decoded as they are
+        read.  ``known`` maps slot name → {node: frozenset} for rows whose
+        final values are already decoded (the incremental engine's seeded
+        clean regions); see :func:`~repro.reachdefs.result.materialize`."""
+        rows = materialize(self.ops, self._result_slots(), known)
         return ReachingDefsResult(
             graph=self.graph,
             info=self.info,

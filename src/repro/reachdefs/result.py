@@ -1,19 +1,25 @@
 """Result container for reaching-definitions analyses.
 
-Wraps the per-node fixpoint sets (as plain frozensets of
-:class:`~repro.ir.defs.Definition`) together with iteration statistics,
-and provides the queries optimization clients need: definitions reaching a
+Wraps the per-node fixpoint sets together with iteration statistics, and
+provides the queries optimization clients need: definitions reaching a
 use (ud-chains), definitions of a variable reaching a block, and
 paper-style set printing keyed by block name.
+
+The solved rows stay encoded (:class:`EncodedRows`): a row is decoded
+into a frozenset of :class:`~repro.ir.defs.Definition` when it is first
+read, and the ud-chain queries decode only ``In(n) & defs(var)`` for the
+variables a node reads.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple, Union
 
 from ..dataflow.framework import SolveStats
 from ..ir.defs import Definition, Use
+from ..lang import ast
 from ..obs import get_metrics, get_tracer
 from ..pfg.graph import ParallelFlowGraph
 from ..pfg.node import PFGNode
@@ -22,53 +28,99 @@ from .preserved import PreservedResult
 
 DefSet = FrozenSet[Definition]
 NodeRef = Union[PFGNode, str]
-Rows = Dict[PFGNode, DefSet]
+Rows = Mapping[PFGNode, DefSet]
+
+
+class _Decoder:
+    """What the slots of one result share: the backend, the memo from a
+    mask to its decoded set (so equal masks, across nodes and slots, give
+    one frozenset object) and the per-variable definition masks the
+    ud-chain queries intersect ``In`` rows with.  Each mask decoded adds
+    to ``reachdefs.materialize.distinct``."""
+
+    __slots__ = ("ops", "memo", "var_masks")
+
+    def __init__(self, ops):
+        self.ops = ops
+        self.memo: Dict[object, DefSet] = {}
+        self.var_masks: Dict[str, object] = {}
+
+    def decode(self, mask) -> DefSet:
+        row = self.memo.get(mask)
+        if row is None:
+            row = self.memo[mask] = self.ops.to_frozenset(mask)
+            metrics = get_metrics()
+            if metrics.enabled:
+                metrics.inc("reachdefs.materialize.distinct")
+        return row
+
+
+class EncodedRows(Mapping[PFGNode, DefSet]):
+    """One slot of a solved system: ``{node: mask}`` rows, each decoded to
+    a frozenset of definitions on its first read and kept.
+
+    Holds the slot's mask dict and the result's shared :class:`_Decoder`,
+    not the equation system.  The first read of a row adds to
+    ``reachdefs.materialize.rows``.
+    """
+
+    __slots__ = ("masks", "decoder", "_rows")
+
+    def __init__(self, masks: Mapping[PFGNode, object], decoder: _Decoder):
+        self.masks = masks
+        self.decoder = decoder
+        self._rows: Dict[PFGNode, DefSet] = {}
+
+    def __getitem__(self, node: PFGNode) -> DefSet:
+        row = self._rows.get(node)
+        if row is None:
+            row = self._rows[node] = self.decoder.decode(self.masks[node])
+            metrics = get_metrics()
+            if metrics.enabled:
+                metrics.inc("reachdefs.materialize.rows")
+        return row
+
+    def __contains__(self, node: object) -> bool:
+        return node in self.masks
+
+    def __iter__(self) -> Iterator[PFGNode]:
+        return iter(self.masks)
+
+    def __len__(self) -> int:
+        return len(self.masks)
+
+    def __repr__(self) -> str:
+        return repr(dict(self))
 
 
 def materialize(
     ops,
-    nodes: Sequence[PFGNode],
     slots: Mapping[str, Mapping[PFGNode, object]],
     known: Optional[Mapping[str, Mapping[PFGNode, DefSet]]] = None,
-) -> Dict[str, Rows]:
-    """Decode a solved system's rows into frozensets of definitions.
+) -> Dict[str, EncodedRows]:
+    """Wrap a solved system's rows, by slot name, as :class:`EncodedRows`.
 
-    ``slots`` maps a slot name to its encoded ``{node: mask}`` rows;
-    ``known`` maps a slot name to rows already materialized (the
-    incremental engine's seeded clean regions), which pass through
-    unchanged.  Each distinct mask is decoded once per call, so rows
-    with equal masks, across nodes and slots, share one frozenset.  The
-    memo lives only for the call: nothing is kept on the result.
-
-    Runs under a ``materialize`` span; the rows returned and the distinct
-    masks among them add to ``reachdefs.materialize.rows`` and
-    ``reachdefs.materialize.distinct``.
+    ``slots`` maps a slot name to its encoded ``{node: mask}`` rows, which
+    the result keeps as they are: the system must not be solved again.
+    ``known`` maps a slot name to rows already decoded (the incremental
+    engine's seeded clean regions); they are read back unchanged, and a
+    row whose mask equals a known row's is that row.  Nothing is decoded
+    here.  Runs under a ``materialize`` span annotated with the rows
+    wrapped and the known rows among them.
     """
-    decode = ops.to_frozenset
-    memo: Dict[object, DefSet] = {}
-    out: Dict[str, Rows] = {}
+    decoder = _Decoder(ops)
+    out: Dict[str, EncodedRows] = {}
+    n_known = 0
     with get_tracer().span("materialize") as span:
         for name, values in slots.items():
+            rows = out[name] = EncodedRows(values, decoder)
             pre = known.get(name) if known else None
-            rows: Rows = {}
-            for n in nodes:
-                mask = values[n]
-                if pre and n in pre:
-                    rows[n] = pre[n]
-                    memo.setdefault(mask, pre[n])
-                    continue
-                row = memo.get(mask)
-                if row is None:
-                    row = memo[mask] = decode(mask)
-                rows[n] = row
-            out[name] = rows
-        n_rows = len(nodes) * len(slots)
-        distinct = len(memo)
-        span.annotate(rows=n_rows, distinct=distinct)
-    metrics = get_metrics()
-    if metrics.enabled:
-        metrics.inc("reachdefs.materialize.rows", n_rows)
-        metrics.inc("reachdefs.materialize.distinct", distinct)
+            if pre:
+                rows._rows.update(pre)
+                for n, row in pre.items():
+                    decoder.memo.setdefault(values[n], row)
+                n_known += len(pre)
+        span.annotate(rows=sum(len(values) for values in slots.values()), known=n_known)
     return out
 
 
@@ -83,12 +135,12 @@ class ReachingDefsResult:
 
     graph: ParallelFlowGraph
     info: GenKillInfo
-    in_sets: Dict[PFGNode, DefSet]
-    out_sets: Dict[PFGNode, DefSet]
-    acc_killin: Optional[Dict[PFGNode, DefSet]] = None
-    acc_killout: Optional[Dict[PFGNode, DefSet]] = None
-    fork_kill: Optional[Dict[PFGNode, DefSet]] = None
-    synch_pass: Optional[Dict[PFGNode, DefSet]] = None
+    in_sets: Rows
+    out_sets: Rows
+    acc_killin: Optional[Rows] = None
+    acc_killout: Optional[Rows] = None
+    fork_kill: Optional[Rows] = None
+    synch_pass: Optional[Rows] = None
     preserved: Optional[PreservedResult] = None
     stats: SolveStats = field(default_factory=SolveStats)
     system: str = ""
@@ -159,8 +211,18 @@ class ReachingDefsResult:
     # -- client queries ------------------------------------------------------------
 
     def reaching(self, ref: NodeRef, var: str) -> DefSet:
-        """Definitions of ``var`` reaching the *start* of the block."""
-        return frozenset(d for d in self.In(ref) if d.var == var)
+        """Definitions of ``var`` reaching the *start* of the block:
+        ``In & defs(var)``, decoded from one mask intersection when the
+        rows are encoded (``defs(var)`` is built once per result)."""
+        node = self._node(ref)
+        rows = self.in_sets
+        if not isinstance(rows, EncodedRows):
+            return frozenset(d for d in rows[node] if d.var == var)
+        decoder = rows.decoder
+        defs = decoder.var_masks.get(var)
+        if defs is None:
+            defs = decoder.var_masks[var] = decoder.ops.from_defs(self.graph.defs.of_var(var))
+        return decoder.decode(rows.masks[node] & defs)
 
     def reaching_use(self, use: Use) -> DefSet:
         """Definitions reaching a specific use (intra-block defs considered:
@@ -171,34 +233,40 @@ class ReachingDefsResult:
             return frozenset((local,))
         return self.reaching(node, use.var)
 
+    def in_out(self, ref: NodeRef) -> DefSet:
+        """``In ∪ Out`` of the block, decoded from one mask when both
+        slots are encoded."""
+        node = self._node(ref)
+        ins, outs = self.in_sets, self.out_sets
+        if isinstance(ins, EncodedRows) and isinstance(outs, EncodedRows):
+            return ins.decoder.decode(ins.masks[node] | outs.masks[node])
+        return ins[node] | outs[node]
+
     def ud_chains(self) -> Dict[Use, DefSet]:
         """Use-definition chains for every use in the program, equal to
         :meth:`reaching_use` of each use.
 
-        One pass per node: ``In`` is grouped once by the variables the
-        node reads, and the body is walked in order so a same-block
-        definition shadows the inflowing ones for every later use."""
+        One pass per node over its read list (:attr:`PFGNode.reads`), in
+        statement order, so a same-block definition shadows the inflowing
+        ones for every later use.  The inflowing definitions of a
+        variable are :meth:`reaching`, read once per node and variable."""
         chains: Dict[Use, DefSet] = {}
         for node in self.graph.nodes:
-            uses = node.uses()
-            if not uses:
+            reads = node.reads
+            if not any(reads):
                 continue
-            inflow: Dict[str, List[Definition]] = {use.var: [] for use in uses}
-            for d in self.in_sets[node]:
-                bucket = inflow.get(d.var)
-                if bucket is not None:
-                    bucket.append(d)
-            reaching = {var: frozenset(ds) for var, ds in inflow.items()}
-            def_of = {id(d.stmt): d for d in node.defs}
+            site, stmts, defs = node.name, node.stmts, iter(node.defs)
+            reaching: Dict[str, DefSet] = {}
             local: Dict[str, DefSet] = {}
-            walked = 0  # statements whose definition is already in ``local``
-            for use in uses:
-                while walked < use.ordinal:
-                    d = def_of.get(id(node.stmts[walked]))
-                    if d is not None:
-                        local[d.var] = frozenset((d,))
-                    walked += 1
-                chains[use] = local.get(use.var) or reaching[use.var]
+            for ordinal, names in enumerate(reads):
+                for var in names:
+                    chain = local.get(var) or reaching.get(var)
+                    if chain is None:
+                        chain = reaching[var] = self.reaching(node, var)
+                    chains[Use(var, site, ordinal)] = chain
+                if ordinal < len(stmts) and isinstance(stmts[ordinal], ast.Assign):
+                    d = next(defs)
+                    local[d.var] = frozenset((d,))
         return chains
 
     def du_chains(

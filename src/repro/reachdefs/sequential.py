@@ -106,11 +106,12 @@ class SequentialRDSystem(EquationSystem[PFGNode]):
         }
 
     def to_result(self, stats: SolveStats, known=None) -> ReachingDefsResult:
-        """``known`` maps slot name → {node: frozenset} for rows whose
-        final values are already materialized (the incremental engine's
-        seeded clean regions); see :func:`~repro.reachdefs.result.materialize`."""
+        """The result keeps this system's rows encoded, decoded as they are
+        read.  ``known`` maps slot name → {node: frozenset} for rows whose
+        final values are already decoded (the incremental engine's seeded
+        clean regions); see :func:`~repro.reachdefs.result.materialize`."""
         slots = {"_in": self._in, "_out": self._out}
-        rows = materialize(self.ops, self.graph.nodes, slots, known)
+        rows = materialize(self.ops, slots, known)
         return ReachingDefsResult(
             graph=self.graph,
             info=self.info,

@@ -1,9 +1,16 @@
-"""``to_result`` against a per-row decode.
+"""``to_result``'s lazy rows against a per-row decode.
 
-Every row must equal ``ops.to_frozenset`` of its mask; rows with equal
-masks, across nodes and slots, must be one object; rows the incremental
-engine hands in as ``known`` must pass through unchanged.
+Every row read must equal ``ops.to_frozenset`` of its mask; rows with
+equal masks, across nodes and slots, must be one object; rows the
+incremental engine hands in as ``known`` must pass through unchanged;
+iterating, ``len``, ``dict(...)``, ``pickle`` and ``copy.deepcopy`` of a
+result must give the rows an eager decode gives; and the materialize
+counters count rows when they are first read, not when the result is
+built.
 """
+
+import copy
+import pickle
 
 import pytest
 
@@ -110,15 +117,80 @@ def test_known_rows_pass_through(system_name):
             assert rows[n] == system.ops.to_frozenset(slots[field][n])
 
 
+def eager_rows(system, slots):
+    decode = system.ops.to_frozenset
+    return {field: {n: decode(masks[n]) for n in system.graph.nodes} for field, masks in slots.items()}
+
+
+def by_name(rows):
+    return {n.name: sorted(d.name for d in row) for n, row in rows.items()}
+
+
+@pytest.mark.parametrize("backend", ["bitset", "set"])
+@pytest.mark.parametrize("system_name", sorted(SYSTEMS))
+@pytest.mark.parametrize("name", sorted(PROGRAMS))
+def test_rows_behave_as_the_eager_dicts(name, system_name, backend):
+    graph = build_pfg(PROGRAMS[name]())
+    system, stats, slots = SYSTEMS[system_name](graph, backend)
+    eager = eager_rows(system, slots)
+    fresh = system.to_result(stats)
+    partly_read = system.to_result(stats)
+    for field in slots:
+        rows = getattr(partly_read, field)
+        for n in graph.nodes[::2]:
+            rows[n]
+    for result in (fresh, partly_read):
+        for field, expected in eager.items():
+            rows = getattr(result, field)
+            assert list(rows) == list(graph.nodes)
+            assert len(rows) == len(graph.nodes)
+            assert all(n in rows for n in graph.nodes) and "nope" not in rows
+            assert rows == expected and dict(rows) == expected
+        for twin in (pickle.loads(pickle.dumps(result)), copy.deepcopy(result)):
+            for field, expected in eager.items():
+                rows = getattr(twin, field)
+                assert list(n.name for n in rows) == [n.name for n in graph.nodes]
+                assert by_name(rows) == by_name(expected)
+    check_rows(partly_read, system, slots)
+
+
 def test_materialize_span_and_counters():
     graph = build_pfg(diamond_chain(10))
     system, stats, slots = parallel(graph, "bitset")
     with obs.session() as sess:
-        system.to_result(stats)
-    counters = {name: c.value for name, c in sess.metrics.counters.items()}
-    rows = 5 * len(graph.nodes)
-    distinct = len({mask for masks in slots.values() for mask in masks.values()})
-    assert counters["reachdefs.materialize.rows"] == rows
-    assert counters["reachdefs.materialize.distinct"] == distinct < rows
+        result = system.to_result(stats)
+
+        def counters():
+            return {name: c.value for name, c in sess.metrics.counters.items()}
+
+        # building the result decodes nothing
+        assert "reachdefs.materialize.rows" not in counters()
+        assert "reachdefs.materialize.distinct" not in counters()
+        # a row counts once, on its first read; a mask once, when decoded
+        half = graph.nodes[: len(graph.nodes) // 2]
+        for _ in range(2):
+            for n in half:
+                result.in_sets[n]
+        read_masks = {slots["in_sets"][n] for n in half}
+        assert counters()["reachdefs.materialize.rows"] == len(half)
+        assert counters()["reachdefs.materialize.distinct"] == len(read_masks)
+        for field in slots:
+            dict(getattr(result, field))
+        rows = 5 * len(graph.nodes)
+        distinct = {mask for masks in slots.values() for mask in masks.values()}
+        assert counters()["reachdefs.materialize.rows"] == rows
+        assert counters()["reachdefs.materialize.distinct"] == len(distinct) < rows
+        # ud-chains read no row; they decode the In & defs(var) masks not
+        # decoded yet
+        ud = result.ud_chains()
+        var_masks = {var: system.ops.from_defs(graph.defs.of_var(var)) for var in graph.defs.variables()}
+        inflow = {
+            slots["in_sets"][node] & var_masks[use.var]
+            for use in ud
+            for node in [graph.node(use.site)]
+            if node.local_def_before(use.var, use.ordinal) is None
+        }
+        assert counters()["reachdefs.materialize.rows"] == rows
+        assert counters()["reachdefs.materialize.distinct"] == len(distinct | inflow)
     (span,) = [span for span, _ in sess.tracer.walk() if span.name == "materialize"]
-    assert span.attrs == {"rows": rows, "distinct": distinct}
+    assert span.attrs == {"rows": rows, "known": 0}

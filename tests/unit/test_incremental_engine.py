@@ -51,6 +51,53 @@ def test_match_name_renumbering_is_immaterial():
     assert match.n_matched > len(build_pfg(p1).nodes) // 2
 
 
+def _reference_alignment(base, new):
+    """Alignment over every node's full fingerprint, nothing skipped."""
+    from difflib import SequenceMatcher
+
+    from repro.incremental.diff import node_fingerprint
+
+    b, n = base.document_order(), new.document_order()
+    matcher = SequenceMatcher(
+        None, [node_fingerprint(x) for x in b], [node_fingerprint(x) for x in n], autojunk=False
+    )
+    pairs, gaps = [], []
+    for tag, i1, i2, j1, j2 in matcher.get_opcodes():
+        if tag == "equal":
+            pairs += zip(b[i1:i2], n[j1:j2])
+        elif tag == "replace":
+            gaps.append((b[i1:i2], n[j1:j2]))
+    return pairs, gaps
+
+
+def test_alignment_renders_only_shared_shapes(monkeypatch):
+    """Nodes whose shape the other graph lacks are not rendered, and the
+    alignment is the one every fingerprint rendered gives."""
+    from repro.incremental import diff
+
+    inserted = workloads.diamond_chain(8)
+    inserted.body.insert(1, ast.Assign(target="fresh_v", expr=ast.IntLit(1)))
+    cases = [
+        (workloads.diamond_chain(8), _edited_diamond(8)),
+        (workloads.diamond_chain(8), inserted),
+        (workloads.chain(40), workloads.diamond_chain(20)),
+        (workloads.diamond_chain(20), workloads.chain(40)),
+        (workloads.par_diamond_loop(3, 2), workloads.diamond_chain(6)),
+    ]
+    for p1, p2 in cases:
+        g1, g2 = build_pfg(p1), build_pfg(p2)
+        assert diff._aligned_pairs(g1, g2) == _reference_alignment(g1, g2)
+
+    rendered = []
+    fingerprint = diff.node_fingerprint
+    monkeypatch.setattr(diff, "node_fingerprint", lambda n: rendered.append(n) or fingerprint(n))
+    g1, g2 = build_pfg(workloads.chain(40)), build_pfg(workloads.diamond_chain(20))
+    match = match_graphs(g1, g2)
+    assert match.n_matched == 0 and not match.def_map
+    assert match.dirty_nodes == set(g2.nodes)
+    assert 0 < len(rendered) < 6  # entry/exit-like blocks, not the 61 diamonds
+
+
 def test_removed_definition_dirties_every_bystander_killer():
     """Deleting a def of x changes other_defs of every other x-definer —
     they must all be demoted to dirty even though their text is unchanged."""

@@ -1,5 +1,6 @@
 """UDChains wrapper tests."""
 
+from collections import Counter
 from dataclasses import fields
 
 from repro import analyze
@@ -166,3 +167,37 @@ def test_report_leaves_nothing_on_the_result():
     before = set(vars(result))
     Outcome(program=program, result=result).report  # runs every client
     assert set(vars(result)) == before == {f.name for f in fields(result)}
+
+
+def test_optimize_reads_each_expression_once(monkeypatch):
+    """The clients of one ``optimize`` collect every compound expression's
+    variables once, into its block's read list, whether or not the
+    program declares events.  The event check walks the source before
+    the graph exists and is not counted."""
+    import sys
+
+    from repro.lang import ast
+    from repro.lang.pretty import pretty
+
+    walks = Counter()
+    collect = ast.Expr.variables
+
+    def counted(expr):
+        caller = sys._getframe(1).f_code.co_name
+        if isinstance(expr, (ast.BinOp, ast.UnaryOp)) and caller != "check_events":
+            walks[id(expr)] += 1
+        return collect(expr)
+
+    monkeypatch.setattr(ast.Expr, "variables", counted)
+    for program in (workloads.diamond_chain(60), workloads.sync_pipeline(6)):
+        source = pretty(program)
+        walks.clear()
+        report = optimize(source)
+        compound = {
+            id(expr)
+            for node in report.result.graph.nodes
+            for expr in [*(s.expr for s in node.stmts if isinstance(s, ast.Assign)), node.cond]
+            if isinstance(expr, (ast.BinOp, ast.UnaryOp))
+        }
+        assert compound and set(walks) == compound, program.name
+        assert set(walks.values()) == {1}, program.name
