@@ -1,5 +1,8 @@
 """Experiment ``perf-clients`` — cost of each optimization client and of
-the full driver pipeline on a mid-size mixed workload."""
+the full driver pipeline on a mid-size mixed workload, and of the
+chain-propagating clients on a long redefinition chain
+(``diamond_chain(400)``: up to 400 definitions of one variable reach a
+use, the shape that made pair-by-pair propagation quadratic)."""
 
 import pytest
 
@@ -16,9 +19,10 @@ from repro.analysis import (
     solve_liveness,
 )
 from repro.analysis.availexpr import solve_available_expressions
-from repro.synthetic import random_mix
+from repro.synthetic import diamond_chain, random_mix
 
 PROGRAM = random_mix(seed=5, n_stmts=250)
+CHAIN = diamond_chain(400)
 
 
 @pytest.fixture(scope="module")
@@ -26,6 +30,11 @@ def prepared():
     graph = build_pfg(PROGRAM)
     result = analyze(PROGRAM)
     return graph, result
+
+
+@pytest.fixture(scope="module")
+def chain_prepared():
+    return build_pfg(CHAIN), analyze(CHAIN)
 
 
 CLIENTS = {
@@ -45,6 +54,17 @@ CLIENTS = {
 @pytest.mark.parametrize("name", sorted(CLIENTS))
 def test_client_cost(benchmark, prepared, name):
     graph, result = prepared
+    out = benchmark(CLIENTS[name], graph, result)
+    assert out is not None
+
+
+#: The clients that propagate over ud-chains.
+CHAIN_CLIENTS = ("ud-chains", "constants", "dead-code", "copy-prop", "cse")
+
+
+@pytest.mark.parametrize("name", CHAIN_CLIENTS)
+def test_client_cost_on_a_redefinition_chain(benchmark, chain_prepared, name):
+    graph, result = chain_prepared
     out = benchmark(CLIENTS[name], graph, result)
     assert out is not None
 

@@ -15,17 +15,25 @@ Classic conditional-constant lattice per definition::
 ``value(d)`` is the abstract evaluation of ``d``'s right-hand side, where a
 variable read is the meet over the definitions reaching that use (an
 uninitialized / free-variable read is ``VARYING`` — an unknown input).
-Monotone, so a worklist over the ud-chains converges; seeded FIFO in
-document order it evaluates each definition once on acyclic programs.
+
+The lattice is kept as masks over definition indices: one of the
+definitions still ``UNDEF`` and one per constant, keyed by ``(type,
+value)`` so that ``True`` and ``1`` stay apart.  The meet over a read's
+chain mask is then a few mask tests.  Evaluation is monotone, so the
+rounds below reach the least fixpoint: each round visits the
+definitions in index (document) order and re-evaluates one only if a
+definition its right-hand side reads changed after its last evaluation.
+Without loops or post/wait every definition a right-hand side reads has a
+lower index, so the first round evaluates each definition once and no
+later round evaluates any.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Union
+from typing import Dict, List, Optional, Tuple, Union
 
-from ..ir.defs import Definition, Use
+from ..ir.defs import Definition
 from ..lang import ast
 from ..obs import get_metrics
 from ..reachdefs.result import NodeRef, ReachingDefsResult
@@ -92,10 +100,17 @@ def _eval_binary(node: ast.BinOp, left: Lattice, right: Lattice) -> Lattice:
 
 @dataclass
 class ConstantPropagation:
-    """Fixpoint constant values per definition, with point queries."""
+    """Fixpoint constant values per definition, with point queries.
+
+    ``values`` is by definition; ``_undef`` (definitions still ``UNDEF``)
+    and ``_consts`` (``(type, value)`` → definitions with that constant)
+    are the same lattice as masks, which the meets read."""
 
     result: ReachingDefsResult
     values: Dict[Definition, Lattice] = field(default_factory=dict)
+    _by_index: List[Lattice] = field(default_factory=list, repr=False, compare=False)
+    _undef: int = field(default=0, repr=False, compare=False)
+    _consts: Dict[Tuple[type, Value], int] = field(default_factory=dict, repr=False, compare=False)
 
     # -- solving ------------------------------------------------------------
 
@@ -106,64 +121,73 @@ class ConstantPropagation:
         if chains is None:
             chains = UDChains.from_result(result)
         self = cls(result=result)
-        values = self.values = {d: UNDEF for d in result.graph.defs}
-        # def -> (variable -> definitions reaching its read in the rhs), and
-        # def -> defs whose rhs may read it (dependents for the worklist).
-        reads: Dict[Definition, Dict[str, FrozenSet[Definition]]] = {}
-        dependents: Dict[Definition, List[Definition]] = {d: [] for d in values}
-        for node in result.graph.nodes:  # in definition order, as ``values``
-            for (ordinal, _), e in zip(node.assignments(), node.defs):
-                reads[e] = {
-                    var: chains.defs_for(Use(var=var, site=node.name, ordinal=ordinal))
-                    for var in node.reads[ordinal]
-                }
-                for defs in reads[e].values():
-                    for d in defs:
-                        dependents[d].append(e)
-        # FIFO in document order: on an acyclic program every definition
-        # is evaluated after all definitions reaching it, so exactly once.
-        work = deque(values)
-        queued = set(values)
+        defs = result.graph.defs
+        vals = self._by_index = [UNDEF] * len(defs)
+        self._undef = (1 << len(defs)) - 1
+        consts = self._consts
+        rhs, feeds = chains.rhs, chains.feeds
         evals = 0
-        while work:
-            d = work.popleft()
-            queued.discard(d)
-            evals += 1
-            # Evaluation is monotone in its inputs and inputs only ascend
-            # UNDEF → const → VARYING, so any fair order reaches the same
-            # least fixpoint.
-            new = self._eval_expr(d.stmt.expr, reads[d])
-            if not _lattice_eq(new, values[d]):
-                values[d] = new
-                for e in dependents[d]:
-                    if e not in queued:
-                        queued.add(e)
-                        work.append(e)
+        # Round 0 evaluates every definition.  A later round re-evaluates
+        # ``d`` only if a feeder changed after d's last evaluation: in the
+        # previous round at an index ≥ d's (d itself included), or earlier
+        # in this round.
+        prev = -1
+        while prev:
+            changed = 0
+            for d in defs:
+                i = d.index
+                if prev != -1 and not (feeds[i] & ((prev >> i << i) | changed)):
+                    continue
+                evals += 1
+                # Evaluation is monotone in its inputs and inputs only
+                # ascend UNDEF → const → VARYING, so any fair order reaches
+                # the same least fixpoint.
+                new = self._eval_expr(d.stmt.expr, rhs[i])
+                old = vals[i]
+                if _lattice_eq(new, old):
+                    continue
+                bit = 1 << i
+                if old is UNDEF:
+                    self._undef ^= bit
+                else:
+                    consts[(type(old), old)] ^= bit
+                if new is not VARYING:
+                    key = (type(new), new)
+                    consts[key] = consts.get(key, 0) | bit
+                vals[i] = new
+                changed |= bit
+            prev = changed
+        self.values = dict(zip(defs, vals))
         metrics = get_metrics()
         if metrics.enabled:
             metrics.inc("client.constprop.evals", evals)
-            metrics.inc("client.constprop.defs", len(values))
+            metrics.inc("client.constprop.defs", len(vals))
         return self
 
-    def _eval_expr(self, expr: ast.Expr, reads: Dict[str, FrozenSet[Definition]]) -> Lattice:
-        """Abstract value of ``expr``, folded bottom-up."""
+    def _meet_mask(self, mask: int) -> Lattice:
+        """The meet of the values of the definitions in ``mask`` (``UNDEF``
+        when none is known yet)."""
+        known = mask & ~self._undef
+        if not known:
+            return UNDEF
+        value = self._by_index[known.bit_length() - 1]
+        if value is VARYING or known & ~self._consts[(type(value), value)]:
+            return VARYING
+        return value
+
+    def _eval_expr(self, expr: ast.Expr, reads: Dict[str, int]) -> Lattice:
+        """Abstract value of ``expr``, folded bottom-up; ``reads`` maps
+        each variable it reads to that read's chain mask."""
         return expr.fold(lambda atom: self._eval_atom(atom, reads), _eval_unary, _eval_binary)
 
-    def _eval_atom(
-        self, expr: ast.Expr, reads: Dict[str, FrozenSet[Definition]]
-    ) -> Lattice:
+    def _eval_atom(self, expr: ast.Expr, reads: Dict[str, int]) -> Lattice:
         if isinstance(expr, (ast.IntLit, ast.BoolLit)):
             return expr.value
         if isinstance(expr, ast.Var):
-            reaching = reads[expr.name]
-            if not reaching:
+            mask = reads[expr.name]
+            if not mask:
                 return VARYING  # free variable: unknown input
-            acc: Lattice = UNDEF
-            for d in reaching:
-                acc = meet(acc, self.values[d])
-                if acc is VARYING:
-                    break
-            return acc
+            return self._meet_mask(mask)
         raise TypeError(f"cannot evaluate {type(expr).__name__}")  # pragma: no cover
 
     # -- queries -----------------------------------------------------------------
@@ -174,10 +198,7 @@ class ConstantPropagation:
     def value_at(self, ref: NodeRef, var: str) -> Lattice:
         """Abstract value of ``var`` at the *start* of a block: the meet
         over all definitions reaching it (UNDEF if none reach)."""
-        acc: Lattice = UNDEF
-        for d in self.result.reaching(ref, var):
-            acc = meet(acc, self.values[d])
-        return acc
+        return self._meet_mask(self.result.reaching_mask(ref, var))
 
     def constant_at(self, ref: NodeRef, var: str) -> Optional[Value]:
         """``var``'s value at block start if provably constant, else None."""

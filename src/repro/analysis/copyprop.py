@@ -50,17 +50,18 @@ def find_copy_propagations(
     if chains is None:
         chains = UDChains.from_result(result)
     graph = result.graph
+    defs = graph.defs
     out: List[CopyPropagation] = []
-    for use, reaching in chains.ud.items():
-        if len(reaching) != 1:
-            continue
-        d = next(iter(reaching))
+    for use, mask in chains.masks.items():
+        if not mask or mask & (mask - 1):
+            continue  # not exactly one reaching definition
+        d = defs[mask.bit_length() - 1]
         if d.stmt is None or not isinstance(d.stmt.expr, ast.Var):
             continue
         source = d.stmt.expr.name
         # w's visible definitions at the copy and at the use must agree.
-        at_def = chains.defs_for(Use(var=source, site=d.site, ordinal=chains.ordinals[d]))
-        at_use = chains.reaching_use(Use(var=source, site=use.site, ordinal=use.ordinal))
+        at_def = chains.mask_of(Use(var=source, site=d.site, ordinal=chains.ordinals[d]))
+        at_use = chains.mask_of(Use(var=source, site=use.site, ordinal=use.ordinal))
         if at_def != at_use or not at_def:
             continue
         # No definition of w concurrent with either end point.

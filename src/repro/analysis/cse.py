@@ -47,9 +47,9 @@ class CommonSubexpression:
 
 def _value_key(chains: UDChains, expr: ast.Expr, site: str, ordinal: int) -> ValueKey:
     """``expr`` in postorder, one ``(tag, payload)`` item per node: class
-    and operator or literal, or the definitions reaching a variable.  Every
-    tag has a fixed arity, so the flat tuple is as exact as the tree, and a
-    long sum hashes and compares without recursion."""
+    and operator or literal, or the mask of the definitions reaching a
+    variable.  Every tag has a fixed arity, so the flat tuple is as exact
+    as the tree, and a long sum hashes and compares without recursion."""
     key = []
     for node in expr.postorder():
         if isinstance(node, (ast.BinOp, ast.UnaryOp)):
@@ -57,13 +57,11 @@ def _value_key(chains: UDChains, expr: ast.Expr, site: str, ordinal: int) -> Val
         elif not isinstance(node, ast.Var):
             key.append((type(node), node.value))
         else:
-            reaching = chains.defs_for(Use(var=node.name, site=site, ordinal=ordinal))
+            reaching = chains.mask_of(Use(var=node.name, site=site, ordinal=ordinal))
             # Free variables: value is an unknowable input; two reads of the
             # same free variable are assumed to agree (the interpreter
             # resolves each free variable once per run).
-            key.append(
-                ("defs", frozenset(d.index for d in reaching)) if reaching else ("free", node.name)
-            )
+            key.append(("defs", reaching) if reaching else ("free", node.name))
     return tuple(key)
 
 
@@ -95,9 +93,9 @@ def find_common_subexpressions(
                     continue
                 # The earlier target must still hold the value at the later
                 # site, and the two computations must not race.
-                holds = chains.reaching_use(
+                holds = chains.mask_of(
                     Use(var=earlier.var, site=later.site, ordinal=chains.ordinals[later])
-                ) == frozenset((earlier,))
+                ) == 1 << earlier.index
                 if not holds:
                     continue
                 if concurrent(graph.node(earlier.site), graph.node(later.site)):

@@ -1,6 +1,6 @@
 """Dead-code elimination from du-chains.
 
-Mark-and-sweep over definitions:
+Mark-and-sweep over definition masks:
 
 * **roots** — definitions whose value is observable: they reach the
   program's exit (the final values of variables are the program's output),
@@ -8,6 +8,10 @@ Mark-and-sweep over definitions:
 * **propagate** — a live definition keeps alive every definition reaching
   the uses in its right-hand side;
 * everything unmarked is removable.
+
+Both run on int masks over definition indices: the roots are one mask,
+and each definition that turns live ORs its right-hand side's read masks
+into the next frontier.
 
 The parallel equations matter here exactly as the paper argues: a
 definition killed by an always-executing sibling section does *not* reach
@@ -21,8 +25,9 @@ never removes ``post``/``wait`` or control structure.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet, List, Optional, Set
+from typing import FrozenSet, Optional
 
+from ..dataflow.bitset import bit_indices
 from ..ir.defs import Definition, Use
 from ..reachdefs.result import ReachingDefsResult
 from .udchains import UDChains
@@ -60,31 +65,30 @@ def find_dead_code(
     if chains is None:
         chains = UDChains.from_result(result)
     graph = result.graph
-    roots: Set[Definition] = set()
+    roots = 0
     if observable_at_exit and graph.exit is not None:
-        roots |= result.in_out(graph.exit)
+        roots = result.in_out_mask(graph.exit)
 
     # Branch conditions are always observable (they steer control flow).
+    masks = chains.masks
     for node in graph.nodes:
-        for var in node.reads[-1]:
-            use = Use(var=var, site=node.name, ordinal=len(node.stmts))
-            roots |= chains.defs_for(use)
+        if node.cond is not None:
+            ordinal = len(node.stmts)
+            for var in node.reads[ordinal]:
+                roots |= masks[Use(var, node.name, ordinal)]
 
-    live: Set[Definition] = set()
-    work: List[Definition] = list(roots)
-    while work:
-        d = work.pop()
-        if d in live:
-            continue
-        live.add(d)
-        if d.stmt is None:
-            continue
-        ordinal = chains.ordinals[d]
-        for var in result.info.def_node[d].reads[ordinal]:
-            use = Use(var=var, site=d.site, ordinal=ordinal)
-            for feeder in chains.defs_for(use):
-                if feeder not in live:
-                    work.append(feeder)
+    feeds = chains.feeds
+    live = 0
+    frontier = roots
+    while frontier:
+        live |= frontier
+        reached = 0
+        for i in bit_indices(frontier):
+            reached |= feeds[i]
+        frontier = reached & ~live
 
-    dead = frozenset(set(graph.defs) - live)
-    return DeadCodeReport(live=frozenset(live), dead=dead, roots=frozenset(roots))
+    everything = (1 << len(graph.defs)) - 1
+    decode = result.decode
+    return DeadCodeReport(
+        live=decode(live), dead=decode(everything & ~live), roots=decode(roots)
+    )

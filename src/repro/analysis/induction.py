@@ -62,7 +62,10 @@ class InductionVariable:
 
 def find_loops(graph: ParallelFlowGraph) -> List[LoopInfo]:
     """All natural loops, one per control back edge, sorted by header id
-    then latch id."""
+    then latch id.  A graph with no retreating edge has no back edge,
+    so no loop, and its graph index is not built."""
+    if not graph.has_retreating_edge:
+        return []
     return [
         LoopInfo(header=header, latch=latch, body=body)
         for header, latch, body in graph.index().loops

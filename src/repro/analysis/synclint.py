@@ -81,6 +81,8 @@ def lint_synchronization(graph: ParallelFlowGraph) -> List[SyncIssue]:
     """Run all synchronization checks on ``graph``."""
     issues: List[SyncIssue] = []
     events = set(graph.posts_of_event) | set(graph.waits_of_event)
+    if not events:
+        return issues  # nothing to check: leave the graph index unbuilt
     index = graph.index()
 
     for event in sorted(events):

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, FrozenSet, List, Tuple
+from typing import Dict, FrozenSet, List, Mapping, Tuple
 
 from ..ir.defs import Definition, Use
 from ..obs import get_metrics
@@ -20,21 +20,42 @@ from ..reachdefs.result import ReachingDefsResult
 
 @dataclass
 class UDChains:
-    """ud- and du-chains for one analysis result."""
+    """ud- and du-chains for one analysis result.
+
+    ``masks`` holds each use's chain as an int mask over definition
+    indices, and ``rhs[d.index]`` maps each variable ``d``'s right-hand
+    side reads to that read's chain mask; the clients propagate over
+    these.  ``ud`` is the same chains as a read-only mapping that decodes
+    a chain on its first read."""
 
     result: ReachingDefsResult
-    ud: Dict[Use, FrozenSet[Definition]]
+    ud: Mapping[Use, FrozenSet[Definition]]
+    masks: Dict[Use, int]
+    rhs: List[Dict[str, int]]
 
     @classmethod
     def from_result(cls, result: ReachingDefsResult) -> "UDChains":
-        ud = result.ud_chains()
-        get_metrics().inc("client.udchains.uses", len(ud))
-        return cls(result=result, ud=ud)
+        masks, rhs = result.chain_masks()
+        get_metrics().inc("client.udchains.uses", len(masks))
+        return cls(result=result, ud=result.ud_chains(masks), masks=masks, rhs=rhs)
 
     @cached_property
     def du(self) -> Dict[Definition, Tuple[Use, ...]]:
-        """du-chains, the inverse of :attr:`ud`, built on first use."""
+        """du-chains, the inverse of :attr:`ud`, built on first use from
+        the chain masks."""
         return self.result.du_chains(self.ud)
+
+    @cached_property
+    def feeds(self) -> List[int]:
+        """By definition index: the mask of every definition reaching a
+        read of the right-hand side (the union of ``rhs``)."""
+        out = []
+        for reads in self.rhs:
+            mask = 0
+            for m in reads.values():
+                mask |= m
+            out.append(mask)
+        return out
 
     # -- queries -----------------------------------------------------------
 
@@ -44,11 +65,15 @@ class UDChains:
     def uses_of(self, d: Definition) -> Tuple[Use, ...]:
         return self.du[d]
 
+    def mask_of(self, use: Use) -> int:
+        """:meth:`reaching_use` as a mask."""
+        mask = self.masks.get(use)
+        return mask if mask is not None else self.result.use_mask(use)
+
     def reaching_use(self, use: Use) -> FrozenSet[Definition]:
         """Definitions reaching ``use``, which may be a position no
         statement reads (answered by the result, not the chains)."""
-        defs = self.ud.get(use)
-        return defs if defs is not None else self.result.reaching_use(use)
+        return self.ud[use] if use in self.masks else self.result.reaching_use(use)
 
     @cached_property
     def ordinals(self) -> Dict[Definition, int]:
@@ -67,11 +92,14 @@ class UDChains:
     def multi_def_uses(self) -> List[Tuple[Use, FrozenSet[Definition]]]:
         """Uses reached by more than one definition — where optimizations
         lose precision and potential anomalies hide."""
-        return [(u, ds) for u, ds in self.ud.items() if len(ds) > 1]
+        return [(u, self.ud[u]) for u, m in self.masks.items() if m.bit_count() > 1]
 
     def singleton_uses(self) -> List[Tuple[Use, Definition]]:
         """Uses with exactly one reaching definition (safe to specialize)."""
-        return [(u, next(iter(ds))) for u, ds in self.ud.items() if len(ds) == 1]
+        defs = self.result.graph.defs
+        return [
+            (u, defs[m.bit_length() - 1]) for u, m in self.masks.items() if m.bit_count() == 1
+        ]
 
     # -- reporting -----------------------------------------------------------
 

@@ -9,7 +9,7 @@ module provides that identity layer, shared by the CFG and PFG pipelines.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from ..lang import ast
 
@@ -50,13 +50,13 @@ class Definition:
         return f"Definition({self.index}, {self.name})"
 
 
-@dataclass(frozen=True)
-class Use:
+class Use(NamedTuple):
     """A use (read) of a variable inside a block.
 
     ``ordinal`` is the position of the reading statement within its block,
     used to distinguish uses that appear before/after a same-block
-    definition when forming ud-chains.
+    definition when forming ud-chains.  A named tuple: the clients key
+    every ud-chain by its use, so building and hashing one stays in C.
     """
 
     var: str

@@ -64,6 +64,11 @@ class ParallelFlowGraph:
         self.section_names: Dict[int, Tuple[str, ...]] = {}
         #: Parallel Do constructs, in document order (filled by the builder)
         self.pardos: List["ParDoInfo"] = []
+        #: Set by :meth:`add_edge` when a control edge enters a node created
+        #: no later than its source (a loop latch).  While it is ``False``
+        #: every control edge runs from a lower id to a higher one, so the
+        #: graph has no cycle and no back edge.
+        self.has_retreating_edge = False
         self._index: Optional[GraphIndex] = None
 
     # -- construction -------------------------------------------------------
@@ -82,6 +87,8 @@ class ParallelFlowGraph:
             return
         self._succs[src].append((dst, kind))
         self._preds[dst].append((src, kind))
+        if dst.id <= src.id and kind is not EdgeKind.SYNC:
+            self.has_retreating_edge = True
         self._invalidate()
 
     def register_name(self, node: PFGNode) -> None:

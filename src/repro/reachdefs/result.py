@@ -7,16 +7,18 @@ paper-style set printing keyed by block name.
 
 The solved rows stay encoded (:class:`EncodedRows`): a row is decoded
 into a frozenset of :class:`~repro.ir.defs.Definition` when it is first
-read, and the ud-chain queries decode only ``In(n) & defs(var)`` for the
-variables a node reads.
+read.  The ud-chain queries work on int masks over definition indices,
+``In(n) & defs(var)``, whatever the backend, and decode a chain only
+when it is read.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple, Union
+from typing import Dict, FrozenSet, Hashable, Iterator, List, Optional, Tuple, Union
 
+from ..dataflow.bitset import IntBitsetBackend, bit_indices
 from ..dataflow.framework import SolveStats
 from ..ir.defs import Definition, Use
 from ..lang import ast
@@ -35,55 +37,71 @@ class _Decoder:
     """What the slots of one result share: the backend, the memo from a
     mask to its decoded set (so equal masks, across nodes and slots, give
     one frozenset object) and the per-variable definition masks the
-    ud-chain queries intersect ``In`` rows with.  Each mask decoded adds
-    to ``reachdefs.materialize.distinct``."""
+    ud-chain queries intersect ``In`` rows with.  ``bits`` decodes the
+    int masks of those queries (it is ``ops`` on the bitset backend);
+    ``var_masks`` are ints.  Each mask decoded adds to
+    ``reachdefs.materialize.distinct``."""
 
-    __slots__ = ("ops", "memo", "var_masks")
+    __slots__ = ("ops", "bits", "memo", "var_masks")
 
     def __init__(self, ops):
         self.ops = ops
+        self.bits = ops if isinstance(ops, IntBitsetBackend) else IntBitsetBackend(ops.universe)
         self.memo: Dict[object, DefSet] = {}
-        self.var_masks: Dict[str, object] = {}
+        self.var_masks: Dict[str, int] = {}
 
     def decode(self, mask) -> DefSet:
         row = self.memo.get(mask)
         if row is None:
-            row = self.memo[mask] = self.ops.to_frozenset(mask)
+            ops = self.bits if isinstance(mask, int) else self.ops
+            row = self.memo[mask] = ops.to_frozenset(mask)
             metrics = get_metrics()
             if metrics.enabled:
                 metrics.inc("reachdefs.materialize.distinct")
         return row
 
+    def to_bits(self, row) -> int:
+        """``row`` (an encoded row or a frozenset of definitions) as an
+        int mask over definition indices."""
+        return row if isinstance(row, int) else self.bits.from_defs(row)
 
-class EncodedRows(Mapping[PFGNode, DefSet]):
-    """One slot of a solved system: ``{node: mask}`` rows, each decoded to
-    a frozenset of definitions on its first read and kept.
 
-    Holds the slot's mask dict and the result's shared :class:`_Decoder`,
-    not the equation system.  The first read of a row adds to
-    ``reachdefs.materialize.rows``.
+class EncodedRows(Mapping[Hashable, DefSet]):
+    """Masks by key (a slot's ``{node: mask}`` rows, or ud-chains by
+    use), each decoded to a frozenset of definitions on its first read
+    and kept.
+
+    Holds the mask dict and the result's shared :class:`_Decoder`, not
+    the equation system.  The first read of a key adds to ``counter``
+    (``reachdefs.materialize.rows`` for a slot).
     """
 
-    __slots__ = ("masks", "decoder", "_rows")
+    __slots__ = ("masks", "decoder", "counter", "_rows")
 
-    def __init__(self, masks: Mapping[PFGNode, object], decoder: _Decoder):
+    def __init__(
+        self,
+        masks: Mapping[Hashable, object],
+        decoder: _Decoder,
+        counter: str = "reachdefs.materialize.rows",
+    ):
         self.masks = masks
         self.decoder = decoder
-        self._rows: Dict[PFGNode, DefSet] = {}
+        self.counter = counter
+        self._rows: Dict[Hashable, DefSet] = {}
 
-    def __getitem__(self, node: PFGNode) -> DefSet:
-        row = self._rows.get(node)
+    def __getitem__(self, key: Hashable) -> DefSet:
+        row = self._rows.get(key)
         if row is None:
-            row = self._rows[node] = self.decoder.decode(self.masks[node])
+            row = self._rows[key] = self.decoder.decode(self.masks[key])
             metrics = get_metrics()
             if metrics.enabled:
-                metrics.inc("reachdefs.materialize.rows")
+                metrics.inc(self.counter)
         return row
 
-    def __contains__(self, node: object) -> bool:
-        return node in self.masks
+    def __contains__(self, key: object) -> bool:
+        return key in self.masks
 
-    def __iter__(self) -> Iterator[PFGNode]:
+    def __iter__(self) -> Iterator[Hashable]:
         return iter(self.masks)
 
     def __len__(self) -> int:
@@ -149,6 +167,18 @@ class ReachingDefsResult:
     #: otherwise (build lazily via :func:`repro.provenance.ensure_provenance`).
     #: Typed ``object`` to keep this module import-cycle-free.
     provenance: Optional[object] = None
+    #: Decodes the client queries' int masks: the encoded rows' decoder,
+    #: or one over the definition table when the rows are plain dicts (a
+    #: result rebuilt with ``dataclasses.replace``, as fault injection
+    #: does).
+    _decoder: _Decoder = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        rows = self.in_sets
+        if isinstance(rows, EncodedRows):
+            self._decoder = rows.decoder
+        else:
+            self._decoder = _Decoder(IntBitsetBackend(self.graph.defs))
 
     # -- node resolution -----------------------------------------------------
 
@@ -208,79 +238,124 @@ class ReachingDefsResult:
         ParallelKill/ACCKillin/ACCKillout/ForkKill/SynchPass."""
         return frozenset(d.name for d in getattr(self, which)(ref))
 
-    # -- client queries ------------------------------------------------------------
+    # -- client queries --------------------------------------------------------------
+    #
+    # Chains are int masks over definition indices on either backend: an
+    # encoded bitset row is one already, and a frozenset row (the ``set``
+    # backend, or a plain dict row) is turned into one when read.
+
+    def _bits(self, rows: Rows, node: PFGNode) -> int:
+        """``rows[node]`` as an int mask, read off the encoded row when
+        ``rows`` is encoded."""
+        row = rows.masks[node] if isinstance(rows, EncodedRows) else rows[node]
+        return self._decoder.to_bits(row)
+
+    def var_mask(self, var: str) -> int:
+        """The mask of every definition of ``var``, built once per result."""
+        masks = self._decoder.var_masks
+        mask = masks.get(var)
+        if mask is None:
+            mask = masks[var] = self._decoder.bits.from_defs(self.graph.defs.of_var(var))
+        return mask
+
+    def decode(self, mask: int) -> DefSet:
+        """The definitions of an int mask, through the result's memo (equal
+        masks give one frozenset)."""
+        return self._decoder.decode(mask)
+
+    def reaching_mask(self, ref: NodeRef, var: str) -> int:
+        """``In & defs(var)`` of the block, as a mask."""
+        return self._bits(self.in_sets, self._node(ref)) & self.var_mask(var)
 
     def reaching(self, ref: NodeRef, var: str) -> DefSet:
-        """Definitions of ``var`` reaching the *start* of the block:
-        ``In & defs(var)``, decoded from one mask intersection when the
-        rows are encoded (``defs(var)`` is built once per result)."""
-        node = self._node(ref)
-        rows = self.in_sets
-        if not isinstance(rows, EncodedRows):
-            return frozenset(d for d in rows[node] if d.var == var)
-        decoder = rows.decoder
-        defs = decoder.var_masks.get(var)
-        if defs is None:
-            defs = decoder.var_masks[var] = decoder.ops.from_defs(self.graph.defs.of_var(var))
-        return decoder.decode(rows.masks[node] & defs)
+        """Definitions of ``var`` reaching the *start* of the block."""
+        return self.decode(self.reaching_mask(ref, var))
+
+    def use_mask(self, use: Use) -> int:
+        """:meth:`reaching_use` as a mask."""
+        node = self._node(use.site)
+        local = node.local_def_before(use.var, use.ordinal)
+        if local is not None:
+            return 1 << local.index
+        return self.reaching_mask(node, use.var)
 
     def reaching_use(self, use: Use) -> DefSet:
         """Definitions reaching a specific use (intra-block defs considered:
         a same-block definition before the use supersedes inflowing ones)."""
-        node = self._node(use.site)
-        local = node.local_def_before(use.var, use.ordinal)
-        if local is not None:
-            return frozenset((local,))
-        return self.reaching(node, use.var)
+        return self.decode(self.use_mask(use))
+
+    def in_out_mask(self, ref: NodeRef) -> int:
+        """``In ∪ Out`` of the block, as a mask."""
+        node = self._node(ref)
+        return self._bits(self.in_sets, node) | self._bits(self.out_sets, node)
 
     def in_out(self, ref: NodeRef) -> DefSet:
-        """``In ∪ Out`` of the block, decoded from one mask when both
-        slots are encoded."""
-        node = self._node(ref)
-        ins, outs = self.in_sets, self.out_sets
-        if isinstance(ins, EncodedRows) and isinstance(outs, EncodedRows):
-            return ins.decoder.decode(ins.masks[node] | outs.masks[node])
-        return ins[node] | outs[node]
+        """``In ∪ Out`` of the block."""
+        return self.decode(self.in_out_mask(ref))
 
-    def ud_chains(self) -> Dict[Use, DefSet]:
-        """Use-definition chains for every use in the program, equal to
-        :meth:`reaching_use` of each use.
+    def chain_masks(self) -> Tuple[Dict[Use, int], List[Dict[str, int]]]:
+        """Every use's ud-chain as a mask, and each definition's
+        right-hand-side reads.
 
-        One pass per node over its read list (:attr:`PFGNode.reads`), in
-        statement order, so a same-block definition shadows the inflowing
-        ones for every later use.  The inflowing definitions of a
-        variable are :meth:`reaching`, read once per node and variable."""
-        chains: Dict[Use, DefSet] = {}
+        Returns ``(masks, rhs)``: ``masks[use]`` equals :meth:`use_mask`
+        for every use in the program, in node and statement order, and
+        ``rhs[d.index]`` maps each variable definition ``d`` reads to
+        that read's chain mask.  One pass per node over its read list
+        (:attr:`PFGNode.reads`), in statement order, so a same-block
+        definition's bit shadows ``In(n) & defs(var)`` for every later
+        use; ``In(n)`` is read once per node.  Nothing is decoded."""
+        bits, in_sets, var_mask = self._bits, self.in_sets, self.var_mask
+        masks: Dict[Use, int] = {}
+        # a definition of a node that reads nothing keeps the shared {}
+        rhs: List[Dict[str, int]] = [{}] * len(self.graph.defs)
         for node in self.graph.nodes:
             reads = node.reads
             if not any(reads):
                 continue
             site, stmts, defs = node.name, node.stmts, iter(node.defs)
-            reaching: Dict[str, DefSet] = {}
-            local: Dict[str, DefSet] = {}
+            inflow = bits(in_sets, node)
+            local: Dict[str, int] = {}
             for ordinal, names in enumerate(reads):
+                row: Dict[str, int] = {}
                 for var in names:
-                    chain = local.get(var) or reaching.get(var)
-                    if chain is None:
-                        chain = reaching[var] = self.reaching(node, var)
-                    chains[Use(var, site, ordinal)] = chain
+                    mask = local.get(var)
+                    if mask is None:
+                        mask = inflow & var_mask(var)
+                    row[var] = masks[Use(var, site, ordinal)] = mask
                 if ordinal < len(stmts) and isinstance(stmts[ordinal], ast.Assign):
                     d = next(defs)
-                    local[d.var] = frozenset((d,))
-        return chains
+                    rhs[d.index] = row
+                    local[d.var] = 1 << d.index
+        return masks, rhs
+
+    def ud_chains(self, masks: Optional[Mapping[Use, int]] = None) -> Mapping[Use, DefSet]:
+        """Use-definition chains for every use in the program, equal to
+        :meth:`reaching_use` of each use: the chain masks (``masks``, or
+        :meth:`chain_masks` when not given) as a read-only mapping that
+        decodes a chain on its first read.  Each first read adds to
+        ``client.udchains.decoded``."""
+        if masks is None:
+            masks = self.chain_masks()[0]
+        return EncodedRows(masks, self._decoder, "client.udchains.decoded")
 
     def du_chains(
-        self, ud: Optional[Dict[Use, DefSet]] = None
+        self, ud: Optional[Mapping[Use, DefSet]] = None
     ) -> Dict[Definition, Tuple[Use, ...]]:
-        """Definition-use chains: the inverse of ``ud`` (computed by
-        :meth:`ud_chains` when not given)."""
+        """Definition-use chains: the inverse of ``ud`` (:meth:`ud_chains`
+        when not given), walked over the bits of each chain's mask, so a
+        chain :meth:`ud_chains` built is not decoded."""
         if ud is None:
             ud = self.ud_chains()
-        out: Dict[Definition, List[Use]] = {d: [] for d in self.graph.defs}
-        for use, defs in ud.items():
-            for d in defs:
-                out[d].append(use)
-        return {d: tuple(uses) for d, uses in out.items()}
+        if isinstance(ud, EncodedRows):
+            masks = ud.masks
+        else:
+            masks = {use: self._decoder.to_bits(chain) for use, chain in ud.items()}
+        defs = self.graph.defs
+        uses: List[List[Use]] = [[] for _ in range(len(defs))]
+        for use, mask in masks.items():
+            for i in bit_indices(mask):
+                uses[i].append(use)
+        return {d: tuple(uses[d.index]) for d in defs}
 
     # -- reporting -------------------------------------------------------------------
 

@@ -180,17 +180,21 @@ def test_materialize_span_and_counters():
         distinct = {mask for masks in slots.values() for mask in masks.values()}
         assert counters()["reachdefs.materialize.rows"] == rows
         assert counters()["reachdefs.materialize.distinct"] == len(distinct) < rows
-        # ud-chains read no row; they decode the In & defs(var) masks not
-        # decoded yet
+        # ud-chains read no row and decode nothing until a chain is read;
+        # reading every chain decodes the chain masks not decoded yet
         ud = result.ud_chains()
+        assert counters()["reachdefs.materialize.distinct"] == len(distinct)
+        assert "client.udchains.decoded" not in counters()
         var_masks = {var: system.ops.from_defs(graph.defs.of_var(var)) for var in graph.defs.variables()}
-        inflow = {
-            slots["in_sets"][node] & var_masks[use.var]
-            for use in ud
-            for node in [graph.node(use.site)]
-            if node.local_def_before(use.var, use.ordinal) is None
-        }
+        chains = set()
+        for use in ud:
+            node = graph.node(use.site)
+            local = node.local_def_before(use.var, use.ordinal)
+            chains.add(1 << local.index if local else slots["in_sets"][node] & var_masks[use.var])
+        for _ in range(2):
+            dict(ud)
         assert counters()["reachdefs.materialize.rows"] == rows
-        assert counters()["reachdefs.materialize.distinct"] == len(distinct | inflow)
+        assert counters()["client.udchains.decoded"] == len(ud)
+        assert counters()["reachdefs.materialize.distinct"] == len(distinct | chains)
     (span,) = [span for span, _ in sess.tracer.walk() if span.name == "materialize"]
     assert span.attrs == {"rows": rows, "known": 0}

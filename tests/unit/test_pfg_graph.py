@@ -6,8 +6,9 @@ import weakref
 
 import pytest
 
+from benchmarks.e2e import corpus
 from repro import optimize
-from repro.analysis import find_loops, lint_synchronization
+from repro.analysis import find_induction_variables, find_loops, lint_synchronization
 from repro.lang import parse_program
 from repro.paper import SOURCES
 from repro.pfg import EdgeKind, NodeKind, ParallelFlowGraph, build_pfg, mutually_exclusive
@@ -153,3 +154,50 @@ def test_program_without_posts_builds_no_reachability():
     report = optimize(diamond_chain(6))
     built = vars(report.result.graph.index())
     assert "control_reach" not in built and "sync_reach" not in built
+
+
+WHILE = """program p
+(1) i = 0
+(2) while i < 10 do
+  (3) i = i + 1
+(4) endwhile
+end"""
+
+
+def _corpus_graphs():
+    for source in SOURCES.values():
+        yield build_pfg(parse_program(source))
+    for workload in ("diamonds", "sync", "cyclic", "edits", "serve"):
+        for source in corpus.sources(corpus.build(workload, 0, corpus.SMOKE)):
+            yield build_pfg(parse_program(source))
+
+
+def test_graphs_without_loop_headers_have_no_back_edges():
+    """On the paper figures and every e2e smoke corpus, a graph with no
+    loop header has no back edge, and the retreating-edge flag find_loops
+    tests is set exactly when the DFS finds one."""
+    for graph in _corpus_graphs():
+        back = graph.back_edges()
+        if not any(node.is_loop_header for node in graph.nodes):
+            assert not back, graph.program_name
+        assert graph.has_retreating_edge == bool(back), graph.program_name
+
+
+def test_a_while_loop_has_a_back_edge_but_no_loop_header():
+    """A while header holds its condition and is no loop header, so the
+    loop test reads the retreating-edge flag, not the header flag."""
+    graph = build_pfg(parse_program(WHILE))
+    assert not any(node.is_loop_header for node in graph.nodes)
+    assert graph.has_retreating_edge and graph.back_edges()
+    result = optimize(WHILE).result
+    assert [iv.var for iv in find_induction_variables(result)] == ["i"]
+
+
+def test_loop_free_sync_free_optimize_builds_no_graph_index():
+    """Nothing in optimize needs the graph index of a program without
+    loops or post/wait: sync lint and the loop finder return early."""
+    for program in (diamond_chain(6), parse_program(BRANCHES), parse_program(SOURCES["fig5b"])):
+        report = optimize(program)
+        graph = report.result.graph
+        assert not graph.has_retreating_edge and not graph.posts_of_event
+        assert graph._index is None, program.name
