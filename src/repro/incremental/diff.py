@@ -60,7 +60,7 @@ def node_fingerprint(node: PFGNode) -> Fingerprint:
         tuple(f"{type(s).__name__}|{s}" for s in node.stmts),
         node.post_event,
         str(node.cond) if node.cond is not None else None,
-        node.is_loop_header,
+        node.implicit_branch,
     )
 
 

@@ -13,8 +13,10 @@ from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from ..lang import ast
 
+_setattr = object.__setattr__
 
-@dataclass(frozen=True, eq=False)
+
+@dataclass(frozen=True, eq=False, init=False)
 class Definition:
     """A single static definition site of a scalar variable.
 
@@ -33,9 +35,16 @@ class Definition:
     ``'1``/``'2``... suffix when one block defines a variable repeatedly
     (only the unsuffixed, last one is downward-exposed)."""
 
-    def __post_init__(self) -> None:
-        if not self.name:
-            object.__setattr__(self, "name", f"{self.var}{self.site}")
+    def __init__(
+        self, index: int, var: str, site: str, stmt: Optional[ast.Assign] = None, name: str = ""
+    ) -> None:
+        # Frozen: one bound ``object.__setattr__`` per field, and no
+        # ``__post_init__`` call, as the builder makes one per assignment.
+        _setattr(self, "index", index)
+        _setattr(self, "var", var)
+        _setattr(self, "site", site)
+        _setattr(self, "stmt", stmt)
+        _setattr(self, "name", name or f"{var}{site}")
 
     def __hash__(self) -> int:
         return self.index
@@ -100,9 +109,13 @@ class DefTable:
         superseded one is renamed with a ``'1``/``'2``... suffix (it never
         escapes its block, so the suffix only shows in intra-block chains).
         """
-        d = Definition(index=len(self._defs), var=var, site=site, stmt=stmt)
+        d = Definition(len(self._defs), var, site, stmt)
         self._defs.append(d)
-        self._by_var.setdefault(var, []).append(d)
+        same_var = self._by_var.get(var)
+        if same_var is None:
+            self._by_var[var] = [d]
+        else:
+            same_var.append(d)
         base = d.name
         if base in self._by_name:
             shadowed = self._by_name.pop(base)

@@ -24,6 +24,9 @@ from .errors import NO_SPAN, SourceSpan
 
 _V = TypeVar("_V")
 
+#: Sets a field of a frozen expression node.
+_setattr = object.__setattr__
+
 # ---------------------------------------------------------------------------
 # Expressions
 # ---------------------------------------------------------------------------
@@ -32,6 +35,10 @@ _V = TypeVar("_V")
 @dataclass(frozen=True, eq=False, repr=False)
 class Expr:
     """Base class for expressions (immutable, hashable).
+
+    Each class sets its fields in its own ``__init__`` through a bound
+    ``object.__setattr__`` (the frozen dataclass ``__init__`` looks it up
+    once per field), since the parser builds one node per operand.
 
     :meth:`postorder` is the one walk over an expression's children, on an
     explicit stack, and :meth:`fold` evaluates on top of it.  Equality and
@@ -122,25 +129,34 @@ class Expr:
         return tuple(dict.fromkeys([n.name for n in self.postorder() if type(n) is Var]))
 
 
-@dataclass(frozen=True, eq=False, repr=False)
+@dataclass(frozen=True, eq=False, repr=False, init=False)
 class IntLit(Expr):
     value: int
+
+    def __init__(self, value: int) -> None:
+        _setattr(self, "value", value)
 
     def __str__(self) -> str:
         return str(self.value)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
+@dataclass(frozen=True, eq=False, repr=False, init=False)
 class BoolLit(Expr):
     value: bool
+
+    def __init__(self, value: bool) -> None:
+        _setattr(self, "value", value)
 
     def __str__(self) -> str:
         return "true" if self.value else "false"
 
 
-@dataclass(frozen=True, eq=False, repr=False)
+@dataclass(frozen=True, eq=False, repr=False, init=False)
 class Var(Expr):
     name: str
+
+    def __init__(self, name: str) -> None:
+        _setattr(self, "name", name)
 
     def __str__(self) -> str:
         return self.name
@@ -187,28 +203,33 @@ def apply_binop(op: str, left: object, right: object) -> object:
     raise ValueError(f"unknown operator {op!r}")  # pragma: no cover
 
 
-@dataclass(frozen=True, eq=False, repr=False)
+@dataclass(frozen=True, eq=False, repr=False, init=False)
 class BinOp(Expr):
     op: str
     left: Expr
     right: Expr
 
-    def __post_init__(self) -> None:
-        if self.op not in BINARY_OPS:
-            raise ValueError(f"unknown binary operator {self.op!r}")
+    def __init__(self, op: str, left: Expr, right: Expr) -> None:
+        if op not in BINARY_OPS:
+            raise ValueError(f"unknown binary operator {op!r}")
+        _setattr(self, "op", op)
+        _setattr(self, "left", left)
+        _setattr(self, "right", right)
 
     def __str__(self) -> str:
         return _render(self)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
+@dataclass(frozen=True, eq=False, repr=False, init=False)
 class UnaryOp(Expr):
     op: str
     operand: Expr
 
-    def __post_init__(self) -> None:
-        if self.op not in UNARY_OPS:
-            raise ValueError(f"unknown unary operator {self.op!r}")
+    def __init__(self, op: str, operand: Expr) -> None:
+        if op not in UNARY_OPS:
+            raise ValueError(f"unknown unary operator {op!r}")
+        _setattr(self, "op", op)
+        _setattr(self, "operand", operand)
 
     def __str__(self) -> str:
         return _render(self)

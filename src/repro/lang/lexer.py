@@ -83,8 +83,15 @@ def _position(lines: List[int], offset: int) -> SourcePos:
 
 
 def source_span(lines: List[int], start: int, end: int) -> SourceSpan:
-    """The span between two offsets."""
-    return _new(SourceSpan, (_position(lines, start), _position(lines, end)))
+    """The span between two offsets, ``start <= end``.  A span that ends
+    on the line it starts on, as a statement's span mostly does, takes
+    one bisect."""
+    line = bisect_right(lines, start)
+    first = lines[line - 1]
+    head = _new(SourcePos, (line, start - first + 1))
+    if line < len(lines) and end >= lines[line]:
+        return _new(SourceSpan, (head, _position(lines, end)))
+    return _new(SourceSpan, (head, _new(SourcePos, (line, end - first + 1))))
 
 
 def _word_row(word: str, start: int, end: int) -> Row:

@@ -50,6 +50,7 @@ _T = TypeVar("_T")
 
 _INT = TokenKind.INT
 _IDENT = TokenKind.IDENT
+_ASSIGN = TokenKind.ASSIGN
 _LPAREN = TokenKind.LPAREN
 _RPAREN = TokenKind.RPAREN
 _NEWLINE = TokenKind.NEWLINE
@@ -58,28 +59,40 @@ _MINUS = TokenKind.MINUS
 _NOT = TokenKind.NOT
 _TRUE = TokenKind.TRUE
 _FALSE = TokenKind.FALSE
+_IF = TokenKind.IF
+_THEN = TokenKind.THEN
+_ELSE = TokenKind.ELSE
+_ENDIF = TokenKind.ENDIF
+
+_Var = ast.Var
+_IntLit = ast.IntLit
+_BinOp = ast.BinOp
 
 # Binding powers, loosest first.  A binary operator's right operand is
 # parsed at one more than its own power; a prefix operator's operand at
 # the operator's power.
 _P_OR, _P_AND, _P_NOT, _P_CMP, _P_ADD, _P_MUL, _P_UNARY = range(1, 8)
 
-#: Binary operator kind -> (binding power, spelling in the AST).
+#: Binary operator -> binding power.  The key is the operator's spelling
+#: in the AST, which is also its token kind's value: looking a kind up by
+#: its ``_value_`` string hashes in C, where the kind itself would call
+#: ``Enum.__hash__`` once per operand.
 _BINARY = {
-    TokenKind.OR: (_P_OR, "or"),
-    TokenKind.AND: (_P_AND, "and"),
-    TokenKind.EQ: (_P_CMP, "=="),
-    TokenKind.NE: (_P_CMP, "/="),
-    TokenKind.LT: (_P_CMP, "<"),
-    TokenKind.LE: (_P_CMP, "<="),
-    TokenKind.GT: (_P_CMP, ">"),
-    TokenKind.GE: (_P_CMP, ">="),
-    TokenKind.PLUS: (_P_ADD, "+"),
-    TokenKind.MINUS: (_P_ADD, "-"),
-    TokenKind.STAR: (_P_MUL, "*"),
-    TokenKind.SLASH: (_P_MUL, "/"),
-    TokenKind.PERCENT: (_P_MUL, "%"),
+    TokenKind.OR.value: _P_OR,
+    TokenKind.AND.value: _P_AND,
+    TokenKind.EQ.value: _P_CMP,
+    TokenKind.NE.value: _P_CMP,
+    TokenKind.LT.value: _P_CMP,
+    TokenKind.LE.value: _P_CMP,
+    TokenKind.GT.value: _P_CMP,
+    TokenKind.GE.value: _P_CMP,
+    TokenKind.PLUS.value: _P_ADD,
+    TokenKind.MINUS.value: _P_ADD,
+    TokenKind.STAR.value: _P_MUL,
+    TokenKind.SLASH.value: _P_MUL,
+    TokenKind.PERCENT.value: _P_MUL,
 }
+assert set(_BINARY) == set(ast.BINARY_OPS)
 
 #: Tokens that terminate a statement list (checked before parsing a stmt).
 _BLOCK_ENDERS = (
@@ -95,7 +108,12 @@ _SECTION = (TokenKind.SECTION,)
 
 
 class Parser:
-    """One-token-lookahead parser over scanner rows."""
+    """One-token-lookahead parser over scanner rows.
+
+    The current row is ``rows[pos]``, also kept as ``tok`` and its kind
+    as ``kind``.  :func:`~repro.lang.lexer.scan` never emits two
+    ``NEWLINE`` rows in a row, so one ``NEWLINE`` ends a statement.
+    """
 
     def __init__(self, rows: List[Row], lines: List[int]):
         self.rows = rows
@@ -121,21 +139,51 @@ class Parser:
             self.kind = row[0]
         return tok
 
+    def _goto(self, pos: int) -> None:
+        """Make ``rows[pos]`` the current row."""
+        self.pos = pos
+        self.tok = row = self.rows[pos]
+        self.kind = row[0]
+
     def _expect(self, kind: TokenKind, what: str = "") -> Row:
+        tok = self.tok
         if self.kind is not kind:
             wanted = what or kind.value
-            raise self._error(f"expected {wanted}, found {self.tok[1]!r}", self.tok)
-        return self._advance()
+            raise self._error(f"expected {wanted}, found {tok[1]!r}", tok)
+        if kind is not _EOF:
+            self._goto(self.pos + 1)
+        return tok
 
     def _skip_newlines(self) -> None:
         while self.kind is _NEWLINE:
             self._advance()
 
+    def _expect_line(self, kind: TokenKind, what: str = "") -> Row:
+        """``_expect(kind, what)`` (never ``EOF``), then the end of the
+        statement."""
+        tok = self.tok
+        if self.kind is not kind:
+            wanted = what or kind.value
+            raise self._error(f"expected {wanted}, found {tok[1]!r}", tok)
+        pos = self.pos + 1
+        row = self.rows[pos]
+        if row[0] is _NEWLINE:
+            pos += 1
+            row = self.rows[pos]
+        elif row[0] is not _EOF:
+            raise self._error(f"expected end of statement, found {row[1]!r}", row)
+        self.pos = pos
+        self.tok = row
+        self.kind = row[0]
+        return tok
+
     def _end_of_statement(self) -> None:
-        if self.kind is _NEWLINE:
-            self._advance()
-            self._skip_newlines()
-        elif self.kind is not _EOF:
+        kind = self.kind
+        if kind is _NEWLINE:
+            self.pos = pos = self.pos + 1
+            self.tok = row = self.rows[pos]
+            self.kind = row[0]
+        elif kind is not _EOF:
             raise self._error(f"expected end of statement, found {self.tok[1]!r}", self.tok)
 
     def guarded(self, parse: Callable[[], _T]) -> _T:
@@ -166,7 +214,7 @@ class Parser:
             raise self._error(f"duplicate event declaration(s): {', '.join(dupes)}", start)
 
         body = self._parse_stmt_list()
-        self._parse_end_label()  # a label on 'end program' is allowed, unused
+        self._parse_label()  # a label on 'end program' is allowed, unused
         end_tok = self._expect(TokenKind.END, "'end' / 'end program'")
         if self.kind is TokenKind.PROGRAM:
             self._advance()
@@ -195,31 +243,27 @@ class Parser:
             and rows[pos + 3][0] in kinds
         )
 
-    def _at_block_end(self) -> bool:
-        """True at a block-terminating keyword, possibly behind a label
-        (the paper labels terminators: ``(6) endif``, ``(11) end parallel
-        sections``)."""
-        kind = self.kind
-        if kind in _BLOCK_ENDERS:
-            return True
-        return kind is _LPAREN and self._label_before(_BLOCK_ENDERS)
-
-    def _parse_end_label(self) -> Optional[str]:
-        """Consume a label that precedes a block terminator, if present."""
-        if self.kind is _LPAREN:
-            return self._parse_label()
-        return None
-
     def _parse_stmt_list(self) -> List[ast.Stmt]:
+        """Statements up to a block-terminating keyword, possibly behind
+        a label (the paper labels terminators: ``(6) endif``, ``(11) end
+        parallel sections``)."""
         stmts: List[ast.Stmt] = []
-        self._skip_newlines()
-        while not self._at_block_end():
-            stmts.append(self._parse_stmt())
-        return stmts
+        append = stmts.append
+        while True:  # the caller has just ended a statement: no NEWLINE here
+            kind = self.kind
+            if kind is _IDENT:
+                append(self._parse_assign(None))
+            elif kind is _IF:
+                append(self._parse_if(None))
+            elif kind in _BLOCK_ENDERS or (kind is _LPAREN and self._label_before(_BLOCK_ENDERS)):
+                return stmts
+            else:
+                append(self._parse_stmt())
 
     def _parse_label(self) -> Optional[str]:
-        """``( 4 )`` or ``( Entry )`` prefix.  Unambiguous: no statement
-        begins with ``(`` otherwise."""
+        """``( 4 )`` or ``( Entry )`` prefix, if present, also before a
+        block terminator.  Unambiguous: no statement begins with ``(``
+        otherwise."""
         if self.kind is not _LPAREN:
             return None
         self._advance()
@@ -233,11 +277,11 @@ class Parser:
         label = self._parse_label()
         kind = self.kind
         if kind is _IDENT:
-            stmt: ast.Stmt = self._parse_assign()
-        elif kind is TokenKind.IF:
-            stmt = self._parse_if()
-        elif kind is TokenKind.LOOP:
-            stmt = self._parse_loop()
+            return self._parse_assign(label)
+        if kind is _IF:
+            return self._parse_if(label)
+        if kind is TokenKind.LOOP:
+            stmt: ast.Stmt = self._parse_loop()
         elif kind is TokenKind.WHILE:
             stmt = self._parse_while()
         elif kind is TokenKind.PARALLEL:
@@ -256,71 +300,73 @@ class Parser:
         stmt.label = label
         return stmt
 
-    def _parse_assign(self) -> ast.Assign:
-        target = self._advance()
-        self._expect(TokenKind.ASSIGN, "'='")
+    def _parse_assign(self, label: Optional[str]) -> ast.Assign:
+        target = self.tok
+        pos = self.pos + 1
+        row = self.rows[pos]
+        if row[0] is not _ASSIGN:
+            raise self._error(f"expected '=', found {row[1]!r}", row)
+        self._goto(pos + 1)
         expr = self._parse_expr()
-        self._end_of_statement()
-        return ast.Assign(target=target[1], expr=expr, span=self._span(target, target))
+        if self.kind is _NEWLINE:
+            self.pos = pos = self.pos + 1
+            self.tok = row = self.rows[pos]
+            self.kind = row[0]
+        else:
+            self._end_of_statement()
+        span = source_span(self.lines, target[3], target[4])
+        return ast.Assign(target=target[1], expr=expr, span=span, label=label)
 
-    def _parse_if(self) -> ast.If:
-        start = self._advance()
+    def _parse_if(self, label: Optional[str]) -> ast.If:
+        start = self.tok
+        self._goto(self.pos + 1)
         cond = self._parse_expr()
-        self._expect(TokenKind.THEN, "'then'")
-        self._end_of_statement()
+        self._expect_line(_THEN, "'then'")
         then_body = self._parse_stmt_list()
         else_body: List[ast.Stmt] = []
-        end_label = self._parse_end_label()
-        if self.kind is TokenKind.ELSE:
-            self._advance()
-            self._end_of_statement()
+        end_label = self._parse_label() if self.kind is _LPAREN else None
+        if self.kind is _ELSE:
+            self._expect_line(_ELSE)
             else_body = self._parse_stmt_list()
-            end_label = self._parse_end_label()
-        end = self._expect(TokenKind.ENDIF, "'endif'")
-        self._end_of_statement()
+            end_label = self._parse_label() if self.kind is _LPAREN else None
+        end = self._expect_line(_ENDIF, "'endif'")
         return ast.If(
             cond=cond,
             then_body=then_body,
             else_body=else_body,
             span=self._span(start, end),
+            label=label,
             end_label=end_label,
         )
 
     def _parse_loop(self) -> ast.Loop:
-        start = self._advance()
-        self._end_of_statement()
+        start = self._expect_line(TokenKind.LOOP)
         body = self._parse_stmt_list()
-        end_label = self._parse_end_label()
-        end = self._expect(TokenKind.ENDLOOP, "'endloop'")
-        self._end_of_statement()
+        end_label = self._parse_label()
+        end = self._expect_line(TokenKind.ENDLOOP, "'endloop'")
         return ast.Loop(body=body, span=self._span(start, end), end_label=end_label)
 
     def _parse_while(self) -> ast.While:
         start = self._advance()
         cond = self._parse_expr()
-        self._expect(TokenKind.DO, "'do'")
-        self._end_of_statement()
+        self._expect_line(TokenKind.DO, "'do'")
         body = self._parse_stmt_list()
-        end_label = self._parse_end_label()
-        end = self._expect(TokenKind.ENDWHILE, "'endwhile'")
-        self._end_of_statement()
+        end_label = self._parse_label()
+        end = self._expect_line(TokenKind.ENDWHILE, "'endwhile'")
         return ast.While(cond=cond, body=body, span=self._span(start, end), end_label=end_label)
 
     def _parse_parallel_sections(self) -> ast.ParallelSections:
         start = self._advance()
-        self._expect(TokenKind.SECTIONS, "'sections'")
-        self._end_of_statement()
+        self._expect_line(TokenKind.SECTIONS, "'sections'")
         sections: List[ast.Section] = []
         while True:
-            self._skip_newlines()
             label = None
             if self.kind is _LPAREN and self._label_before(_SECTION):
                 label = self._parse_label()
             if self.kind is not TokenKind.SECTION:
                 break
             sec_tok = self._advance()
-            name = self._expect(_IDENT, "section name")[1]
-            self._end_of_statement()
+            name = self._expect_line(_IDENT, "section name")[1]
             body = self._parse_stmt_list()
             section = ast.Section(name=name, body=body, span=self._span(sec_tok, sec_tok))
             section.label = label
@@ -331,11 +377,10 @@ class Parser:
         if len(set(names)) != len(names):
             dupes = sorted({n for n in names if names.count(n) > 1})
             raise self._error(f"duplicate section name(s): {', '.join(dupes)}", start)
-        end_label = self._parse_end_label()
+        end_label = self._parse_label()
         end = self._expect(TokenKind.END, "'end parallel sections'")
         self._expect(TokenKind.PARALLEL, "'parallel'")
-        self._expect(TokenKind.SECTIONS, "'sections'")
-        self._end_of_statement()
+        self._expect_line(TokenKind.SECTIONS, "'sections'")
         return ast.ParallelSections(
             sections=sections, span=self._span(start, end), end_label=end_label
         )
@@ -343,14 +388,12 @@ class Parser:
     def _parse_parallel_do(self) -> ast.ParallelDo:
         start = self._advance()
         self._advance()  # "do"
-        index = self._expect(_IDENT, "parallel do index variable")[1]
-        self._end_of_statement()
+        index = self._expect_line(_IDENT, "parallel do index variable")[1]
         body = self._parse_stmt_list()
-        end_label = self._parse_end_label()
+        end_label = self._parse_label()
         end = self._expect(TokenKind.END, "'end parallel do'")
         self._expect(TokenKind.PARALLEL, "'parallel'")
-        self._expect(TokenKind.DO, "'do'")
-        self._end_of_statement()
+        self._expect_line(TokenKind.DO, "'do'")
         for stmt in body:
             for inner in stmt.walk():
                 if isinstance(inner, ast.Assign) and inner.target == index:
@@ -364,8 +407,7 @@ class Parser:
         tok = self._advance()
         self._expect(_LPAREN, "'('")
         event = self._expect(_IDENT, "event name")[1]
-        self._expect(_RPAREN, "')'")
-        self._end_of_statement()
+        self._expect_line(_RPAREN, "')'")
         span = self._span(tok, tok)
         if tok[0] is TokenKind.POST:
             return ast.Post(event=event, span=span)
@@ -380,41 +422,61 @@ class Parser:
         operators all bind at least as tightly as ``min_power``."""
         tok = self.tok
         kind = self.kind
+        rows = self.rows
         ceiling = _P_UNARY  # operators binding at this power or tighter may not follow
-        if kind is _IDENT:
-            self._advance()
-            left: ast.Expr = ast.Var(tok[1])
-        elif kind is _INT:
-            self._advance()
-            left = ast.IntLit(tok[2])  # type: ignore[arg-type]
+        if kind is _IDENT or kind is _INT or kind is _TRUE or kind is _FALSE:
+            if kind is _IDENT:
+                left: ast.Expr = _Var(tok[1])
+            elif kind is _INT:
+                left = _IntLit(tok[2])  # type: ignore[arg-type]
+            else:
+                left = ast.BoolLit(kind is _TRUE)
+            pos = self.pos + 1
+            row = rows[pos]
         elif kind is _LPAREN:
-            self._advance()
+            self._goto(self.pos + 1)
             left = self._parse_expr()
-            self._expect(_RPAREN, "')'")
-        elif kind is _MINUS:
-            self._advance()
-            left = ast.UnaryOp("-", self._parse_expr(_P_UNARY))
-        elif kind is _NOT and min_power <= _P_NOT:
-            self._advance()
-            left = ast.UnaryOp("not", self._parse_expr(_P_NOT))
-            ceiling = _P_NOT
-        elif kind is _TRUE:
-            self._advance()
-            left = ast.BoolLit(True)
-        elif kind is _FALSE:
-            self._advance()
-            left = ast.BoolLit(False)
+            if self.kind is not _RPAREN:
+                self._expect(_RPAREN, "')'")
+            pos = self.pos + 1
+            row = rows[pos]
         else:
-            raise self._error(f"expected an expression, found {tok[1]!r}", tok)
+            if kind is _MINUS:
+                self._advance()
+                left = ast.UnaryOp("-", self._parse_expr(_P_UNARY))
+            elif kind is _NOT and min_power <= _P_NOT:
+                self._advance()
+                left = ast.UnaryOp("not", self._parse_expr(_P_NOT))
+                ceiling = _P_NOT
+            else:
+                raise self._error(f"expected an expression, found {tok[1]!r}", tok)
+            pos = self.pos
+            row = self.tok
         while True:
-            op = _BINARY.get(self.kind)
-            if op is None:
+            kind = row[0]
+            spelling = kind._value_
+            power = _BINARY.get(spelling)
+            if power is None or power < min_power or power >= ceiling:
+                self.pos = pos
+                self.tok = row
+                self.kind = kind
                 return left
-            power, spelling = op
-            if power < min_power or power >= ceiling:
-                return left
-            self._advance()
-            left = ast.BinOp(spelling, left, self._parse_expr(power + 1))
+            # The right operand, parsed at ``power + 1``; a variable or
+            # integer that no tighter operator follows is read in place.
+            operand = rows[pos + 1]
+            kind = operand[0]
+            if (kind is _IDENT or kind is _INT) and (
+                (after := _BINARY.get(rows[pos + 2][0]._value_)) is None or after <= power
+            ):
+                right: ast.Expr = _Var(operand[1]) if kind is _IDENT else _IntLit(operand[2])
+                pos += 2
+                row = rows[pos]
+            else:
+                self._goto(pos + 1)
+                right = self._parse_expr(power + 1)
+                pos = self.pos
+                row = self.tok
+            left = _BinOp(spelling, left, right)
             # Every tighter operator went to the right operand; a comparison
             # may not follow another.
             ceiling = power if power == _P_CMP else power + 1

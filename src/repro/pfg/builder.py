@@ -23,215 +23,231 @@ the join and ``y = x*z``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import FrozenSet, List, Optional, Tuple
 
-from ..ir.symbols import check_events
+from ..ir.symbols import check_event_use, check_events
 from ..lang import ast
 from ..lang.errors import SemanticError
 from .edges import EdgeKind
-from .graph import ParallelFlowGraph
+from .graph import ParallelFlowGraph, ParDoInfo
 from .node import NodeKind, PFGNode
 
+#: Edges awaiting the next fresh block: ``(source, kind)`` pairs.
+Dangling = List[Tuple[PFGNode, EdgeKind]]
 
-@dataclass
-class _Cursor:
-    """Where the next statement goes: either an *open* block accepting
-    appends, or a set of dangling edges awaiting a fresh block."""
-
-    open: Optional[PFGNode] = None
-    dangling: List[Tuple[PFGNode, EdgeKind]] = field(default_factory=list)
-
-    def closed(self) -> "_Cursor":
-        if self.open is not None:
-            return _Cursor(open=None, dangling=[(self.open, EdgeKind.SEQ)])
-        return _Cursor(open=None, dangling=list(self.dangling))
-
-
-def _block_is_sealed(node: PFGNode) -> bool:
-    """No statement may be appended after a post, a branch, or a fork."""
-    return (
-        node.post_event is not None
-        or node.cond is not None
-        or node.is_loop_header
-        or node.kind is NodeKind.FORK
-        or node.kind is NodeKind.EXIT
-    )
+_SEQ = EdgeKind.SEQ
+_PAR = EdgeKind.PAR
+_BASIC = NodeKind.BASIC
+_Assign = ast.Assign
+_If = ast.If
 
 
 class PFGBuilder:
+    """Lowers one program in a single pre-order walk over its statements.
+
+    The walk applies the event rules (:func:`repro.ir.symbols.check_event_use`)
+    to each statement before lowering it, so a misuse raises the same
+    :class:`SemanticError` a whole-program :func:`check_events` would
+    have raised first.  Each node is created with its final concurrency
+    label ``(pardo_ids, section_path)``.
+
+    Where the next statement goes is held in two attributes: ``_open``,
+    the block that accepts appends, or ``None`` and then ``_dangling``,
+    the edges awaiting a fresh block.  A block that ends in a post, a
+    branch or a fork is closed as soon as it gets it, so the open block
+    always accepts a statement.  Dangling lists are never changed in
+    place, so they can be shared.
+    """
+
     def __init__(self, program: ast.Program):
         self.program = program
         self.graph = ParallelFlowGraph(program.name)
+        self._declared: FrozenSet[str] = frozenset(program.events)
         self._next_construct_id = 0
-        self._section_stack: List[Tuple[int, int]] = []
-        self._pardo_stack: List[int] = []
+        self._section_path: Tuple[Tuple[int, int], ...] = ()
+        self._pardo_ids: Tuple[int, ...] = ()
         self._section_names: dict = {}
+        self._open: Optional[PFGNode] = None
+        self._dangling: Dangling = []
 
-    # -- node helpers ---------------------------------------------------------
+    # -- cursor -----------------------------------------------------------------
 
-    def _new_node(self, kind: NodeKind, name: Optional[str], note: str = "") -> PFGNode:
-        node = self.graph.new_node(kind=kind, name=name or "", note=note)
-        node.section_path = tuple(self._section_stack)
-        node.pardo_ids = tuple(self._pardo_stack)
+    def _close(self) -> Dangling:
+        """Close the open block, if any; the edges the next block takes."""
+        node = self._open
+        if node is None:
+            return self._dangling
+        self._open = None
+        return [(node, _SEQ)]
+
+    def _resume(self, dangling: Dangling) -> None:
+        """Continue with no open block, before ``dangling``."""
+        self._open = None
+        self._dangling = dangling
+
+    def _fresh(self, kind: NodeKind, name: Optional[str], note: str = "") -> PFGNode:
+        """A new block fed by the cursor; it becomes the open block."""
+        node = self._open
+        feeds = self._dangling if node is None else ((node, _SEQ),)
+        self._open = node = self.graph._attach(
+            kind, name or "", note, self._section_path, self._pardo_ids, feeds
+        )
         return node
 
-    def _fresh(self, cursor: _Cursor, kind: NodeKind = NodeKind.BASIC, name: Optional[str] = None, note: str = "") -> Tuple[PFGNode, _Cursor]:
-        """Create a node fed by the cursor's dangling edges; the node
-        becomes the open block."""
-        cursor = cursor.closed() if cursor.open is not None else cursor
-        node = self._new_node(kind, name, note)
-        for src, edge_kind in cursor.dangling:
-            self.graph.add_edge(src, node, edge_kind)
-        return node, _Cursor(open=node)
-
-    def _open_for_append(self, cursor: _Cursor, label: Optional[str]) -> Tuple[PFGNode, _Cursor]:
-        """An open block that can absorb a statement labelled ``label``.
-
-        Reuses the current open block when it is not sealed and the label
-        is compatible (no label, block unnamed, or same name); otherwise
-        starts a new block named after the label.
-        """
-        node = cursor.open
-        if node is not None and not _block_is_sealed(node):
-            if label is None or node.name == "" or node.name == label:
-                if label is not None and node.name == "":
-                    node.name = label
-                return node, cursor
-        return self._fresh(cursor, NodeKind.BASIC, label)
+    def _open_for(self, label: Optional[str]) -> PFGNode:
+        """The open block, if it can take a statement labelled ``label``
+        (no label, block unnamed, or same name); else a new block named
+        after the label."""
+        node = self._open
+        if node is not None and (label is None or not node.name or node.name == label):
+            if label is not None:
+                node.name = label
+            return node
+        return self._fresh(_BASIC, label)
 
     # -- build ------------------------------------------------------------------
 
     def build(self) -> ParallelFlowGraph:
-        check_events(self.program)
         g = self.graph
-        entry = self._new_node(NodeKind.ENTRY, "Entry")
-        g.entry = entry
-        cursor = _Cursor(open=entry)
-        cursor = self._build_block(self.program.body, cursor)
-        exit_node, _ = self._fresh(cursor, NodeKind.EXIT, "Exit")
-        g.exit = exit_node
+        g.entry = self._fresh(NodeKind.ENTRY, "Entry")
+        self._block(self.program.body)
+        g.exit = self._fresh(NodeKind.EXIT, "Exit")
         self._add_sync_edges()
         for node in g.nodes:
             g.register_name(node)
         g.finalize_defs()
-        g.section_names = dict(self._section_names)
+        g.section_names = self._section_names
         return g
 
-    def _build_block(self, stmts: List[ast.Stmt], cursor: _Cursor) -> _Cursor:
+    def _block(self, stmts: List[ast.Stmt]) -> None:
+        declared = self._declared
         for stmt in stmts:
-            cursor = self._build_stmt(stmt, cursor)
-        return cursor
-
-    def _build_stmt(self, stmt: ast.Stmt, cursor: _Cursor) -> _Cursor:
-        if isinstance(stmt, (ast.Assign, ast.Skip, ast.Clear)):
-            node, cursor = self._open_for_append(cursor, stmt.label)
-            if not isinstance(stmt, ast.Skip):
+            kind = type(stmt)
+            if kind is _Assign:
+                if declared:
+                    check_event_use(stmt, declared)
+                node = self._open
+                if node is None or stmt.label is not None:
+                    node = self._open_for(stmt.label)
                 node.stmts.append(stmt)
-            if isinstance(stmt, ast.Clear):
+            elif kind is _If:
+                if declared:
+                    check_event_use(stmt, declared)
+                self._build_if(stmt)
+            elif kind is ast.Skip:
+                self._open_for(stmt.label)
+            elif kind is ast.Clear:
+                check_event_use(stmt, declared)
+                node = self._open_for(stmt.label)
+                node.stmts.append(stmt)
                 clears = self.graph.clears_of_event.setdefault(stmt.event, [])
                 if node not in clears:
                     clears.append(node)
-            return cursor
-        if isinstance(stmt, ast.Post):
-            return self._build_post(stmt, cursor)
-        if isinstance(stmt, ast.Wait):
-            return self._build_wait(stmt, cursor)
-        if isinstance(stmt, ast.If):
-            return self._build_if(stmt, cursor)
-        if isinstance(stmt, ast.Loop):
-            return self._build_loop(stmt, cursor)
-        if isinstance(stmt, ast.While):
-            return self._build_while(stmt, cursor)
-        if isinstance(stmt, ast.ParallelSections):
-            return self._build_parallel(stmt, cursor)
-        if isinstance(stmt, ast.ParallelDo):
-            return self._build_parallel_do(stmt, cursor)
-        raise SemanticError(f"cannot lower statement {type(stmt).__name__}", stmt.span)
+            elif kind is ast.Post:
+                check_event_use(stmt, declared)
+                node = self._open_for(stmt.label)
+                node.post_event = stmt.event
+                self.graph.posts_of_event.setdefault(stmt.event, []).append(node)
+                self._dangling = self._close()
+            elif kind is ast.Wait:
+                check_event_use(stmt, declared)
+                self._build_wait(stmt)
+            elif kind is ast.Loop:
+                self._build_loop(stmt)
+            elif kind is ast.While:
+                if declared:
+                    check_event_use(stmt, declared)
+                self._build_while(stmt)
+            elif kind is ast.ParallelSections:
+                self._build_parallel(stmt)
+            elif kind is ast.ParallelDo:
+                self._build_parallel_do(stmt)
+            else:
+                # Nothing past this statement was checked; the event rules
+                # come first, as they would on the whole program.
+                check_events(self.program)
+                raise SemanticError(f"cannot lower statement {kind.__name__}", stmt.span)
 
-    def _build_post(self, stmt: ast.Post, cursor: _Cursor) -> _Cursor:
-        node, cursor = self._open_for_append(cursor, stmt.label)
-        node.post_event = stmt.event
-        self.graph.posts_of_event.setdefault(stmt.event, []).append(node)
-        return cursor.closed()
-
-    def _build_wait(self, stmt: ast.Wait, cursor: _Cursor) -> _Cursor:
-        node = cursor.open
-        reusable = (
+    def _build_wait(self, stmt: ast.Wait) -> None:
+        node = self._open
+        if (
             node is not None
-            and node.kind is NodeKind.BASIC
+            and node.kind is _BASIC
             and not node.stmts
             and node.wait_event is None
-            and not _block_is_sealed(node)
             and (stmt.label is None or node.name in ("", stmt.label))
-        )
-        if reusable:
-            assert node is not None
-            if stmt.label is not None and node.name == "":
+        ):
+            if stmt.label is not None:
                 node.name = stmt.label
         else:
-            node, cursor = self._fresh(cursor, NodeKind.BASIC, stmt.label)
+            node = self._fresh(_BASIC, stmt.label)
         node.wait_event = stmt.event
         self.graph.waits_of_event.setdefault(stmt.event, []).append(node)
-        return cursor
 
-    def _build_if(self, stmt: ast.If, cursor: _Cursor) -> _Cursor:
-        branch, cursor = self._open_for_append(cursor, stmt.label)
+    def _build_if(self, stmt: ast.If) -> None:
+        branch = self._open
+        if branch is None or stmt.label is not None:
+            branch = self._open_for(stmt.label)
         branch.cond = stmt.cond
-        then_cursor = self._build_block(stmt.then_body, _Cursor(dangling=[(branch, EdgeKind.SEQ)]))
-        else_cursor = self._build_block(stmt.else_body, _Cursor(dangling=[(branch, EdgeKind.SEQ)]))
-        merged = then_cursor.closed().dangling + else_cursor.closed().dangling
-        merge, out = self._fresh(_Cursor(dangling=merged), NodeKind.BASIC, stmt.end_label, note="merge")
-        return out
+        self._open = None
+        self._dangling = start = [(branch, _SEQ)]
+        self._block(stmt.then_body)
+        exits = self._close()
+        self._dangling = start
+        self._block(stmt.else_body)
+        self._dangling = exits + self._close()
+        self._fresh(_BASIC, stmt.end_label, "merge")
 
-    def _build_loop(self, stmt: ast.Loop, cursor: _Cursor) -> _Cursor:
-        header, _ = self._fresh(cursor, NodeKind.BASIC, stmt.label, note="loop-header")
-        header.is_loop_header = True
-        body_cursor = self._build_block(stmt.body, _Cursor(dangling=[(header, EdgeKind.SEQ)]))
-        latch, _ = self._fresh(body_cursor, NodeKind.BASIC, stmt.end_label, note="endloop")
-        self.graph.add_edge(latch, header, EdgeKind.SEQ)
-        return _Cursor(dangling=[(header, EdgeKind.SEQ)])
+    def _build_loop(self, stmt: ast.Loop) -> None:
+        header = self._fresh(_BASIC, stmt.label, "loop-header")
+        header.implicit_branch = True
+        self._loop_body(header, stmt.body, stmt.end_label, "endloop")
 
-    def _build_while(self, stmt: ast.While, cursor: _Cursor) -> _Cursor:
-        header, _ = self._fresh(cursor, NodeKind.BASIC, stmt.label, note="while-header")
+    def _build_while(self, stmt: ast.While) -> None:
+        header = self._fresh(_BASIC, stmt.label, "while-header")
         header.cond = stmt.cond
-        body_cursor = self._build_block(stmt.body, _Cursor(dangling=[(header, EdgeKind.SEQ)]))
-        latch, _ = self._fresh(body_cursor, NodeKind.BASIC, stmt.end_label, note="endwhile")
-        self.graph.add_edge(latch, header, EdgeKind.SEQ)
-        return _Cursor(dangling=[(header, EdgeKind.SEQ)])
+        self._loop_body(header, stmt.body, stmt.end_label, "endwhile")
 
-    def _build_parallel(self, stmt: ast.ParallelSections, cursor: _Cursor) -> _Cursor:
-        fork, _ = self._fresh(cursor, NodeKind.FORK, stmt.label, note="parallel sections")
+    def _loop_body(
+        self, header: PFGNode, body: List[ast.Stmt], end_label: Optional[str], note: str
+    ) -> None:
+        """The body after ``header``, a latch back to it, and the exit."""
+        exit_edges = [(header, _SEQ)]
+        self._resume(exit_edges)
+        self._block(body)
+        latch = self._fresh(_BASIC, end_label, note)
+        self.graph._link(latch, header, _SEQ)
+        self._resume(exit_edges)
+
+    def _build_parallel(self, stmt: ast.ParallelSections) -> None:
+        fork = self._fresh(NodeKind.FORK, stmt.label, "parallel sections")
         cid = self._next_construct_id
         self._next_construct_id += 1
         fork.construct_id = cid
         self._section_names[cid] = tuple(s.name for s in stmt.sections)
 
-        section_exits: List[Tuple[PFGNode, EdgeKind]] = []
+        outer = self._section_path
+        start = [(fork, _PAR)]
+        section_exits: Dangling = []
         for index, section in enumerate(stmt.sections):
-            self._section_stack.append((cid, index))
-            try:
-                sec_cursor = _Cursor(dangling=[(fork, EdgeKind.PAR)])
-                sec_cursor = self._build_block(section.body, sec_cursor)
-                if sec_cursor.open is None and sec_cursor.dangling == [(fork, EdgeKind.PAR)]:
-                    # Empty section: give it an (empty) block of its own so
-                    # the join's parallel predecessors are always section
-                    # exit blocks.
-                    _node, sec_cursor = self._fresh(sec_cursor, NodeKind.BASIC, section.label, note=f"section {section.name}")
-                sec_cursor = sec_cursor.closed()
-                section_exits.extend((node, EdgeKind.PAR) for node, _k in sec_cursor.dangling)
-            finally:
-                self._section_stack.pop()
+            self._section_path = outer + ((cid, index),)
+            self._resume(start)
+            self._block(section.body)
+            if self._open is None and self._dangling is start:
+                # Empty section: give it an (empty) block of its own so
+                # the join's parallel predecessors are always section
+                # exit blocks.
+                self._fresh(_BASIC, section.label, f"section {section.name}")
+            section_exits.extend((node, _PAR) for node, _k in self._close())
+        self._section_path = outer
 
-        join, out = self._fresh(
-            _Cursor(dangling=section_exits), NodeKind.JOIN, stmt.end_label, note="end parallel sections"
-        )
+        self._resume(section_exits)
+        join = self._fresh(NodeKind.JOIN, stmt.end_label, "end parallel sections")
         join.fork = fork
         join.construct_id = cid
         fork.join = join
-        return out
 
-    def _build_parallel_do(self, stmt: ast.ParallelDo, cursor: _Cursor) -> _Cursor:
+    def _build_parallel_do(self, stmt: ast.ParallelDo) -> None:
         """``Parallel Do`` (DESIGN.md: a §7 future-work extension) is
         modelled as a conditionally-executed, *self-concurrent* region:
 
@@ -247,31 +263,28 @@ class PFGBuilder:
         edge to draw — cross-iteration interference surfaces through
         ``ParallelKill`` and the anomaly reports instead.
         """
-        from ..pfg.graph import ParDoInfo
-
-        header, _ = self._fresh(cursor, NodeKind.BASIC, stmt.label, note="parallel-do")
-        header.is_loop_header = True  # implicit nondeterministic branch
+        header = self._fresh(_BASIC, stmt.label, "parallel-do")
+        header.implicit_branch = True
         cid = self._next_construct_id
         self._next_construct_id += 1
-        self._pardo_stack.append(cid)
-        try:
-            body_cursor = self._build_block(stmt.body, _Cursor(dangling=[(header, EdgeKind.SEQ)]))
-        finally:
-            self._pardo_stack.pop()
-        merged = body_cursor.closed().dangling + [(header, EdgeKind.SEQ)]
-        merge, out = self._fresh(
-            _Cursor(dangling=merged), NodeKind.BASIC, stmt.end_label, note="end-parallel-do"
-        )
+        outer = self._pardo_ids
+        self._pardo_ids = outer + (cid,)
+        bypass = [(header, _SEQ)]
+        self._resume(bypass)
+        self._block(stmt.body)
+        self._pardo_ids = outer
+        self._resume(self._close() + bypass)
+        merge = self._fresh(_BASIC, stmt.end_label, "end-parallel-do")
         self.graph.pardos.append(
             ParDoInfo(construct_id=cid, index=stmt.index, header=header, merge=merge)
         )
-        return out
 
     def _add_sync_edges(self) -> None:
-        for event, posts in self.graph.posts_of_event.items():
-            for wait in self.graph.waits_of_event.get(event, []):
+        g = self.graph
+        for event, posts in g.posts_of_event.items():
+            for wait in g.waits_of_event.get(event, []):
                 for post in posts:
-                    self.graph.add_edge(post, wait, EdgeKind.SYNC)
+                    g._link(post, wait, EdgeKind.SYNC)
 
 
 def build_pfg(program: ast.Program) -> ParallelFlowGraph:
@@ -287,24 +300,12 @@ def build_pfg(program: ast.Program) -> ParallelFlowGraph:
     with tracer.span("pfg-build", program=program.name) as span:
         graph = PFGBuilder(program).build()
         if tracer.enabled:
-            n_edges = sum(1 for _ in graph.edges())
-            span.annotate(nodes=len(graph.nodes), edges=n_edges, defs=len(graph.defs))
+            span.annotate(nodes=len(graph.nodes), edges=graph.edge_count(), defs=len(graph.defs))
     metrics = get_metrics()
     if metrics.enabled:
         metrics.inc("pfg.builds")
         metrics.inc("pfg.nodes", len(graph.nodes))
         metrics.inc("pfg.defs", len(graph.defs))
-        metrics.inc("pfg.edges", sum(1 for _ in graph.edges()))
+        metrics.inc("pfg.edges", graph.edge_count())
     return graph
 
-
-def section_names_by_construct(program: ast.Program) -> dict:
-    """Map construct ids (assigned in document order, as the builder does)
-    to section-name tuples — for :func:`repro.pfg.regions.compute_regions`."""
-    names = {}
-    counter = 0
-    for stmt in program.walk():
-        if isinstance(stmt, ast.ParallelSections):
-            names[counter] = tuple(s.name for s in stmt.sections)
-            counter += 1
-    return names

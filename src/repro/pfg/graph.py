@@ -70,26 +70,54 @@ class ParallelFlowGraph:
         #: graph has no cycle and no back edge.
         self.has_retreating_edge = False
         self._index: Optional[GraphIndex] = None
+        self._genkill_memo = None
 
     # -- construction -------------------------------------------------------
 
     def new_node(self, kind: NodeKind = NodeKind.BASIC, name: str = "", note: str = "") -> PFGNode:
-        node = PFGNode(id=len(self.nodes), kind=kind, name=name, note=note)
-        self.nodes.append(node)
-        self._succs[node] = []
-        self._preds[node] = []
+        node = self._attach(kind, name, note, (), (), ())
         self._invalidate()
         return node
 
     def add_edge(self, src: PFGNode, dst: PFGNode, kind: EdgeKind) -> None:
         """Add an edge, ignoring exact duplicates (same endpoints + kind)."""
+        self._link(src, dst, kind)
+        self._invalidate()
+
+    # The builder owns the graph until it returns it: no fact is cached
+    # yet, so its two primitives below invalidate nothing.
+
+    def _attach(
+        self,
+        kind: NodeKind,
+        name: str,
+        note: str,
+        section_path: Tuple[Tuple[int, int], ...],
+        pardo_ids: Tuple[int, ...],
+        feeds: Iterable[Tuple[PFGNode, EdgeKind]],
+    ) -> PFGNode:
+        """A new node, with an edge into it from each ``(source, kind)`` of
+        ``feeds`` (a repeated pair gives one edge).  Its id is the highest,
+        so none of these edges retreats."""
+        node = PFGNode(len(self.nodes), kind, name, note, section_path, pardo_ids)
+        self.nodes.append(node)
+        succs = self._succs
+        succs[node] = []
+        preds = self._preds[node] = []
+        for pair in feeds:
+            if pair not in preds:
+                src, edge_kind = pair
+                succs[src].append((node, edge_kind))
+                preds.append(pair)
+        return node
+
+    def _link(self, src: PFGNode, dst: PFGNode, kind: EdgeKind) -> None:
         if (dst, kind) in self._succs[src]:
             return
         self._succs[src].append((dst, kind))
         self._preds[dst].append((src, kind))
         if dst.id <= src.id and kind is not EdgeKind.SYNC:
             self.has_retreating_edge = True
-        self._invalidate()
 
     def register_name(self, node: PFGNode) -> None:
         """Record ``node.name`` in the name index (builder calls this after
@@ -250,12 +278,15 @@ class ParallelFlowGraph:
     def finalize_defs(self) -> None:
         """(Re)build the definition table from node statements.  Called by
         the builder once node names are final."""
-        self.defs = DefTable()
+        add = (table := DefTable()).add
         for node in self.nodes:
-            node.defs = []
-            for stmt in node.stmts:
-                if isinstance(stmt, ast.Assign):
-                    node.defs.append(self.defs.add(stmt.target, node.name, stmt))
+            stmts = node.stmts
+            if stmts:
+                site = node.name
+                node.defs = [add(s.target, site, s) for s in stmts if isinstance(s, ast.Assign)]
+            elif node.defs:
+                node.defs = []
+        self.defs = table
 
     def describe(self) -> str:
         """Multi-line structural dump (tests and debugging)."""

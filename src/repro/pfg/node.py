@@ -8,8 +8,8 @@ branch at its end**.  A node therefore consists of:
 ``stmts``       — straight-line body (assignments, skips, clears);
 ``post_event``  — optional event posted at the end, *or*
 ``cond``        — optional branch condition at the end (mutually exclusive
-with ``post_event``; loop headers for ``loop`` have an implicit
-nondeterministic branch and leave ``cond = None``).
+with ``post_event``; the headers of ``loop`` and ``parallel do`` end in
+an implicit nondeterministic branch instead and leave ``cond = None``).
 """
 
 from __future__ import annotations
@@ -39,7 +39,9 @@ class PFGNode:
 
     Nodes compare and hash by identity; ``id`` is the dense index within
     the owning graph and ``name`` the human-facing label (the paper's block
-    number where the source was labelled).
+    number where the source was labelled).  The concurrency label
+    ``(pardo_ids, section_path)`` is given when the node is created and
+    never changes.
     """
 
     id: int
@@ -47,15 +49,6 @@ class PFGNode:
     name: str = ""
     note: str = ""
     """Free-form role hint for rendering ("loop-header", "endloop", "merge")."""
-
-    wait_event: Optional[str] = None
-    stmts: List[ast.Stmt] = field(default_factory=list)
-    post_event: Optional[str] = None
-    cond: Optional[ast.Expr] = None
-    is_loop_header: bool = False
-
-    #: Filled by the builder's finalization pass.
-    defs: List[Definition] = field(default_factory=list)
 
     #: Section-membership path for may-happen-in-parallel queries: a tuple
     #: of ``(construct_id, section_index)`` pairs, outermost first.
@@ -65,6 +58,20 @@ class PFGNode:
     #: parallel do may execute concurrently with *itself* and with every
     #: other block of the same body (distinct iterations).
     pardo_ids: Tuple[int, ...] = ()
+
+    wait_event: Optional[str] = None
+    stmts: List[ast.Stmt] = field(default_factory=list)
+    post_event: Optional[str] = None
+    cond: Optional[ast.Expr] = None
+    implicit_branch: bool = False
+    """The block ends in a branch without a condition: the header of a
+    ``loop`` (exit or iterate) or of a ``parallel do`` (the trip count
+    may be zero).  Not a loop test: a ``while`` header branches on its
+    ``cond`` and a ``parallel do`` closes no loop; the graph's
+    ``has_retreating_edge`` and back edges say where loops are."""
+
+    #: Filled by the builder's finalization pass.
+    defs: List[Definition] = field(default_factory=list)
 
     #: For JOIN nodes: the matching fork (the paper's "technical edge").
     fork: Optional["PFGNode"] = None
@@ -95,7 +102,7 @@ class PFGNode:
 
     @property
     def is_branch(self) -> bool:
-        return self.cond is not None or self.is_loop_header
+        return self.cond is not None or self.implicit_branch
 
     # -- statement-level queries --------------------------------------------
 
@@ -172,7 +179,7 @@ class PFGNode:
             parts.append(f"post({self.post_event})")
         if self.cond is not None:
             parts.append(f"branch {self.cond}")
-        elif self.is_loop_header:
+        elif self.implicit_branch:
             parts.append("loop?")
         body = "; ".join(parts) if parts else "(empty)"
         return f"[{self.name}:{self.kind}] {body}"

@@ -41,42 +41,56 @@ def validate_pfg(graph: ParallelFlowGraph) -> None:
         dupes = sorted({x for x in names if names.count(x) > 1})
         bad.append(f"duplicate node names: {dupes}")
 
+    # One pass over the nodes and their out-edges; the definition checks
+    # are reported after the reachability ones.
+    succs = graph._succs
+    misplaced_defs: List[str] = []
+    n_defs = 0
     for node in graph.nodes:
+        kind = node.kind
+        name = node.name
         # Extended-basic-block shape.
         if node.post_event is not None and node.cond is not None:
-            bad.append(f"{node.name}: has both a post and a branch at block end")
-        if node.kind is NodeKind.FORK:
+            bad.append(f"{name}: has both a post and a branch at block end")
+        if kind is NodeKind.FORK:
             if node.stmts or node.post_event or node.cond or node.wait_event:
-                bad.append(f"{node.name}: fork node carries statements")
+                bad.append(f"{name}: fork node carries statements")
             if node.join is None:
-                bad.append(f"{node.name}: fork without matching join")
+                bad.append(f"{name}: fork without matching join")
             elif node.join.fork is not node:
-                bad.append(f"{node.name}: fork/join links inconsistent")
+                bad.append(f"{name}: fork/join links inconsistent")
             if node.construct_id is None:
-                bad.append(f"{node.name}: fork without construct id")
-        if node.kind is NodeKind.JOIN:
+                bad.append(f"{name}: fork without construct id")
+        elif kind is NodeKind.JOIN:
             if node.fork is None:
-                bad.append(f"{node.name}: join without matching fork")
-            par_in = graph.par_preds(node)
-            if not par_in:
-                bad.append(f"{node.name}: join with no parallel predecessors")
+                bad.append(f"{name}: join without matching fork")
+            if not graph.par_preds(node):
+                bad.append(f"{name}: join with no parallel predecessors")
         # Edge-kind placement.
-        for dst, kind in graph.out_edges(node):
-            if kind is EdgeKind.PAR and not (node.kind is NodeKind.FORK or dst.kind is NodeKind.JOIN):
-                bad.append(f"{node.name} -> {dst.name}: PAR edge not at a fork or into a join")
-            if kind is EdgeKind.SYNC:
+        par_out = control_out = False
+        for dst, edge_kind in succs[node]:
+            if edge_kind is EdgeKind.SYNC:
                 if node.post_event is None:
-                    bad.append(f"{node.name} -> {dst.name}: SYNC edge from a non-post block")
+                    bad.append(f"{name} -> {dst.name}: SYNC edge from a non-post block")
                 if dst.wait_event is None:
-                    bad.append(f"{node.name} -> {dst.name}: SYNC edge into a non-wait block")
+                    bad.append(f"{name} -> {dst.name}: SYNC edge into a non-wait block")
                 elif node.post_event is not None and node.post_event != dst.wait_event:
-                    bad.append(f"{node.name} -> {dst.name}: SYNC edge across different events")
-        if node.kind is NodeKind.FORK:
-            par_out = graph.succs(node, (EdgeKind.PAR,))
-            if not par_out:
-                bad.append(f"{node.name}: fork with no parallel successors")
-        if node.kind is NodeKind.EXIT and graph.control_succs(node):
-            bad.append(f"{node.name}: exit node has successors")
+                    bad.append(f"{name} -> {dst.name}: SYNC edge across different events")
+                continue
+            control_out = True
+            if edge_kind is EdgeKind.PAR:
+                par_out = True
+                if not (kind is NodeKind.FORK or dst.kind is NodeKind.JOIN):
+                    bad.append(f"{name} -> {dst.name}: PAR edge not at a fork or into a join")
+        if kind is NodeKind.FORK and not par_out:
+            bad.append(f"{name}: fork with no parallel successors")
+        if kind is NodeKind.EXIT and control_out:
+            bad.append(f"{name}: exit node has successors")
+        # Definition table is consistent with node contents.
+        for d in node.defs:
+            if d.site != name:
+                misplaced_defs.append(f"definition {d} recorded in block {name}")
+        n_defs += len(node.defs)
 
     # Every node (except entry) is reachable over control edges.
     if graph.entry is not None:
@@ -87,17 +101,13 @@ def validate_pfg(graph: ParallelFlowGraph) -> None:
             if cur in reachable:
                 continue
             reachable.add(cur)
-            stack.extend(graph.control_succs(cur))
+            stack.extend(dst for dst, edge_kind in succs[cur] if edge_kind is not EdgeKind.SYNC)
         for node in graph.nodes:
             if node not in reachable:
                 bad.append(f"{node.name}: unreachable from entry over control edges")
 
-    # Definition table is consistent with node contents.
-    for node in graph.nodes:
-        for d in node.defs:
-            if d.site != node.name:
-                bad.append(f"definition {d} recorded in block {node.name}")
-    if sum(len(n.defs) for n in graph.nodes) != len(graph.defs):
+    bad.extend(misplaced_defs)
+    if n_defs != len(graph.defs):
         bad.append("definition table size disagrees with per-node definitions")
 
     if bad:

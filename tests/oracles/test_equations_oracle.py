@@ -186,7 +186,7 @@ def test_corpus_covers_every_node_kind():
                     ("fork", n.is_fork),
                     ("join", n.is_join),
                     ("wait", n.is_wait),
-                    ("loop header", n.is_loop_header),
+                    ("implicit branch", n.implicit_branch),
                     ("no preds", not graph.all_preds(n)),
                     ("mixed par/seq preds", graph.par_preds(n) and graph.seq_preds(n)),
                     ("several sync preds", len(graph.sync_preds(n)) > 1),
@@ -194,6 +194,6 @@ def test_corpus_covers_every_node_kind():
                 if present
             )
     assert kinds == {
-        "fork", "join", "wait", "loop header", "no preds",
+        "fork", "join", "wait", "implicit branch", "no preds",
         "mixed par/seq preds", "several sync preds",
     }

@@ -55,7 +55,7 @@ def test_statements_after_merge_join_merge_block():
 def test_loop_structure():
     g = build("program p\n(2) loop\n(3) x=1\n(7) endloop\nend")
     header = g.node("2")
-    assert header.is_loop_header
+    assert header.implicit_branch
     edges = edge_set(g)
     assert ("2", "3") in edges and ("3", "7") in edges
     assert ("7", "2") in edges  # back edge
@@ -66,7 +66,7 @@ def test_loop_structure():
 def test_while_header_holds_condition():
     g = build("program p\n(2) while x < 3 do\n(3) x = x + 1\n(4) endwhile\nend")
     assert g.node("2").cond is not None
-    assert not g.node("2").is_loop_header
+    assert not g.node("2").implicit_branch
     assert (g.node("4"), g.node("2")) in g.back_edges()
 
 

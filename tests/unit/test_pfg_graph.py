@@ -173,21 +173,25 @@ def _corpus_graphs():
 
 
 def test_graphs_without_loop_headers_have_no_back_edges():
-    """On the paper figures and every e2e smoke corpus, a graph with no
-    loop header has no back edge, and the retreating-edge flag find_loops
-    tests is set exactly when the DFS finds one."""
+    """On the paper figures and every e2e smoke corpus, the retreating-edge
+    flag find_loops tests is set exactly when the DFS finds a back edge.
+    These programs close loops only with ``loop``, whose header ends in an
+    implicit branch, so a graph without an implicit branch has no back
+    edge here; the flag is no loop test in general (see the while test
+    below)."""
     for graph in _corpus_graphs():
         back = graph.back_edges()
-        if not any(node.is_loop_header for node in graph.nodes):
+        if not any(node.implicit_branch for node in graph.nodes):
             assert not back, graph.program_name
         assert graph.has_retreating_edge == bool(back), graph.program_name
 
 
 def test_a_while_loop_has_a_back_edge_but_no_loop_header():
-    """A while header holds its condition and is no loop header, so the
-    loop test reads the retreating-edge flag, not the header flag."""
+    """A while header branches on its condition, so no block of a while
+    loop has an implicit branch, yet the loop has a back edge: the loop
+    test reads the retreating-edge flag, not ``implicit_branch``."""
     graph = build_pfg(parse_program(WHILE))
-    assert not any(node.is_loop_header for node in graph.nodes)
+    assert not any(node.implicit_branch for node in graph.nodes)
     assert graph.has_retreating_edge and graph.back_edges()
     result = optimize(WHILE).result
     assert [iv.var for iv in find_induction_variables(result)] == ["i"]

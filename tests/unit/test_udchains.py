@@ -172,8 +172,8 @@ def test_report_leaves_nothing_on_the_result():
 def test_optimize_reads_each_expression_once(monkeypatch):
     """The clients of one ``optimize`` collect every compound expression's
     variables once, into its block's read list, whether or not the
-    program declares events.  The event check walks the source before
-    the graph exists and is not counted."""
+    program declares events.  The event rules, which the builder applies
+    to each statement before it lowers it, are not counted."""
     import sys
 
     from repro.lang import ast
@@ -184,7 +184,7 @@ def test_optimize_reads_each_expression_once(monkeypatch):
 
     def counted(expr):
         caller = sys._getframe(1).f_code.co_name
-        if isinstance(expr, (ast.BinOp, ast.UnaryOp)) and caller != "check_events":
+        if isinstance(expr, (ast.BinOp, ast.UnaryOp)) and caller != "check_event_use":
             walks[id(expr)] += 1
         return collect(expr)
 
