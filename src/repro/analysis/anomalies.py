@@ -139,25 +139,6 @@ def races(result: ReachingDefsResult) -> List[Anomaly]:
     return find_anomalies(result, include_multiple=False)
 
 
-def explain_anomalies(
-    result: ReachingDefsResult, include_multiple: bool = True
-) -> str:
-    """Anomaly reports with provenance chains for every colliding definition.
-
-    Each report cites *why* each definition reaches the collision point —
-    the full justification chain from its birth site (``repro races
-    --explain``).  Builds the justification graph on demand if the solve
-    did not run with ``record_provenance=True``.
-    """
-    from ..provenance.diagnose import diagnose_anomalies
-
-    return diagnose_anomalies(
-        result,
-        anomalies=find_anomalies(result, include_multiple=include_multiple),
-        include_multiple=include_multiple,
-    )
-
-
 def anomaly_summary(result: ReachingDefsResult) -> Tuple[int, int]:
     """(race count, multiple-values count) — the precision metric used by
     the Preserved-set ablation benchmark."""

@@ -134,18 +134,9 @@ def incremental_analyze(
     if match.n_matched == 0:
         return fall_back(FALLBACK_UNMATCHED)
 
-    if family == "parallel":
-        system = ParallelRDSystem(graph, backend=backend)
-        base_rows = {
-            "In": base.result.in_sets,
-            "Out": base.result.out_sets,
-            "ACCKillin": base.result.acc_killin,
-            "ACCKillout": base.result.acc_killout,
-            "ForkKill": base.result.fork_kill,
-        }
-    else:
-        system = SequentialRDSystem(graph, backend=backend)
-        base_rows = {"_in": base.result.in_sets, "_out": base.result.out_sets}
+    system_class = ParallelRDSystem if family == "parallel" else SequentialRDSystem
+    system = system_class(graph, backend=backend)
+    base_rows = system.rows_of(base.result)
 
     schedule = get_schedule(system)
     dirty = dirty_regions(match, schedule)
@@ -182,8 +173,7 @@ def incremental_analyze(
 
     def install() -> None:
         for slot, values in seeded.items():
-            target = getattr(system, slot)
-            target.update(values)
+            system.rows[slot].update(values)
 
     stats = solve_scc(
         system,

@@ -27,18 +27,19 @@ The property is exercised by the degradation tests
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional
+from typing import Iterable, Optional
 
-from ..dataflow.bitset import make_backend
-from ..dataflow.framework import EquationSystem, SolveStats
+from ..dataflow.framework import SolveStats
 from ..dataflow.solver import make_order, solve_round_robin
 from ..pfg.graph import ParallelFlowGraph
 from ..pfg.node import PFGNode
-from .genkill import GenKillInfo, compute_genkill
-from .result import ReachingDefsResult, materialize
+from .genkill import GenKillInfo
+from .result import ReachingDefsResult
+from .sequential import SequentialRDSystem
+from .system import RDSystem
 
 
-class ConservativeRDSystem(EquationSystem[PFGNode]):
+class ConservativeRDSystem(RDSystem):
     """Accumulate-only reaching definitions over all edge kinds."""
 
     system_name = "conservative"
@@ -49,58 +50,22 @@ class ConservativeRDSystem(EquationSystem[PFGNode]):
         backend: str = "bitset",
         info: Optional[GenKillInfo] = None,
     ):
-        self.graph = graph
-        self.info = info if info is not None else compute_genkill(graph)
-        self.ops = ops = make_backend(backend, list(graph.defs))
-        self._empty = ops.empty()
-        #: Per node, compiled once: ``(pred, Gen)``.
+        super().__init__(graph, backend=backend, info=info)
+        #: Per node, compiled once: ``(pred, U, Gen)`` — §2's plan with
+        #: nothing killed.
+        universe, from_defs, gen = self._universe, self.ops.from_defs, self.info.gen
         self._plan = {
-            n: (tuple(graph.all_preds(n)), ops.from_defs(self.info.gen[n])) for n in graph.nodes
+            n: (tuple(graph.all_preds(n)), universe, from_defs(gen[n])) for n in graph.nodes
         }
-        self._in: Dict[PFGNode, object] = {}
-        self._out: Dict[PFGNode, object] = {}
 
-    def nodes(self):
-        return self.graph.document_order()
-
-    def initialize(self) -> None:
-        empty = self._empty
-        for n in self.graph.nodes:
-            self._in[n] = empty
-            self._out[n] = empty
-
-    def update(self, n: PFGNode) -> bool:
-        preds, gen = self._plan[n]
-        out = self._out
-        new_in = self._empty
-        for p in preds:
-            new_in |= out[p]
-        new_out = new_in | gen
-        changed = new_in != self._in[n] or new_out != out[n]
-        self._in[n] = new_in
-        out[n] = new_out
-        return changed
+    #: §2's update; with keep = U it computes Out = In ∪ Gen.
+    update = SequentialRDSystem.update
 
     def dependents(self, n: PFGNode) -> Iterable[PFGNode]:
         return self.graph.succs(n)
 
-    def snapshot(self):
-        ops = self.ops
-        return {
-            "In": {n.name: ops.to_frozenset(self._in[n]) for n in self.graph.nodes},
-            "Out": {n.name: ops.to_frozenset(self._out[n]) for n in self.graph.nodes},
-        }
-
     def to_result(self, stats: SolveStats) -> ReachingDefsResult:
-        rows = materialize(self.ops, {"In": self._in, "Out": self._out})
-        return ReachingDefsResult(
-            graph=self.graph,
-            info=self.info,
-            in_sets=rows["In"],
-            out_sets=rows["Out"],
-            stats=stats,
-            system=self.system_name,
-        )
+        return self._result(stats)
 
 
 def solve_conservative(

@@ -34,22 +34,22 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, Optional
 
-from ..dataflow.bitset import make_backend
-from ..dataflow.framework import EquationSystem, SolveStats
+from ..dataflow.framework import SolveStats
 from ..dataflow.solver import run_solver
 from ..obs import get_tracer
 from ..pfg.edges import EdgeKind
 from ..pfg.graph import ParallelFlowGraph
 from ..pfg.node import NodeKind, PFGNode
-from .genkill import GenKillInfo, compute_genkill, encode_other_defs
-from .result import ReachingDefsResult, materialize
+from .genkill import GenKillInfo, encode_other_defs
+from .result import ReachingDefsResult
+from .system import RDSystem
 
 
 #: The node kinds the kill half tells apart (one global read per update).
 _FORK, _JOIN = NodeKind.FORK, NodeKind.JOIN
 
 
-class ParallelRDSystem(EquationSystem[PFGNode]):
+class ParallelRDSystem(RDSystem):
     """Equation system for §5 (no event synchronization).
 
     Synchronization edges, if present in the graph, are ignored by this
@@ -59,11 +59,10 @@ class ParallelRDSystem(EquationSystem[PFGNode]):
 
     system_name = "parallel"
 
-    #: Whether the In equation reads synchronization edges (§6 subclass
-    #: overrides): ``pred(n)`` then includes sync predecessors, and In
-    #: subtracts ⋂_{sync_pred} ACCKillout.  Provenance flow edges follow
-    #: the same family.
-    sync_edges = False
+    slots = ("In", "Out", "ACCKillin", "ACCKillout", "ForkKill")
+
+    #: The kill layer: the rows the stabilized solver's kill phase owns.
+    kill_slots = ("ACCKillin", "ACCKillout", "ForkKill")
 
     def __init__(
         self,
@@ -72,15 +71,8 @@ class ParallelRDSystem(EquationSystem[PFGNode]):
         info: Optional[GenKillInfo] = None,
         record_provenance: bool = False,
     ):
-        self.graph = graph
-        self.wants_provenance = record_provenance
-        self._provenance = None
-        self.info = info = info if info is not None else compute_genkill(graph)
-        self.ops = ops = make_backend(backend, list(graph.defs))
-        self._empty = ops.empty()
-        #: U, the encoded universe.  Every local set x is a subset of U,
-        #: so the complement mask U − x is ``U ^ x``.
-        self._universe = universe = ops.from_defs(graph.defs)
+        super().__init__(graph, backend=backend, info=info, record_provenance=record_provenance)
+        info, ops, universe = self.info, self.ops, self._universe
         #: Per node, compiled once: the flow half's inputs
         #: ``(pred, par_pred, sync_pred, U − (Kill ∪ ParallelKill), Gen)``
         #: (``sync_pred`` empty unless :attr:`sync_edges`) and the
@@ -111,25 +103,8 @@ class ParallelRDSystem(EquationSystem[PFGNode]):
             joined, met = (par, seq) if n.kind is _JOIN else ((), par + seq)
             self._flow_plan[n] = (tuple(preds), par, tuple(sync), universe ^ killed, gen)
             self._kill_plan[n] = (n.kind, joined, met, kill, universe ^ gen, n.fork)
-        self.In: Dict[PFGNode, object] = {}
-        self.Out: Dict[PFGNode, object] = {}
-        self.ACCKillin: Dict[PFGNode, object] = {}
-        self.ACCKillout: Dict[PFGNode, object] = {}
-        self.ForkKill: Dict[PFGNode, object] = {}
 
     # -- framework interface ----------------------------------------------
-
-    def nodes(self):
-        return self.graph.document_order()
-
-    def initialize(self) -> None:
-        empty = self._empty
-        for n in self.graph.nodes:
-            self.In[n] = empty
-            self.Out[n] = empty
-            self.ACCKillin[n] = empty
-            self.ACCKillout[n] = empty
-            self.ForkKill[n] = empty
 
     def update(self, n: PFGNode) -> bool:
         return self.update_flow(n) | self.update_kill(n)
@@ -215,32 +190,20 @@ class ParallelRDSystem(EquationSystem[PFGNode]):
         """Reset ``In``/``Out`` of ``nodes`` to ∅, leaving every other row
         intact — a phase's cone (stabilized solver) or a cyclic region
         (SCC scheduler)."""
-        empty = self._empty
-        for n in nodes:
-            self.In[n] = empty
-            self.Out[n] = empty
+        self._reset(("In", "Out"), nodes)
 
     def reset_kill_nodes(self, nodes: Iterable[PFGNode]) -> None:
         """Reset the kill layer of ``nodes`` to ∅ (see :meth:`reset_flow_nodes`)."""
-        empty = self._empty
-        for n in nodes:
-            self.ACCKillin[n] = empty
-            self.ACCKillout[n] = empty
-            self.ForkKill[n] = empty
+        self._reset(self.kill_slots, nodes)
 
     # -- stabilized-solver protocol (cycle resolution) -----------------------
 
     def kill_state(self):
-        return {
-            "ACCKillin": dict(self.ACCKillin),
-            "ACCKillout": dict(self.ACCKillout),
-            "ForkKill": dict(self.ForkKill),
-        }
+        return {slot: dict(self.rows[slot]) for slot in self.kill_slots}
 
     def set_kill_state(self, state) -> None:
-        self.ACCKillin.update(state["ACCKillin"])
-        self.ACCKillout.update(state["ACCKillout"])
-        self.ForkKill.update(state["ForkKill"])
+        for slot in self.kill_slots:
+            self.rows[slot].update(state[slot])
 
     def meet_values(self, a, b):
         return a & b
@@ -251,84 +214,8 @@ class ParallelRDSystem(EquationSystem[PFGNode]):
             out.append(n.join)
         return out
 
-    # -- provenance (opt-in; see repro.provenance) --------------------------
-
-    def record_justifications(self):
-        """Derive the justification graph from the converged sets (the
-        solver's post-convergence hook; see
-        :func:`repro.dataflow.solver._finalize_provenance`)."""
-        from ..provenance.record import build_justifications
-
-        self._provenance = build_justifications(
-            self.graph,
-            self.In,
-            self.Out,
-            self.info.gen,
-            include_sync=self.sync_edges,
-            system=self.system_name,
-        )
-        return self._provenance
-
-    # -- results ---------------------------------------------------------------
-
-    def snapshot(self, nodes=None):
-        """Frozenset state per slot; ``nodes`` restricts to a subset —
-        region-scoped convergence checks must not pay for materializing
-        the whole graph every round."""
-        ops = self.ops
-        if nodes is None:
-            nodes = self.graph.nodes
-        return {
-            name: {n.name: ops.to_frozenset(slot[n]) for n in nodes}
-            for name, slot in (
-                ("In", self.In),
-                ("Out", self.Out),
-                ("ACCKillin", self.ACCKillin),
-                ("ACCKillout", self.ACCKillout),
-                ("ForkKill", self.ForkKill),
-            )
-        }
-
-    def state_key(self, nodes=None) -> tuple:
-        """The encoded rows of every result slot as one hashable tuple —
-        the stabilized solver's convergence and cycle check.  Encoded
-        equality is exact (int bitsets over one universe and frozensets
-        are both canonical), so two states have equal keys iff they have
-        equal snapshots, and nothing is decoded.  ``nodes`` restricts the
-        key to a subset, as for :meth:`snapshot`."""
-        if nodes is None:
-            nodes = self.graph.nodes
-        return tuple(slot[n] for slot in self._result_slots().values() for n in nodes)
-
-    def _result_slots(self) -> Dict[str, Dict[PFGNode, object]]:
-        """Encoded rows by slot name, as :meth:`to_result` hands them on."""
-        return {
-            "In": self.In,
-            "Out": self.Out,
-            "ACCKillin": self.ACCKillin,
-            "ACCKillout": self.ACCKillout,
-            "ForkKill": self.ForkKill,
-        }
-
     def to_result(self, stats: SolveStats, known=None) -> ReachingDefsResult:
-        """The result keeps this system's rows encoded, decoded as they are
-        read.  ``known`` maps slot name → {node: frozenset} for rows whose
-        final values are already decoded (the incremental engine's seeded
-        clean regions); see :func:`~repro.reachdefs.result.materialize`."""
-        rows = materialize(self.ops, self._result_slots(), known)
-        return ReachingDefsResult(
-            graph=self.graph,
-            info=self.info,
-            in_sets=rows["In"],
-            out_sets=rows["Out"],
-            acc_killin=rows["ACCKillin"],
-            acc_killout=rows["ACCKillout"],
-            fork_kill=rows["ForkKill"],
-            synch_pass=rows.get("SynchPass"),
-            stats=stats,
-            system=self.system_name,
-            provenance=self._provenance,
-        )
+        return self._result(stats, known)
 
 
 def solve_parallel(

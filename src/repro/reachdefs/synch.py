@@ -91,6 +91,12 @@ class SynchRDSystem(ParallelRDSystem):
 
     system_name = "synch"
 
+    slots = ParallelRDSystem.slots + ("SynchPass",)
+
+    #: SynchPass belongs to the kill layer: it feeds ACCKillin and is
+    #: monotone given frozen Out sets.
+    kill_slots = ParallelRDSystem.kill_slots + ("SynchPass",)
+
     #: §6's In equation reads sync predecessors.
     sync_edges = True
 
@@ -128,17 +134,8 @@ class SynchRDSystem(ParallelRDSystem):
                 sync_passed = tuple(p for p in graph.sync_preds(n) if p in before)
             other = universe ^ keep  # U − (U − OtherDefs)
             self._sync_plan[n] = (sync_passed, ordered, other, n.is_wait)
-        self.SynchPass: Dict[PFGNode, object] = {}
-
-    def initialize(self) -> None:
-        super().initialize()
-        empty = self._empty
-        for n in self.graph.nodes:
-            self.SynchPass[n] = empty
 
     def update_kill(self, n: PFGNode) -> bool:
-        # SynchPass belongs to the kill layer: it feeds ACCKillin and is
-        # monotone given frozen Out sets.
         sync_passed, ordered, other, is_wait = self._sync_plan[n]
         if is_wait:
             out = self.Out
@@ -165,44 +162,13 @@ class SynchRDSystem(ParallelRDSystem):
         self.SynchPass[n] = new_sp
         return super().update_kill(n, other & new_sp) | changed
 
-    def reset_kill_nodes(self, nodes: Iterable[PFGNode]) -> None:
-        nodes = list(nodes)
-        super().reset_kill_nodes(nodes)
-        empty = self._empty
-        for n in nodes:
-            self.SynchPass[n] = empty
-
-    def kill_state(self):
-        state = super().kill_state()
-        state["SynchPass"] = dict(self.SynchPass)
-        return state
-
-    def set_kill_state(self, state) -> None:
-        super().set_kill_state(state)
-        self.SynchPass.update(state["SynchPass"])
-
     def dependents(self, n: PFGNode) -> Iterable[PFGNode]:
         out = list(super().dependents(n))
         out.extend(self.graph.succs(n))  # includes sync successors
         return out
 
-    # -- results --------------------------------------------------------------
-
-    def snapshot(self, nodes=None):
-        snap = super().snapshot(nodes)
-        ops = self.ops
-        if nodes is None:
-            nodes = self.graph.nodes
-        snap["SynchPass"] = {n.name: ops.to_frozenset(self.SynchPass[n]) for n in nodes}
-        return snap
-
-    def _result_slots(self) -> Dict[str, Dict[PFGNode, object]]:
-        return {**super()._result_slots(), "SynchPass": self.SynchPass}
-
     def to_result(self, stats: SolveStats) -> ReachingDefsResult:
-        result = super().to_result(stats)
-        result.preserved = self.preserved
-        return result
+        return self._result(stats, preserved=self.preserved)
 
 
 def solve_synch(

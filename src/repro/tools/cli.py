@@ -135,6 +135,10 @@ def _add_solver_flag(p: argparse.ArgumentParser) -> None:
     )
 
 
+def _add_preserved_flag(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--preserved", default="approx", choices=["approx", "none"])
+
+
 def _add_backend_flag(p: argparse.ArgumentParser) -> None:
     p.add_argument("--backend", default="bitset", choices=BACKEND_NAMES)
 
@@ -613,7 +617,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     _add_backend_flag(p)
     p.add_argument("--order", default="document")
-    p.add_argument("--preserved", default="approx", choices=["approx", "none"])
+    _add_preserved_flag(p)
     _add_solver_flag(p)
     _add_obs_flags(p)
     _add_budget_flags(p)
@@ -629,7 +633,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("report", help="full optimization report")
     p.add_argument("file")
-    p.add_argument("--preserved", default="approx", choices=["approx", "none"])
+    _add_preserved_flag(p)
     p.add_argument(
         "--no-degrade",
         action="store_true",
@@ -647,7 +651,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--runs", type=int, default=5, help="number of seeded runs")
     p.add_argument("--max-loop-iters", type=int, default=2)
-    p.add_argument("--preserved", default="approx", choices=["approx", "none"])
+    _add_preserved_flag(p)
     _add_solver_flag(p)
     _add_obs_flags(p)
     _add_budget_flags(p)
@@ -703,7 +707,7 @@ def build_parser() -> argparse.ArgumentParser:
         "records in this repro-batch/1 manifest and append the rest to it",
     )
     _add_backend_flag(p)
-    p.add_argument("--preserved", default="approx", choices=["approx", "none"])
+    _add_preserved_flag(p)
     p.add_argument(
         "--no-degrade",
         action="store_true",
@@ -889,7 +893,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="restrict to one variable (read there, or reaching block entry)",
     )
     _add_backend_flag(p)
-    p.add_argument("--preserved", default="approx", choices=["approx", "none"])
+    _add_preserved_flag(p)
     _add_solver_flag(p)
     p.set_defaults(func=cmd_explain)
 
@@ -909,7 +913,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="also report multiple-values warnings (default: race severity only)",
     )
     _add_backend_flag(p)
-    p.add_argument("--preserved", default="approx", choices=["approx", "none"])
+    _add_preserved_flag(p)
     _add_solver_flag(p)
     p.set_defaults(func=cmd_races)
 
@@ -956,7 +960,7 @@ def build_parser() -> argparse.ArgumentParser:
         "stats", help="run the whole pipeline traced; print the phase-time tree"
     )
     p.add_argument("file")
-    p.add_argument("--preserved", default="approx", choices=["approx", "none"])
+    _add_preserved_flag(p)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--max-loop-iters", type=int, default=3)
     p.add_argument(

@@ -117,7 +117,7 @@ def check_sweeps(system, ref, names, updates, seed):
 
 PARALLEL_SLOTS = {slot: slot for slot in ReferenceParallel.SLOTS}
 SYNCH_SLOTS = {slot: slot for slot in ReferenceSynch.SLOTS}
-FLAT_SLOTS = {"In": "_in", "Out": "_out"}
+FLAT_SLOTS = {"In": "In", "Out": "Out"}
 
 #: (program, filter_synch_pass) for every concurrent program; the filter
 #: is a §6 option, so §5 programs run once.

@@ -38,7 +38,7 @@ PROGRAMS = {
 def sequential(graph, backend):
     system = SequentialRDSystem(graph, backend=backend)
     stats = run_solver(system, graph, "document", "round-robin")
-    return system, stats, {"in_sets": system._in, "out_sets": system._out}
+    return system, stats, {"in_sets": system.In, "out_sets": system.Out}
 
 
 def parallel(graph, backend):
@@ -69,7 +69,7 @@ def synch(graph, backend):
 def conservative(graph, backend):
     system = ConservativeRDSystem(graph, backend=backend)
     stats = solve_round_robin(system, make_order(graph, "document"))
-    return system, stats, {"in_sets": system._in, "out_sets": system._out}
+    return system, stats, {"in_sets": system.In, "out_sets": system.Out}
 
 
 SYSTEMS = {"sequential": sequential, "parallel": parallel, "synch": synch, "conservative": conservative}
@@ -100,7 +100,7 @@ def test_rows_equal_per_row_decode(name, system_name, backend):
 def test_known_rows_pass_through(system_name):
     graph = build_pfg(par_diamond_loop(3, 2))
     system, stats, slots = SYSTEMS[system_name](graph, "bitset")
-    keys = ["_in", "_out"] if system_name == "sequential" else ["In", "Out", "ACCKillin"]
+    keys = ["In", "Out"] if system_name == "sequential" else ["In", "Out", "ACCKillin"]
     fields = ["in_sets", "out_sets", "acc_killin"]
     seeded = graph.nodes[::3]
     # a bitset decode builds a new frozenset on every call
