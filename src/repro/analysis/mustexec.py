@@ -21,55 +21,58 @@ execute before n?" (intersection at merges).
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Optional, Set
+from typing import FrozenSet, Mapping, Optional
 
 from ..pfg.graph import ParallelFlowGraph
 from ..pfg.node import PFGNode
+from ..reachdefs.result import EncodedRows, NodeDecoder
 
 
-def compute_must_done(graph: ParallelFlowGraph) -> Dict[PFGNode, FrozenSet[PFGNode]]:
+def compute_must_done(graph: ParallelFlowGraph) -> Mapping[PFGNode, FrozenSet[PFGNode]]:
     """Fixpoint of the MustDone equations over forward control edges.
 
     Synchronization edges are ignored (waits add ordered-before facts, not
     must-execute facts — a post may be conditional).
+
+    The sets are int masks over node ids, each node's update compiled
+    once into ``(id, met, joined)``; the result decodes a row into a
+    frozenset of nodes on its first read.
     """
-    order = graph.reverse_postorder()
+    back = graph.back_edges()
+    plan = []
+    for node in graph.reverse_postorder():
+        seq = tuple(p.id for p in graph.seq_preds(node) if (p, node) not in back)
+        par = tuple(p.id for p in graph.par_preds(node))
+        if node.is_join:
+            # every section ran: union over parallel predecessors
+            plan.append((node.id, seq, par))
+        else:
+            # alternative arrival paths (including a section-entry loop
+            # header with a parallel entry edge and a sequential latch):
+            # a block certainly ran only if every path says so.
+            plan.append((node.id, seq + par, ()))
     # Optimistic start: "everything" for nodes with preds would be the
     # classic dominance-style init; we instead run the pessimistic
     # (grow-from-empty) iteration on the *forward* DAG, where one RPO pass
     # reaches the fixpoint because every forward predecessor precedes its
     # successor in RPO.
-    must: Dict[PFGNode, FrozenSet[PFGNode]] = {n: frozenset() for n in graph.nodes}
-    back = graph.back_edges()
+    must = [0] * len(graph.nodes)
     changed = True
     while changed:
         changed = False
-        for node in order:
-            seq_preds = [p for p in graph.seq_preds(node) if (p, node) not in back]
-            par_preds = graph.par_preds(node)
-            if node.is_join:
-                # every section ran: union over parallel predecessors
-                acc: Optional[Set[PFGNode]] = None
-                for p in seq_preds:
-                    through = set(must[p]) | {p}
-                    acc = through if acc is None else (acc & through)
-                current: Set[PFGNode] = acc if acc is not None else set()
-                for p in par_preds:
-                    current |= set(must[p]) | {p}
-            else:
-                # alternative arrival paths (including a section-entry loop
-                # header with a parallel entry edge and a sequential latch):
-                # a block certainly ran only if every path says so.
-                acc = None
-                for p in seq_preds + par_preds:
-                    through = set(must[p]) | {p}
-                    acc = through if acc is None else (acc & through)
-                current = acc if acc is not None else set()
-            new = frozenset(current)
-            if new != must[node]:
-                must[node] = new
+        for i, met, joined in plan:
+            acc = 0
+            if met:
+                acc = -1
+                for p in met:
+                    acc &= must[p] | 1 << p
+            for p in joined:
+                acc |= must[p] | 1 << p
+            if acc != must[i]:
+                must[i] = acc
                 changed = True
-    return must
+    masks = {n: must[n.id] for n in graph.nodes}
+    return EncodedRows(masks, NodeDecoder(graph.nodes), "analysis.mustdone.rows")
 
 
 def loop_body(graph: ParallelFlowGraph, latch: PFGNode, header: PFGNode) -> FrozenSet[PFGNode]:
@@ -86,7 +89,7 @@ def always_executes_per_iteration(
     graph: ParallelFlowGraph,
     node: PFGNode,
     latch: PFGNode,
-    must: Optional[Dict[PFGNode, FrozenSet[PFGNode]]] = None,
+    must: Optional[Mapping[PFGNode, FrozenSet[PFGNode]]] = None,
 ) -> bool:
     """True iff ``node`` is guaranteed to run in every iteration that
     reaches ``latch`` (i.e. ``node ∈ MustDone(latch)``)."""

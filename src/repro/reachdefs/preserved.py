@@ -27,11 +27,15 @@ Both rules only ever add nodes that are genuinely ordered before ``w``
 (soundness is property-tested against interpreter traces in
 ``tests/property/test_preserved_sound.py``).  The rules reproduce the
 paper's ``Preserved(8) = {Entry, 1, 2, 3, 4, 5, 7}`` for Figure 3.
+
+The sets are int masks over node ids (``PFGNode.id``), as
+``GraphIndex.control_reach`` is; a row is decoded into a frozenset of
+nodes only when ``PreservedResult.preserved`` is read.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Mapping, Optional
 
 from ..dataflow.budget import NonConvergenceError, ResourceBudget, check_budget
@@ -39,16 +43,28 @@ from ..dataflow.framework import SolveStats
 from ..pfg.concurrency import mutually_exclusive
 from ..pfg.graph import ParallelFlowGraph
 from ..pfg.node import PFGNode
+from .result import EncodedRows, NodeDecoder
 
 PreservedMap = Mapping[PFGNode, FrozenSet[PFGNode]]
 
 
 @dataclass
 class PreservedResult:
-    """Preserved sets plus iteration metadata."""
+    """Preserved sets plus iteration metadata.
 
-    preserved: Dict[PFGNode, FrozenSet[PFGNode]]
+    ``masks[n] >> p.id & 1`` iff ``p ∈ Preserved(n)``; ``preserved`` is
+    the same sets as a read-only mapping that decodes a row on its first
+    read (adding to ``reachdefs.preserved.rows``) and keeps it.
+    """
+
+    masks: Dict[PFGNode, int]
     passes: int
+    nodes: List[PFGNode] = field(repr=False)
+    preserved: PreservedMap = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        decoder = NodeDecoder(self.nodes)
+        self.preserved = EncodedRows(self.masks, decoder, "reachdefs.preserved.rows")
 
     def __getitem__(self, node: PFGNode) -> FrozenSet[PFGNode]:
         return self.preserved[node]
@@ -59,15 +75,17 @@ class PreservedResult:
 
 class _PreservedSnapshot:
     """Adapter handing :func:`~repro.dataflow.budget.check_budget` a
-    name-keyed copy of the partial Preserved sets."""
+    name-keyed copy of the partial Preserved sets (masks by node id)."""
 
-    def __init__(self, preserved: Dict[PFGNode, FrozenSet[PFGNode]]):
-        self._preserved = preserved
+    def __init__(self, nodes: List[PFGNode], masks: List[int]):
+        self._decode = NodeDecoder(nodes).decode
+        self._nodes, self._masks = nodes, masks
 
     def snapshot(self):
         return {
             "Preserved": {
-                n.name: frozenset(p.name for p in s) for n, s in self._preserved.items()
+                n.name: frozenset(p.name for p in self._decode(self._masks[n.id]))
+                for n in self._nodes
             }
         }
 
@@ -81,6 +99,10 @@ def compute_preserved(
     reverse postorder converges quickly — one pass for DAGs without sync,
     a few with post/wait chains).
 
+    Each node's update is compiled once into ``(id, forward-predecessor
+    bits, their ids, (post id, post bit) at a wait, sole-releaser bits,
+    keep)``; a sweep is then a few int operations per node.
+
     Guarded like the solvers: exhausting ``max_passes`` (or the optional
     ``budget``) raises a typed
     :class:`~repro.dataflow.budget.NonConvergenceError` carrying iteration
@@ -88,26 +110,52 @@ def compute_preserved(
     """
     if budget is not None:
         budget.start()
-    order = graph.reverse_postorder()
-    forward_preds = graph.index().forward_preds
-    preserved: Dict[PFGNode, FrozenSet[PFGNode]] = {n: frozenset() for n in graph.nodes}
+    nodes = graph.nodes
+    index = graph.index()
+    order = index.rpo
+    forward_preds = index.forward_preds
 
-    # Precompute, per wait node, which posts are sole-releaser candidates.
-    sole_releaser: Dict[PFGNode, List[PFGNode]] = {}
-    posts_for_wait: Dict[PFGNode, List[PFGNode]] = {}
-    for wait in graph.waits:
-        assert wait.wait_event is not None
-        posts = graph.posts_of_event.get(wait.wait_event, [])
-        posts_for_wait[wait] = posts
-        sole_releaser[wait] = [
-            p
-            for p in posts
-            if all(q is p or mutually_exclusive(graph, p, q) for q in posts)
-        ]
+    # Parallel-do iterations: a block sharing a parallel-do body with
+    # ``node`` runs once per iteration, and another iteration's instance
+    # may still be running when this one's ``node`` begins — forward
+    # ancestry within the body orders only the same iteration, which is
+    # weaker than Preserved's all-executions claim.  ``keep`` drops such
+    # blocks (including ``node`` itself).  Blocks outside the construct
+    # complete before every iteration and stay.
+    body: Dict[int, int] = {}
+    for node in nodes:
+        for c in node.pardo_ids:
+            body[c] = body.get(c, 0) | 1 << node.id
 
+    # The posts of an event that are each, when executed, the unique
+    # possible releaser of its waits: mutually exclusive with every other.
+    sole: Dict[str, int] = {}
+    plan = []
+    for node in order:
+        preds = forward_preds[node]
+        bits = 0
+        for p in preds:
+            bits |= 1 << p.id
+        posts, sole_bits = (), 0
+        if node.is_wait:
+            event = node.wait_event
+            of_event = graph.posts_of_event.get(event, [])
+            posts = tuple((p.id, 1 << p.id) for p in of_event)
+            if event not in sole:
+                sole[event] = 0
+                for p in of_event:
+                    if all(q is p or mutually_exclusive(graph, p, q) for q in of_event):
+                        sole[event] |= 1 << p.id
+            sole_bits = sole[event]
+        keep = -1
+        for c in node.pardo_ids:
+            keep &= ~body[c]
+        plan.append((node.id, bits, tuple(p.id for p in preds), posts, sole_bits, keep))
+
+    pres = [0] * len(nodes)
     passes = 0
     changed = True
-    shim = _PreservedSnapshot(preserved)
+    shim = _PreservedSnapshot(nodes, pres)
     stats = SolveStats(order="preserved/rpo")
     while changed:
         if passes >= max_passes:
@@ -124,43 +172,27 @@ def compute_preserved(
         stats.passes = passes
         stats.node_updates += len(order)
         changed = False
-        for node in order:
-            acc = set(preserved[node])
-            for p in forward_preds[node]:
-                acc.add(p)
-                acc |= preserved[p]
-            if node.is_wait:
-                posts = posts_for_wait[node]
-                if posts:
-                    common: Optional[set] = None
-                    for p in posts:
-                        through = preserved[p] | {p}
-                        common = set(through) if common is None else (common & through)
-                    acc |= common or set()
-                    acc.update(sole_releaser[node])
-            # Parallel-do iterations: a block sharing a parallel-do body
-            # with ``node`` runs once per iteration, and another
-            # iteration's instance may still be running when this one's
-            # ``node`` begins — forward ancestry within the body orders
-            # only the same iteration, which is weaker than Preserved's
-            # all-executions claim.  Drop such blocks (including ``node``
-            # itself).  Blocks outside the construct complete before every
-            # iteration and stay.
-            if node.pardo_ids:
-                shared = set(node.pardo_ids)
-                acc = {m for m in acc if not (shared & set(m.pardo_ids))}
-            new = frozenset(acc)
-            if new != preserved[node]:
-                preserved[node] = new
+        for i, bits, pred_ids, posts, sole_bits, keep in plan:
+            acc = pres[i] | bits
+            for p in pred_ids:
+                acc |= pres[p]
+            if posts:
+                common = -1
+                for p, bit in posts:
+                    common &= pres[p] | bit
+                acc |= common | sole_bits
+            acc &= keep
+            if acc != pres[i]:
+                pres[i] = acc
                 changed = True
-    return PreservedResult(preserved=preserved, passes=passes)
+    return PreservedResult({n: pres[n.id] for n in nodes}, passes, nodes)
 
 
 def empty_preserved(graph: ParallelFlowGraph) -> PreservedResult:
     """The "no ordering information" mode (paper §6's worst case): all
     Preserved sets empty.  Synchronization effects are then lost at merges
     — conservative but still sound."""
-    return PreservedResult(preserved={n: frozenset() for n in graph.nodes}, passes=0)
+    return PreservedResult(dict.fromkeys(graph.nodes, 0), 0, graph.nodes)
 
 
 def resolve_preserved(
@@ -182,6 +214,6 @@ def resolve_preserved(
     if mode == "oracle":
         if oracle is None:
             raise ValueError("preserved mode 'oracle' requires an oracle mapping")
-        full = {n: frozenset(oracle.get(n, frozenset())) for n in graph.nodes}
-        return PreservedResult(preserved=full, passes=0)
+        masks = {n: sum(1 << p.id for p in set(oracle.get(n, ()))) for n in graph.nodes}
+        return PreservedResult(masks, 0, graph.nodes)
     raise ValueError(f"unknown preserved mode {mode!r}; choose approx, none or oracle")

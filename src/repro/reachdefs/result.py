@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Hashable, Iterator, List, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Dict, FrozenSet, Hashable, Iterator, List, Optional, Tuple, Union
 
 from ..dataflow.bitset import IntBitsetBackend, bit_indices
 from ..dataflow.framework import SolveStats
@@ -26,7 +26,9 @@ from ..obs import get_metrics, get_tracer
 from ..pfg.graph import ParallelFlowGraph
 from ..pfg.node import PFGNode
 from .genkill import GenKillInfo
-from .preserved import PreservedResult
+
+if TYPE_CHECKING:
+    from .preserved import PreservedResult
 
 DefSet = FrozenSet[Definition]
 NodeRef = Union[PFGNode, str]
@@ -66,13 +68,27 @@ class _Decoder:
         return row if isinstance(row, int) else self.bits.from_defs(row)
 
 
-class EncodedRows(Mapping[Hashable, DefSet]):
-    """Masks by key (a slot's ``{node: mask}`` rows, or ud-chains by
-    use), each decoded to a frozenset of definitions on its first read
-    and kept.
+class NodeDecoder:
+    """Decodes an int mask over node ids (``PFGNode.id``) to the frozenset
+    of those nodes: the decoder of node-set rows (Preserved, MustDone)."""
 
-    Holds the mask dict and the result's shared :class:`_Decoder`, not
-    the equation system.  The first read of a key adds to ``counter``
+    __slots__ = ("nodes",)
+
+    def __init__(self, nodes: List[PFGNode]):
+        self.nodes = nodes
+
+    def decode(self, mask: int) -> FrozenSet[PFGNode]:
+        nodes = self.nodes
+        return frozenset(nodes[i] for i in bit_indices(mask))
+
+
+class EncodedRows(Mapping[Hashable, DefSet]):
+    """Masks by key (a slot's ``{node: mask}`` rows, ud-chains by use, or
+    node sets by node), each decoded on its first read and kept.
+
+    Holds the mask dict and a decoder (the result's shared
+    :class:`_Decoder`, or a :class:`NodeDecoder`), not the equation
+    system.  The first read of a key adds to ``counter``
     (``reachdefs.materialize.rows`` for a slot).
     """
 

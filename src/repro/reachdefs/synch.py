@@ -75,6 +75,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, Optional
 
+from ..dataflow.bitset import bit_indices
 from ..dataflow.framework import SolveStats
 from ..dataflow.solver import run_solver
 from ..obs import get_tracer
@@ -121,17 +122,22 @@ class SynchRDSystem(ParallelRDSystem):
         #: wait — the only ones SynchPass reads.
         #: ``ordered_defs`` (waits only) are the definitions whose defining
         #: node is ordered before the wait (the SynchPass ordering filter;
-        #: see module docstring), or U with the filter off.
+        #: see module docstring), or U with the filter off.  Both are read
+        #: off the wait's Preserved mask; no row is decoded.
         self._sync_plan: Dict[PFGNode, tuple] = {}
+        masks = preserved.masks
+        # by node id, the definitions each node makes
+        node_defs = [ops.from_defs(m.defs) for m in graph.nodes] if filter_synch_pass else None
         for n, (_, _, _, keep, _) in self._flow_plan.items():
             ordered, sync_passed = None, ()
             if n.is_wait:
-                before = preserved[n]
+                before = masks[n]
                 ordered = universe
-                if filter_synch_pass:
-                    def_node = self.info.def_node
-                    ordered = ops.from_defs(d for d in graph.defs if def_node[d] in before)
-                sync_passed = tuple(p for p in graph.sync_preds(n) if p in before)
+                if node_defs is not None:
+                    ordered = self._empty
+                    for i in bit_indices(before):
+                        ordered |= node_defs[i]
+                sync_passed = tuple(p for p in graph.sync_preds(n) if before >> p.id & 1)
             other = universe ^ keep  # U − (U − OtherDefs)
             self._sync_plan[n] = (sync_passed, ordered, other, n.is_wait)
 

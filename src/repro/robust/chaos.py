@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Iterator, List, Sequence, Tuple
 
 from ..interp.scheduler import RandomScheduler
@@ -85,10 +86,11 @@ class ChaosPlan:
 class ChaosSystem:
     """Equation-system proxy injecting the faults of a :class:`ChaosPlan`.
 
-    Wraps ``update`` / ``update_flow`` / ``update_kill``; everything else
-    (initialization, snapshots, the stabilized-solver ``state_key`` and
-    kill-state protocol) passes straight through, so any solver accepts
-    the wrapped system wherever it accepted the original.
+    Wraps ``update``, and ``update_flow`` / ``update_kill`` when the
+    wrapped system has them; everything else (initialization, snapshots,
+    the stabilized-solver ``state_key`` and kill-state protocol) passes
+    straight through, so any solver accepts the wrapped system wherever
+    it accepted the original.
     """
 
     def __init__(self, system, plan: ChaosPlan):
@@ -98,6 +100,13 @@ class ChaosSystem:
         self.dropped = 0
         self.duplicated = 0
         self.suppressed_calls = 0
+        # The phase updates exist only where the wrapped system has them:
+        # the solvers probe for the stabilized flow/kill protocol with
+        # ``hasattr``, so a §2 system must not seem to offer it.
+        for name in ("update_flow", "update_kill"):
+            update = getattr(system, name, None)
+            if update is not None:
+                setattr(self, name, partial(self._perturbed, update))
 
     def __getattr__(self, name):
         return getattr(self._system, name)
@@ -132,12 +141,6 @@ class ChaosSystem:
 
     def update(self, node) -> bool:
         return self._perturbed(self._system.update, node)
-
-    def update_flow(self, node) -> bool:
-        return self._perturbed(self._system.update_flow, node)
-
-    def update_kill(self, node) -> bool:
-        return self._perturbed(self._system.update_kill, node)
 
 
 @dataclass(frozen=True)

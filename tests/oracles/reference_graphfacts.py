@@ -142,8 +142,11 @@ def reference_must_done(graph) -> Dict[PFGNode, FrozenSet[PFGNode]]:
     return must
 
 
-def reference_preserved(graph) -> Tuple[Dict[PFGNode, FrozenSet[PFGNode]], int]:
-    """(Preserved sets, passes) of the §6 approximation."""
+def reference_preserved(
+    graph, stop_after: Optional[int] = None
+) -> Tuple[Dict[PFGNode, FrozenSet[PFGNode]], int]:
+    """(Preserved sets, passes) of the §6 approximation; with
+    ``stop_after``, the partial sets after that many passes."""
     order, back = reference_dfs(graph)
     preserved: Dict[PFGNode, FrozenSet[PFGNode]] = {n: frozenset() for n in graph.nodes}
     sole_releaser: Dict[PFGNode, List[PFGNode]] = {}
@@ -158,7 +161,7 @@ def reference_preserved(graph) -> Tuple[Dict[PFGNode, FrozenSet[PFGNode]], int]:
         ]
     passes = 0
     changed = True
-    while changed:
+    while changed and passes != stop_after:
         passes += 1
         changed = False
         for node in order:

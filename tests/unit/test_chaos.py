@@ -4,7 +4,7 @@ import pytest
 
 from repro import analyze, parse_program
 from repro.dataflow.sched import solve_scc
-from repro.dataflow.solver import make_order, solve_round_robin, solve_stabilized
+from repro.dataflow.solver import make_order, run_solver, solve_round_robin, solve_stabilized
 from repro.interp import RandomScheduler, run_program
 from repro.interp.trace import check_soundness
 from repro.paper import programs
@@ -17,6 +17,7 @@ from repro.reachdefs import (
     solve_parallel,
     solve_synch,
 )
+from repro.reachdefs.conservative import ConservativeRDSystem
 from repro.reachdefs.sequential import SequentialRDSystem
 from repro.robust import (
     ChaosPlan,
@@ -144,6 +145,27 @@ def test_drop_bound_is_honoured():
     # to the true fixpoint.
     assert stats.converged
     assert chaotic.dropped == 3
+
+
+@pytest.mark.parametrize(
+    "system_class, source",
+    [(SequentialRDSystem, SEQ), (ConservativeRDSystem, SYNC)],
+    ids=["sequential", "conservative"],
+)
+def test_systems_without_phase_updates_wrap_under_the_default_solver(system_class, source):
+    # Neither system has the stabilized flow/kill protocol, so the
+    # default solver falls back to round-robin; the wrapper must not
+    # seem to offer the protocol either.
+    graph = build_pfg(parse_program(source))
+    clean = system_class(graph)
+    clean_stats = run_solver(clean, graph)
+    chaotic = ChaosSystem(system_class(graph), ChaosPlan())
+    assert not hasattr(chaotic, "update_flow") and not hasattr(chaotic, "update_kill")
+    stats = run_solver(chaotic, graph)
+    assert stats.converged
+    assert _in_sets_by_name(chaotic.to_result(stats)) == _in_sets_by_name(
+        clean.to_result(clean_stats)
+    )
 
 
 # -- persistent suppression IS corruption, and the oracle catches it ------
