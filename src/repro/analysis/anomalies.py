@@ -33,7 +33,6 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Tuple
 
 from ..ir.defs import Definition
-from ..pfg.concurrency import concurrent
 from ..pfg.node import PFGNode
 from ..reachdefs.result import ReachingDefsResult
 
@@ -74,15 +73,15 @@ def _classify(result: ReachingDefsResult, node: PFGNode) -> List[Anomaly]:
     by_var: Dict[str, List[Definition]] = {}
     for d in result.In(node):
         by_var.setdefault(d.var, []).append(d)
+    concurrent_defs, def_node = result.info.concurrent_defs, result.info.def_node
     for var, defs in sorted(by_var.items()):
         if len(defs) < 2:
             continue
-        def_nodes = [result.info.def_node[d] for d in defs]
-        racy = any(
-            concurrent(def_nodes[i], def_nodes[j])
-            for i in range(len(defs))
-            for j in range(i + 1, len(defs))
-        )
+        # racy iff some reaching d may run alongside another reaching def
+        reaching = 0
+        for d in defs:
+            reaching |= 1 << d.index
+        racy = any(concurrent_defs(def_node[d]) & (reaching ^ 1 << d.index) for d in defs)
         kind = AnomalyKind.RACE if racy else AnomalyKind.MULTIPLE
         found.append(Anomaly(kind=kind, node=node, var=var, defs=frozenset(defs)))
     return found

@@ -35,10 +35,10 @@ from typing import Dict, FrozenSet, Iterable, List, Set, Tuple
 from ..dataflow.framework import EquationSystem, SolveStats
 from ..dataflow.solver import solve_round_robin
 from ..lang import ast
-from ..pfg.concurrency import concurrent
 from ..pfg.graph import ParallelFlowGraph
 from ..pfg.node import PFGNode
 from ..pfg.regions import compute_regions
+from ..reachdefs.genkill import compute_genkill
 
 #: Expressions compare and hash structurally, without recursion (see ``ast.Expr``).
 Expr = ast.Expr
@@ -113,14 +113,11 @@ class AvailableExpressionsSystem(EquationSystem[PFGNode]):
             mixed = {var for var, sections in writers.items() if len(sections) >= 2}
             killed |= {e for e in self.universe if mixed & set(e.variables())}
         if node.is_wait:
+            info = compute_genkill(self.graph)
+            near, var_defs = info.concurrent_defs(node), info.var_defs
             for e in self.universe:
-                for var in e.variables():
-                    if any(
-                        concurrent(self.graph.node(d.site), node)
-                        for d in self.graph.defs.of_var(var)
-                    ):
-                        killed.add(e)
-                        break
+                if any(near & var_defs.get(var, 0) for var in e.variables()):
+                    killed.add(e)
         return frozenset(killed)
 
     # -- framework interface ------------------------------------------------------

@@ -24,7 +24,6 @@ from typing import List, Optional
 
 from ..ir.defs import Definition, Use
 from ..lang import ast
-from ..pfg.concurrency import concurrent
 from ..reachdefs.result import ReachingDefsResult
 from .udchains import UDChains
 
@@ -49,8 +48,8 @@ def find_copy_propagations(
     ``result``'s ud-chains, when the caller already has them)."""
     if chains is None:
         chains = UDChains.from_result(result)
-    graph = result.graph
-    defs = graph.defs
+    graph, info = result.graph, result.info
+    defs, concurrent_defs = graph.defs, info.concurrent_defs
     out: List[CopyPropagation] = []
     for use, mask in chains.masks.items():
         if not mask or mask & (mask - 1):
@@ -65,14 +64,8 @@ def find_copy_propagations(
         if at_def != at_use or not at_def:
             continue
         # No definition of w concurrent with either end point.
-        def_node = graph.node(d.site)
-        use_node = graph.node(use.site)
-        hazard = any(
-            concurrent(result.info.def_node[w_def], def_node)
-            or concurrent(result.info.def_node[w_def], use_node)
-            for w_def in graph.defs.of_var(source)
-        )
-        if hazard:
+        near = concurrent_defs(graph.node(d.site)) | concurrent_defs(graph.node(use.site))
+        if near & info.var_defs[source]:
             continue
         out.append(CopyPropagation(use=use, copy_def=d, source=source))
     return out

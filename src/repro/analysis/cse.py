@@ -21,7 +21,6 @@ from typing import Dict, List, Optional, Tuple
 
 from ..ir.defs import Definition, Use
 from ..lang import ast
-from ..pfg.concurrency import concurrent
 from ..reachdefs.result import ReachingDefsResult
 from .udchains import UDChains
 
@@ -73,7 +72,7 @@ def find_common_subexpressions(
     ud-chains, when the caller already has them)."""
     if chains is None:
         chains = UDChains.from_result(result)
-    graph = result.graph
+    graph, concurrent_defs = result.graph, result.info.concurrent_defs
     by_key: Dict[ValueKey, List[Definition]] = {}
     for node in graph.document_order():
         for d in node.defs:
@@ -98,7 +97,7 @@ def find_common_subexpressions(
                 ) == 1 << earlier.index
                 if not holds:
                     continue
-                if concurrent(graph.node(earlier.site), graph.node(later.site)):
+                if concurrent_defs(graph.node(earlier.site)) >> later.index & 1:
                     continue
                 assert later.stmt is not None
                 out.append(

@@ -25,7 +25,7 @@ from typing import FrozenSet, Mapping, Optional
 
 from ..pfg.graph import ParallelFlowGraph
 from ..pfg.node import PFGNode
-from ..reachdefs.result import EncodedRows, NodeDecoder
+from ..reachdefs.result import EncodedRows, IndexDecoder
 
 
 def compute_must_done(graph: ParallelFlowGraph) -> Mapping[PFGNode, FrozenSet[PFGNode]]:
@@ -72,7 +72,7 @@ def compute_must_done(graph: ParallelFlowGraph) -> Mapping[PFGNode, FrozenSet[PF
                 must[i] = acc
                 changed = True
     masks = {n: must[n.id] for n in graph.nodes}
-    return EncodedRows(masks, NodeDecoder(graph.nodes), "analysis.mustdone.rows")
+    return EncodedRows(masks, IndexDecoder(graph.nodes), "analysis.mustdone.rows")
 
 
 def loop_body(graph: ParallelFlowGraph, latch: PFGNode, header: PFGNode) -> FrozenSet[PFGNode]:

@@ -42,6 +42,7 @@ from dataclasses import dataclass, field
 from difflib import SequenceMatcher
 from typing import Dict, List, Optional, Set, Tuple
 
+from ..dataflow.bitset import bit_indices
 from ..ir.defs import Definition
 from ..pfg.graph import ParallelFlowGraph
 from ..pfg.node import PFGNode
@@ -184,25 +185,24 @@ def _edges_correspond(
     return True
 
 
-def _genkill_agrees(
-    b: PFGNode, n: PFGNode, match: GraphMatch, base_gk, new_gk
-) -> bool:
-    """gen/kill/parallel-kill/other-defs are equal after mapping base
-    definitions into the new table.  Any base def with no image (its
+def _genkill_agrees(b: PFGNode, n: PFGNode, index_map: List[int], base_gk, new_gk) -> bool:
+    """gen/kill/parallel-kill/other-defs masks are equal after mapping
+    each base definition index through ``index_map`` to the new table's
+    (no row is decoded).  Any base def with no image (``-1``: its
     defining node was edited away) makes the node dirty."""
-    for base_table, new_table in (
+    for base_rows, new_rows in (
         (base_gk.gen, new_gk.gen),
         (base_gk.kill, new_gk.kill),
         (base_gk.parallel_kill, new_gk.parallel_kill),
         (base_gk.other_defs, new_gk.other_defs),
     ):
-        want = set()
-        for d in base_table[b]:
-            image = match.def_map.get(d)
-            if image is None:
+        want = 0
+        for i in bit_indices(base_rows.masks[b]):
+            image = index_map[i]
+            if image < 0:
                 return False
-            want.add(image)
-        if want != set(new_table[n]):
+            want |= 1 << image
+        if want != new_rows.masks[n]:
             return False
     return True
 
@@ -233,10 +233,13 @@ def match_graphs(base: ParallelFlowGraph, new: ParallelFlowGraph) -> GraphMatch:
                 match.def_map[bd] = nd
         for bd, nd in _gap_def_pairs(gaps):
             match.def_map[bd] = nd
+        index_map = [-1] * len(base.defs)
+        for bd, nd in match.def_map.items():
+            index_map[bd.index] = nd.index
         base_gk = compute_genkill(base)
         new_gk = compute_genkill(new)
         for b, n in candidates:
-            if _genkill_agrees(b, n, match, base_gk, new_gk):
+            if _genkill_agrees(b, n, index_map, base_gk, new_gk):
                 match.base_to_new[b] = n
                 match.new_to_base[n] = b
     match.dirty_nodes = {n for n in new.nodes if n not in match.new_to_base}

@@ -228,17 +228,19 @@ class ParallelFlowGraph:
         back: Set[Tuple[PFGNode, PFGNode]] = set()
         WHITE, GREY, BLACK = 0, 1, 2
         color: Dict[PFGNode, int] = {n: 0 for n in self.nodes}
-        stack: List[Tuple[PFGNode, int]] = [(self.entry, 0)]
+        # (node, its control successors, listed once, next one to visit)
+        stack: List[Tuple[PFGNode, List[PFGNode], int]] = [
+            (self.entry, self.control_succs(self.entry), 0)
+        ]
         color[self.entry] = GREY
         while stack:
-            node, i = stack.pop()
-            succs = self.control_succs(node)
+            node, succs, i = stack.pop()
             if i < len(succs):
-                stack.append((node, i + 1))
+                stack.append((node, succs, i + 1))
                 nxt = succs[i]
                 if color[nxt] == WHITE:
                     color[nxt] = GREY
-                    stack.append((nxt, 0))
+                    stack.append((nxt, self.control_succs(nxt), 0))
                 elif color[nxt] == GREY:
                     back.add((node, nxt))
             else:

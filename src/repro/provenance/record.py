@@ -283,15 +283,15 @@ def build_justifications(
     graph: ParallelFlowGraph,
     in_sets: Dict[PFGNode, Row],
     out_sets: Dict[PFGNode, Row],
-    gen: Dict[PFGNode, DefSet],
+    gen: Dict[PFGNode, Row],
     include_sync: bool = False,
     system: str = "",
 ) -> JustificationGraph:
     """Derive the justification graph of a converged fixpoint.
 
-    ``in_sets``/``out_sets`` rows are frozensets of definitions or
-    definition-index bit masks (a bitset system's own rows, so recording
-    needs no decode).
+    ``in_sets``/``out_sets``/``gen`` rows are frozensets of definitions or
+    definition-index bit masks (a bitset system's own rows and the local
+    sets' masks, so recording needs no decode).
 
     ``include_sync`` widens the flow edges to synchronization edges — set
     it exactly when the system's ``In`` equation reads sync predecessors
@@ -411,7 +411,7 @@ def ensure_provenance(result) -> JustificationGraph:
             result.graph,
             result.in_sets,
             result.out_sets,
-            result.info.gen,
+            result.info.gen.masks,
             include_sync=result.synch_pass is not None,
             system=result.system,
         )

@@ -53,10 +53,8 @@ class ConservativeRDSystem(RDSystem):
         super().__init__(graph, backend=backend, info=info)
         #: Per node, compiled once: ``(pred, U, Gen)`` — §2's plan with
         #: nothing killed.
-        universe, from_defs, gen = self._universe, self.ops.from_defs, self.info.gen
-        self._plan = {
-            n: (tuple(graph.all_preds(n)), universe, from_defs(gen[n])) for n in graph.nodes
-        }
+        universe, gen = self._universe, self._local(self.info.gen)
+        self._plan = {n: (tuple(graph.all_preds(n)), universe, gen[n]) for n in graph.nodes}
 
     #: §2's update; with keep = U it computes Out = In ∪ Gen.
     update = SequentialRDSystem.update

@@ -22,39 +22,82 @@ classical kill set.
 
 Concurrency depends only on a node's *class*, its ``(pardo_ids,
 section_path)`` label (:func:`~repro.pfg.concurrency.concurrent` reads
-nothing else), so it is decided once per pair of classes, not once per
-pair of definitions.  Each node's sets are then frozenset algebra over
-per-(variable, class) definition sets, minus the node's own definitions
-(a node never kills its own definitions).
+nothing else), and the labels decide it for a whole class at once.  One
+walk builds, as int masks over definition indices, ``own(n)``, ``defs(v)``
+and the definitions of the nodes of each construct (``Construct[cid]``),
+each section (``Section[cid, s]``) and each parallel-do body
+(``Pardo[p]``).  The definitions a class ``c`` may run alongside are::
+
+    ConcDefs(c) = ⋃_{(cid, s) ∈ path(c)} (Construct[cid] ^ Section[cid, s])
+                  ∪ ⋃_{p ∈ pardo(c)} Pardo[p]
+
+— another section of a construct that holds ``c``, or any block of a
+parallel-do body that holds ``c``, ``c`` itself included, since iterations
+run in parallel.  Per node::
+
+    OtherDefs(n)    = (⋃_{v defined in n} defs(v)) ^ own(n)
+    ParallelKill(n) = ConcDefs(c(n)) & OtherDefs(n)
+    Kill(n)         = OtherDefs(n) ^ ParallelKill(n)
+
+No pair of nodes is queried.  ``ConcDefs`` is built once per class that
+needs it and kept (:meth:`GenKillInfo.concurrent_defs`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from itertools import chain
-from typing import Dict, FrozenSet, List, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, FrozenSet, Tuple
 
 from ..ir.defs import Definition
 from ..obs import get_metrics, get_tracer
-from ..pfg.concurrency import concurrent
 from ..pfg.graph import ParallelFlowGraph
 from ..pfg.node import PFGNode
+from .result import EncodedRows, IndexDecoder
 
 DefSet = FrozenSet[Definition]
-
-_EMPTY: DefSet = frozenset()
 
 
 @dataclass
 class GenKillInfo:
-    """Per-node local sets, as frozensets of :class:`Definition`."""
+    """Per-node local sets as int masks over definition indices.
 
-    gen: Dict[PFGNode, DefSet]
-    kill: Dict[PFGNode, DefSet]
-    parallel_kill: Dict[PFGNode, DefSet]
-    other_defs: Dict[PFGNode, DefSet]
+    ``gen``, ``kill``, ``parallel_kill``, ``other_defs`` and ``own`` (a
+    node's own definitions) map each node to a frozenset of
+    :class:`Definition`: :class:`~repro.reachdefs.result.EncodedRows` whose
+    ``masks`` are the int masks, each row decoded on its first read
+    (counter ``reachdefs.genkill.rows``).  ``var_defs`` is every
+    definition of a variable, and ``construct``/``section``/``pardo`` are
+    the label masks :meth:`concurrent_defs` reads.
+    """
+
+    gen: EncodedRows
+    kill: EncodedRows
+    parallel_kill: EncodedRows
+    other_defs: EncodedRows
+    own: EncodedRows
     #: definition -> node containing it
     def_node: Dict[Definition, PFGNode]
+    var_defs: Dict[str, int]
+    construct: Dict[int, int]
+    section: Dict[Tuple[int, int], int]
+    pardo: Dict[int, int]
+    #: ConcDefs by class label, built on first use
+    conc: Dict[tuple, int] = field(default_factory=dict, repr=False, compare=False)
+
+    def concurrent_defs(self, node: PFGNode) -> int:
+        """The mask of the definitions whose node may run alongside
+        ``node``: bit ``d`` is ``concurrent(node, def_node[d])``."""
+        key = (node.pardo_ids, node.section_path)
+        mask = self.conc.get(key)
+        if mask is None:
+            mask = 0
+            construct, section, pardo = self.construct, self.section, self.pardo
+            for entry in node.section_path:
+                mask |= construct.get(entry[0], 0) ^ section.get(entry, 0)
+            for p in node.pardo_ids:
+                mask |= pardo.get(p, 0)
+            self.conc[key] = mask
+        return mask
 
 
 def compute_genkill(graph: ParallelFlowGraph) -> GenKillInfo:
@@ -66,8 +109,8 @@ def compute_genkill(graph: ParallelFlowGraph) -> GenKillInfo:
     build of the same program.  The graph's ``_invalidate`` hook drops the memo on any
     structural mutation.  Hit/miss totals land in ``cache.genkill.*``
     when an observability session is installed; a miss runs under a
-    ``genkill`` span and adds the class pairs it decided to
-    ``reachdefs.genkill.class_pairs``.
+    ``genkill`` span and adds the classes whose ``ConcDefs`` it built to
+    ``reachdefs.genkill.classes``.
     """
     memo = getattr(graph, "_genkill_memo", None)
     metrics = get_metrics()
@@ -78,120 +121,79 @@ def compute_genkill(graph: ParallelFlowGraph) -> GenKillInfo:
     if metrics.enabled:
         metrics.inc("cache.genkill.misses")
     with get_tracer().span("genkill", nodes=len(graph.nodes)) as span:
-        info, class_pairs = _local_sets(graph)
-        span.annotate(class_pairs=class_pairs)
+        info = _local_sets(graph)
+        classes = len(info.conc)
+        span.annotate(classes=classes)
     if metrics.enabled:
-        metrics.inc("reachdefs.genkill.class_pairs", class_pairs)
+        metrics.inc("reachdefs.genkill.classes", classes)
     graph._genkill_memo = info
     return info
 
 
-def _local_sets(graph: ParallelFlowGraph) -> Tuple[GenKillInfo, int]:
-    """The local sets of ``graph`` and the number of class pairs decided."""
+def _local_sets(graph: ParallelFlowGraph) -> GenKillInfo:
+    """The local sets of ``graph``: one walk over the nodes builds
+    ``own``, ``defs(v)`` and the label masks, and a second over the nodes
+    that define something their sets."""
+    nodes = graph.nodes
+    # a node without definitions keeps 0 in every table
+    gen, kill, parallel_kill, other_defs, own = (dict.fromkeys(nodes, 0) for _ in range(5))
     def_node: Dict[Definition, PFGNode] = {}
-    label: Dict[PFGNode, int] = {}
-    classes: Dict[tuple, int] = {}
-    members: List[PFGNode] = []  # one node of each class, by class index
-    #: variable -> class -> that class's definitions of the variable
-    by_class: Dict[str, Dict[int, List[Definition]]] = {}
-    for node in graph.nodes:
-        key = (node.pardo_ids, node.section_path)
-        cls = classes.get(key)
-        if cls is None:
-            cls = classes[key] = len(members)
-            members.append(node)
-        label[node] = cls
-        for d in node.defs:
+    var_defs: Dict[str, int] = {}
+    construct: Dict[int, int] = {}
+    section: Dict[Tuple[int, int], int] = {}
+    pardo: Dict[int, int] = {}
+    defining = []
+    for node in nodes:
+        defs = node.defs
+        if not defs:
+            continue
+        mask = 0
+        for d in defs:
             def_node[d] = node
-            by_class.setdefault(d.var, {}).setdefault(cls, []).append(d)
-    all_defs = {var: frozenset(chain.from_iterable(parts.values())) for var, parts in by_class.items()}
+            bit = 1 << d.index
+            mask |= bit
+            var_defs[d.var] = var_defs.get(d.var, 0) | bit
+        own[node] = mask
+        defining.append(node)
+        for entry in node.section_path:
+            construct[entry[0]] = construct.get(entry[0], 0) | mask
+            section[entry] = section.get(entry, 0) | mask
+        for p in node.pardo_ids:
+            pardo[p] = pardo.get(p, 0) | mask
 
-    decided: Dict[Tuple[int, int], bool] = {}
-    parallel_defs: Dict[Tuple[str, int], DefSet] = {}
-
-    def concurrent_defs(var: str, cls: int) -> DefSet:
-        """Definitions of ``var`` in classes that may run alongside ``cls``."""
-        key = (var, cls)
-        found = parallel_defs.get(key)
-        if found is None:
-            parts = []
-            for other, defs in by_class[var].items():
-                pair = (cls, other) if cls <= other else (other, cls)
-                flag = decided.get(pair)
-                if flag is None:
-                    flag = decided[pair] = concurrent(members[pair[0]], members[pair[1]])
-                if flag:
-                    parts.append(defs)
-            found = parallel_defs[key] = frozenset(chain.from_iterable(parts)) if parts else _EMPTY
-        return found
-
-    gen: Dict[PFGNode, DefSet] = {}
-    kill: Dict[PFGNode, DefSet] = {}
-    parallel_kill: Dict[PFGNode, DefSet] = {}
-    other_defs: Dict[PFGNode, DefSet] = {}
-    for node in graph.nodes:
-        defs = node.defs
-        if not defs:
-            gen[node] = kill[node] = parallel_kill[node] = other_defs[node] = _EMPTY
-            continue
-        own = frozenset(defs)
-        cls = label[node]
-        if len(defs) == 1:
-            var = defs[0].var
-            gen[node] = own
-            others = all_defs[var] - own
-            par = concurrent_defs(var, cls) if others else _EMPTY
-        else:
-            gen[node] = frozenset(node.gen_defs())
-            # variables only this node defines need no concurrency query
-            variables = [var for var in {d.var for d in defs} if not all_defs[var] <= own]
-            others = _EMPTY.union(*(all_defs[var] for var in variables)) - own
-            par = _EMPTY.union(*(concurrent_defs(var, cls) for var in variables))
-        other_defs[node] = others
-        if par:
-            par = par - own
-            kill[node] = others - par
-            parallel_kill[node] = par
-        else:
-            kill[node] = others
-            parallel_kill[node] = _EMPTY
-
+    decoder = IndexDecoder(graph.defs)
     info = GenKillInfo(
-        gen=gen, kill=kill, parallel_kill=parallel_kill, other_defs=other_defs, def_node=def_node
+        *(
+            EncodedRows(rows, decoder, "reachdefs.genkill.rows")
+            for rows in (gen, kill, parallel_kill, other_defs, own)
+        ),
+        def_node=def_node,
+        var_defs=var_defs,
+        construct=construct,
+        section=section,
+        pardo=pardo,
     )
-    return info, len(decided)
-
-
-def encode_other_defs(graph: ParallelFlowGraph, ops) -> Dict[PFGNode, object]:
-    """``OtherDefs(n)`` of every node, encoded by the set backend ``ops``.
-
-    Encoding each set definition by definition costs O(Σ|OtherDefs(n)|),
-    quadratic on a chain of redefinitions.  By definition OtherDefs(n) is
-    ``⋃_{v defined in n} defs(v)`` minus n's own definitions, which that
-    union contains, so each ``defs(v)`` is encoded once and a node's set
-    is ``union ^ own``: the sets :func:`compute_genkill` lists, one
-    backend operation per variable instead of one per definition.
-    """
-    by_var: Dict[str, List[Definition]] = {}
-    for node in graph.nodes:
-        for d in node.defs:
-            by_var.setdefault(d.var, []).append(d)
-    var_defs = {var: ops.from_defs(defs) for var, defs in by_var.items()}
-    empty = ops.empty()
-    out: Dict[PFGNode, object] = {}
-    for node in graph.nodes:
-        defs = node.defs
-        if not defs:
-            out[node] = empty
-            continue
+    concurrent_defs = info.concurrent_defs
+    for node in defining:
+        defs, mask = node.defs, own[node]
         if len(defs) == 1:
-            union = var_defs[defs[0].var]
+            gen[node] = mask
+            others = var_defs[defs[0].var] ^ mask
         else:
-            union = empty
-            for var in {d.var for d in defs}:
+            # the last definition of each variable is downward exposed
+            last = {d.var: d.index for d in defs}
+            exposed = union = 0
+            for var, index in last.items():
+                exposed |= 1 << index
                 union |= var_defs[var]
-        out[node] = union ^ ops.from_defs(defs)
-    return out
+            gen[node] = exposed
+            others = union ^ mask
+        if others:
+            par = concurrent_defs(node) & others
+            other_defs[node] = others
+            parallel_kill[node] = par
+            kill[node] = others ^ par
+    return info
 
 
 def sequential_kill(info: GenKillInfo, node: PFGNode) -> DefSet:

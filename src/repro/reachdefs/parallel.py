@@ -40,7 +40,7 @@ from ..obs import get_tracer
 from ..pfg.edges import EdgeKind
 from ..pfg.graph import ParallelFlowGraph
 from ..pfg.node import NodeKind, PFGNode
-from .genkill import GenKillInfo, encode_other_defs
+from .genkill import GenKillInfo
 from .result import ReachingDefsResult
 from .system import RDSystem
 
@@ -72,19 +72,19 @@ class ParallelRDSystem(RDSystem):
         record_provenance: bool = False,
     ):
         super().__init__(graph, backend=backend, info=info, record_provenance=record_provenance)
-        info, ops, universe = self.info, self.ops, self._universe
+        info, universe, local = self.info, self._universe, self._local
         #: Per node, compiled once: the flow half's inputs
         #: ``(pred, par_pred, sync_pred, U − (Kill ∪ ParallelKill), Gen)``
         #: (``sync_pred`` empty unless :attr:`sync_edges`) and the
         #: kill half's ``(kind, joined, met, Kill, U − Gen, fork)``.
-        #: Kill ⊎ ParallelKill is OtherDefs (genkill's construction).  The
-        #: kill families follow :meth:`update_kill`: at a join, ``joined``
+        #: The kill families follow :meth:`update_kill`: at a join, ``joined``
         #: is par_pred (unioned) and ``met`` seq_pred (intersected);
         #: elsewhere ``joined`` is empty and ``met`` is par_pred + seq_pred.
         self._flow_plan: Dict[PFGNode, tuple] = {}
         self._kill_plan: Dict[PFGNode, tuple] = {}
-        empty, from_defs, sync_edges = self._empty, ops.from_defs, self.sync_edges
-        for n, killed in encode_other_defs(graph, ops).items():
+        other, gen_of, kill_of = local(info.other_defs), local(info.gen), local(info.kill)
+        sync_edges = self.sync_edges
+        for n in graph.nodes:
             preds, par, seq, sync = [], [], [], []
             for p, edge in graph.in_edges(n):
                 if edge is EdgeKind.SEQ:
@@ -97,12 +97,10 @@ class ParallelRDSystem(RDSystem):
                     continue
                 preds.append(p)
             par, seq = tuple(par), tuple(seq)
-            gen, parkill = info.gen[n], info.parallel_kill[n]
-            gen = from_defs(gen) if gen else empty
-            kill = killed ^ from_defs(parkill) if parkill else killed
+            gen = gen_of[n]
             joined, met = (par, seq) if n.kind is _JOIN else ((), par + seq)
-            self._flow_plan[n] = (tuple(preds), par, tuple(sync), universe ^ killed, gen)
-            self._kill_plan[n] = (n.kind, joined, met, kill, universe ^ gen, n.fork)
+            self._flow_plan[n] = (tuple(preds), par, tuple(sync), universe ^ other[n], gen)
+            self._kill_plan[n] = (n.kind, joined, met, kill_of[n], universe ^ gen, n.fork)
 
     # -- framework interface ----------------------------------------------
 

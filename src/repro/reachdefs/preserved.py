@@ -43,7 +43,7 @@ from ..dataflow.framework import SolveStats
 from ..pfg.concurrency import mutually_exclusive
 from ..pfg.graph import ParallelFlowGraph
 from ..pfg.node import PFGNode
-from .result import EncodedRows, NodeDecoder
+from .result import EncodedRows, IndexDecoder
 
 PreservedMap = Mapping[PFGNode, FrozenSet[PFGNode]]
 
@@ -63,7 +63,7 @@ class PreservedResult:
     preserved: PreservedMap = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        decoder = NodeDecoder(self.nodes)
+        decoder = IndexDecoder(self.nodes)
         self.preserved = EncodedRows(self.masks, decoder, "reachdefs.preserved.rows")
 
     def __getitem__(self, node: PFGNode) -> FrozenSet[PFGNode]:
@@ -78,7 +78,7 @@ class _PreservedSnapshot:
     name-keyed copy of the partial Preserved sets (masks by node id)."""
 
     def __init__(self, nodes: List[PFGNode], masks: List[int]):
-        self._decode = NodeDecoder(nodes).decode
+        self._decode = IndexDecoder(nodes).decode
         self._nodes, self._masks = nodes, masks
 
     def snapshot(self):

@@ -14,7 +14,7 @@ when it is read.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, FrozenSet, Hashable, Iterator, List, Optional, Tuple, Union
 
@@ -25,9 +25,9 @@ from ..lang import ast
 from ..obs import get_metrics, get_tracer
 from ..pfg.graph import ParallelFlowGraph
 from ..pfg.node import PFGNode
-from .genkill import GenKillInfo
 
 if TYPE_CHECKING:
+    from .genkill import GenKillInfo
     from .preserved import PreservedResult
 
 DefSet = FrozenSet[Definition]
@@ -68,18 +68,19 @@ class _Decoder:
         return row if isinstance(row, int) else self.bits.from_defs(row)
 
 
-class NodeDecoder:
-    """Decodes an int mask over node ids (``PFGNode.id``) to the frozenset
-    of those nodes: the decoder of node-set rows (Preserved, MustDone)."""
+class IndexDecoder:
+    """Decodes an int mask over the indices of ``items`` to the frozenset
+    of those items: the decoder of node-set rows over node ids
+    (Preserved, MustDone) and of the local sets over definition indices."""
 
-    __slots__ = ("nodes",)
+    __slots__ = ("items",)
 
-    def __init__(self, nodes: List[PFGNode]):
-        self.nodes = nodes
+    def __init__(self, items: Sequence[Hashable]):
+        self.items = items
 
-    def decode(self, mask: int) -> FrozenSet[PFGNode]:
-        nodes = self.nodes
-        return frozenset(nodes[i] for i in bit_indices(mask))
+    def decode(self, mask: int) -> FrozenSet:
+        items = self.items
+        return frozenset(items[i] for i in bit_indices(mask))
 
 
 class EncodedRows(Mapping[Hashable, DefSet]):
@@ -87,7 +88,7 @@ class EncodedRows(Mapping[Hashable, DefSet]):
     node sets by node), each decoded on its first read and kept.
 
     Holds the mask dict and a decoder (the result's shared
-    :class:`_Decoder`, or a :class:`NodeDecoder`), not the equation
+    :class:`_Decoder`, or an :class:`IndexDecoder`), not the equation
     system.  The first read of a key adds to ``counter``
     (``reachdefs.materialize.rows`` for a slot).
     """

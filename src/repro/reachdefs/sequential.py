@@ -23,7 +23,7 @@ from ..obs import get_tracer
 from ..pfg.edges import EdgeKind
 from ..pfg.graph import ParallelFlowGraph
 from ..pfg.node import PFGNode
-from .genkill import GenKillInfo, encode_other_defs
+from .genkill import GenKillInfo
 from .result import ReachingDefsResult
 from .system import RDSystem
 
@@ -47,12 +47,11 @@ class SequentialRDSystem(RDSystem):
         for src, dst, edge in graph.edges():
             if edge is not EdgeKind.SYNC:
                 preds[dst].append(src)
-        self._plan: Dict[PFGNode, tuple] = {}
-        empty, from_defs, gen_of = self._empty, self.ops.from_defs, self.info.gen
-        universe = self._universe
-        for n, killed in encode_other_defs(graph, self.ops).items():
-            gen = gen_of[n]
-            self._plan[n] = (tuple(preds[n]), universe ^ killed, from_defs(gen) if gen else empty)
+        universe, gen = self._universe, self._local(self.info.gen)
+        other = self._local(self.info.other_defs)
+        self._plan: Dict[PFGNode, tuple] = {
+            n: (tuple(preds[n]), universe ^ other[n], gen[n]) for n in graph.nodes
+        }
 
     def update(self, n: PFGNode) -> bool:
         preds, keep, gen = self._plan[n]

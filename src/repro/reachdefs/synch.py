@@ -115,7 +115,7 @@ class SynchRDSystem(ParallelRDSystem):
         )
         self.preserved = preserved
         self.filter_synch_pass = filter_synch_pass
-        ops, universe = self.ops, self._universe
+        universe = self._universe
         #: Per node, compiled once: ``(preserved_sync_pred, ordered_defs,
         #: OtherDefs, is_wait)``.  ``preserved_sync_pred`` are the sync
         #: predecessors the Preserved approximation orders before the
@@ -125,18 +125,16 @@ class SynchRDSystem(ParallelRDSystem):
         #: see module docstring), or U with the filter off.  Both are read
         #: off the wait's Preserved mask; no row is decoded.
         self._sync_plan: Dict[PFGNode, tuple] = {}
-        masks = preserved.masks
-        # by node id, the definitions each node makes
-        node_defs = [ops.from_defs(m.defs) for m in graph.nodes] if filter_synch_pass else None
+        masks, nodes, own = preserved.masks, graph.nodes, self._local(self.info.own)
         for n, (_, _, _, keep, _) in self._flow_plan.items():
             ordered, sync_passed = None, ()
             if n.is_wait:
                 before = masks[n]
                 ordered = universe
-                if node_defs is not None:
+                if filter_synch_pass:
                     ordered = self._empty
                     for i in bit_indices(before):
-                        ordered |= node_defs[i]
+                        ordered |= own[nodes[i]]
                 sync_passed = tuple(p for p in graph.sync_preds(n) if before >> p.id & 1)
             other = universe ^ keep  # U − (U − OtherDefs)
             self._sync_plan[n] = (sync_passed, ordered, other, n.is_wait)

@@ -16,14 +16,14 @@ paths read.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Dict, Iterable, Mapping, Optional, Tuple
 
-from ..dataflow.bitset import make_backend
+from ..dataflow.bitset import IntBitsetBackend, make_backend
 from ..dataflow.framework import EquationSystem, SolveStats
 from ..pfg.graph import ParallelFlowGraph
 from ..pfg.node import PFGNode
 from .genkill import GenKillInfo, compute_genkill
-from .result import ReachingDefsResult, materialize
+from .result import EncodedRows, ReachingDefsResult, materialize
 
 #: The :class:`ReachingDefsResult` field each slot's rows fill.
 RESULT_FIELDS: Dict[str, str] = {
@@ -71,6 +71,12 @@ class RDSystem(EquationSystem[PFGNode]):
         for slot in self.slots:
             self.rows[slot] = {}
             setattr(self, slot, self.rows[slot])
+
+    def _local(self, rows: EncodedRows) -> Mapping[PFGNode, object]:
+        """A local-set table of :attr:`info` (``info.gen``, ``info.kill``,
+        …) in this system's backend: its int masks, or on the ``set``
+        backend the table itself, whose rows the info decodes."""
+        return rows.masks if isinstance(self.ops, IntBitsetBackend) else rows
 
     def nodes(self):
         return self.graph.document_order()
@@ -126,7 +132,7 @@ class RDSystem(EquationSystem[PFGNode]):
             self.graph,
             self.In,
             self.Out,
-            self.info.gen,
+            self.info.gen.masks,
             include_sync=self.sync_edges,
             system=self.system_name,
         )

@@ -12,7 +12,11 @@ algorithms they replaced, reading decoded chains only:
 * :func:`reference_dead_code` — mark and sweep over definition sets;
 * :func:`reference_copies` and :func:`reference_subexpressions` — copy
   propagation over singleton chains and CSE keyed by the frozenset of
-  reaching definition indices.
+  reaching definition indices;
+* :func:`reference_anomalies` and :func:`reference_wait_kills` — the
+  anomaly severities and available expressions' wait kills, each
+  concurrency test a pairwise ``concurrent()`` query (the clients read
+  ``GenKillInfo.concurrent_defs`` masks).
 
 Every function returns what the client it mirrors returns, so the
 oracle compares values, reports and lists directly.
@@ -23,6 +27,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Dict, FrozenSet, List, Tuple
 
+from repro.analysis.anomalies import Anomaly, AnomalyKind, _pardo_races
 from repro.analysis.constprop import UNDEF, VARYING, _apply_binop, meet
 from repro.analysis.copyprop import CopyPropagation
 from repro.analysis.cse import CommonSubexpression
@@ -233,3 +238,47 @@ def reference_subexpressions(result, chains: ReferenceChains) -> List[CommonSube
                     CommonSubexpression(earlier=earlier, later=later, expr=str(later.stmt.expr))
                 )
     return out
+
+
+# -- anomalies and wait kills by pairwise concurrency ------------------------
+
+
+def reference_anomalies(result) -> List[Anomaly]:
+    """``find_anomalies``: a join or wait's reaching definitions of one
+    variable race iff some two of them may run concurrently."""
+    out = []
+    for node in result.graph.nodes:
+        if not (node.is_join or node.is_wait):
+            continue
+        by_var: Dict[str, List[Definition]] = {}
+        for d in result.In(node):
+            by_var.setdefault(d.var, []).append(d)
+        for var, defs in sorted(by_var.items()):
+            if len(defs) < 2:
+                continue
+            nodes = [result.info.def_node[d] for d in defs]
+            racy = any(
+                concurrent(nodes[i], nodes[j])
+                for i in range(len(defs))
+                for j in range(i + 1, len(defs))
+            )
+            kind = AnomalyKind.RACE if racy else AnomalyKind.MULTIPLE
+            out.append(Anomaly(kind=kind, node=node, var=var, defs=frozenset(defs)))
+    return out + _pardo_races(result)
+
+
+def reference_wait_kills(graph, universe) -> Dict[object, FrozenSet]:
+    """Available expressions' entry kill at each wait: the expressions
+    over a variable some definition concurrent with the wait writes."""
+    return {
+        node: frozenset(
+            e
+            for e in universe
+            if any(
+                concurrent(graph.node(d.site), node)
+                for var in e.variables()
+                for d in graph.defs.of_var(var)
+            )
+        )
+        for node in graph.waits
+    }

@@ -9,7 +9,9 @@ both backends and plain-dict rows, the two must agree on ``ud``/``du``
 and the ``UDChains`` queries, constant values (type included, so
 ``True`` and ``1`` differ) and ``value_at``, the live/dead/roots
 partition with and without exit observability, and the copy and CSE
-lists, in order.
+lists, in order; the anomaly reports and available expressions' wait
+kills, which test ``concurrent_defs`` bits, must equal the pairwise
+``concurrent()`` versions.
 """
 
 from dataclasses import replace
@@ -17,6 +19,8 @@ from dataclasses import replace
 import pytest
 
 from repro import analyze
+from repro.analysis.anomalies import find_anomalies
+from repro.analysis.availexpr import AvailableExpressionsSystem
 from repro.analysis.constprop import VARYING, propagate_constants
 from repro.analysis.copyprop import find_copy_propagations
 from repro.analysis.cse import find_common_subexpressions
@@ -36,9 +40,11 @@ from .reference_clients import (
     ReferenceChains,
     reference_constants,
     reference_copies,
+    reference_anomalies,
     reference_dead_code,
     reference_subexpressions,
     reference_value_at,
+    reference_wait_kills,
 )
 
 HAND_WRITTEN = {
@@ -100,6 +106,37 @@ end parallel sections
 (4) g = d + c
 (4) h = a + n
 end""",
+    # the second a + b follows the first over a sync edge, but the two
+    # sections may run concurrently: no CSE
+    "cse-across-sync": """program p
+event e
+(1) a = 1
+(1) b = 2
+parallel sections
+  section one
+    (3) x = a + b
+    (3) post(e)
+  section two
+    (4) wait(e)
+    (4) y = a + b
+end parallel sections
+end""",
+    # x1 and x5 meet at the join; x5 races with itself across
+    # iterations, but not with x1: multiple values, not a race
+    "pardo-in-branch": """program p
+(1) x = 0
+parallel sections
+  section a
+    if c then
+      parallel do i
+        (5) x = i
+      end parallel do
+    endif
+  section b
+    (7) y = 1
+end parallel sections
+(8) z = x + y
+end""",
 }
 
 PROGRAMS = {
@@ -150,6 +187,10 @@ def check_clients(result):
         )
     assert find_copy_propagations(result, chains) == reference_copies(result, ref)
     assert find_common_subexpressions(result, chains) == reference_subexpressions(result, ref)
+    assert find_anomalies(result) == reference_anomalies(result)
+    avail = AvailableExpressionsSystem(graph)
+    kills = reference_wait_kills(graph, avail.universe)
+    assert {n: avail._entry_kill[n] for n in graph.waits} == kills
 
 
 @pytest.mark.parametrize("backend", ["bitset", "set"])

@@ -2,11 +2,18 @@
 
 import pytest
 
-from repro.dataflow.bitset import BACKEND_NAMES, make_backend
+from repro.dataflow.bitset import BACKEND_NAMES
 from repro.lang import parse_program
 from repro.paper import SOURCES
 from repro.pfg import build_pfg
-from repro.reachdefs.genkill import compute_genkill, encode_other_defs, sequential_kill
+from repro.reachdefs import (
+    ConservativeRDSystem,
+    ParallelRDSystem,
+    SequentialRDSystem,
+    SynchRDSystem,
+)
+from repro.reachdefs.genkill import compute_genkill, sequential_kill
+from repro.reachdefs.preserved import resolve_preserved
 from repro.synthetic import diamond_chain, random_mix
 
 
@@ -84,17 +91,30 @@ def test_node_without_defs_has_empty_sets(fig3_graph):
 
 
 @pytest.mark.parametrize("backend", BACKEND_NAMES)
-def test_encoded_other_defs_match_the_listed_sets(backend):
-    # encode_other_defs builds each node's mask from per-variable masks;
-    # it must encode exactly the sets compute_genkill lists.
+def test_compiled_keep_rows_are_universe_minus_other_defs(backend):
+    # The plans take the local sets as masks (on the set backend, as the
+    # rows the info decodes); each system must compile exactly the sets
+    # compute_genkill lists: keep = U − OtherDefs (U for the
+    # accumulate-only floor), Gen, and §5/§6's Kill.
     programs = [parse_program(src) for src in SOURCES.values()]
     programs += [diamond_chain(6), parse_program("program p\n(1) x = 1\n(1) x = 2\n(1) y = 3\n(2) y = x\nend")]
     programs += [random_mix(seed, 40) for seed in range(4)]
     for program in programs:
         graph = build_pfg(program)
         info = compute_genkill(graph)
-        ops = make_backend(backend, list(graph.defs))
-        encoded = encode_other_defs(graph, ops)
-        assert list(encoded) == list(graph.nodes)
-        for node, mask in encoded.items():
-            assert ops.to_frozenset(mask) == info.other_defs[node], (program.name, node.name)
+        universe = frozenset(graph.defs)
+        seq = SequentialRDSystem(graph, backend=backend)
+        par = ParallelRDSystem(graph, backend=backend)
+        syn = SynchRDSystem(graph, resolve_preserved(graph), backend=backend)
+        con = ConservativeRDSystem(graph, backend=backend)
+        decode = seq.ops.to_frozenset
+        for node in graph.nodes:
+            where = (program.name, node.name)
+            keep = universe - info.other_defs[node]
+            assert decode(seq._plan[node][1]) == keep, where
+            assert decode(con._plan[node][1]) == universe, where
+            for system in (par, syn):
+                assert decode(system._flow_plan[node][3]) == keep, where
+                assert decode(system._kill_plan[node][3]) == info.kill[node], where
+            for gen in (seq._plan[node][2], con._plan[node][2], par._flow_plan[node][4]):
+                assert decode(gen) == info.gen[node], where
